@@ -56,6 +56,14 @@ if [ "${1:-}" != "--fast" ]; then
             "bench_engine_fastpath.py::TestVectorizedCliqueLane::test_vectorized_clique_smoke"
     ) || fail=1
 
+    # Time-budgeted wake-round differential: every hooked algorithm
+    # against its wake_round = None twin (decisions, rounds, ledgers,
+    # final contexts), the skip-size pin, and the sanitizer's audit of
+    # lying hooks.
+    step "wake-round fast-forward differential (120s budget)"
+    timeout 120 python -m pytest -q -p no:cacheprovider \
+        tests/congest/test_wake_round.py || fail=1
+
     # Time-budgeted scale smoke: one mid-size fused-vs-reference point
     # (n=16384, parity checked inline) so a fused-kernel or lazy-RNG
     # regression fails the gate without paying for the full scale sweep.

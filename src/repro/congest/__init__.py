@@ -5,7 +5,7 @@ synchronous, bit-exact message-passing engine on which every algorithm and
 every lower-bound adversary in the paper runs.
 """
 
-from .algorithm import Algorithm, Decision, NodeContext, broadcast, silent
+from .algorithm import WAKE_NEVER, Algorithm, Decision, NodeContext, broadcast, silent
 from .broadcast_model import (
     BroadcastAlgorithm,
     BroadcastNetwork,
@@ -47,6 +47,7 @@ from .vectorized import (
 )
 
 __all__ = [
+    "WAKE_NEVER",
     "Algorithm",
     "BroadcastAlgorithm",
     "BroadcastNetwork",

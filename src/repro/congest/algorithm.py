@@ -24,14 +24,19 @@ from __future__ import annotations
 
 import abc
 import enum
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .message import Message
 
-__all__ = ["Decision", "NodeContext", "Algorithm"]
+__all__ = ["Decision", "NodeContext", "Algorithm", "WAKE_NEVER"]
+
+#: ``wake_round`` value for "nothing happens here again unless a message
+#: arrives"; the engine caps every wake round at ``max_rounds``.
+WAKE_NEVER: int = sys.maxsize
 
 
 class Decision(enum.Enum):
@@ -111,10 +116,28 @@ class Algorithm(abc.ABC):
     per-node state in ``node.state``; the algorithm object itself should be
     treated as read-only configuration (so one instance can drive many
     simulations and many nodes).
+
+    Two optional engine hooks let the round loop do less work without
+    changing any outcome:
+
+    * ``is_quiescent(node) -> bool`` affirms that a node is idle for good,
+      so an all-silent round can end the run (see
+      :mod:`repro.congest.network`).
+    * ``wake_round(node, r) -> int`` returns the earliest round ``>= r``
+      in which ``node`` could send, change its ``state`` or decision, or
+      halt, *assuming it receives nothing*.  After a round that sent
+      nothing the engine jumps straight to the minimum wake round over
+      the non-halted nodes and bills the skipped rounds as executed
+      silent rounds.  Returning ``r`` is always safe; return
+      :data:`WAKE_NEVER` for a node that would do nothing for the rest
+      of the run.  The hook must not mutate ``node``.  Leave it ``None``
+      (the default) and every round runs.
     """
 
     #: Human-readable name used in benchmark tables.
     name: str = "algorithm"
+    #: Optional ``wake_round(node, r) -> int`` hook (see the class doc).
+    wake_round: Optional[Callable[[NodeContext, int], int]] = None
 
     def init(self, node: NodeContext) -> None:
         """Called once per node before round 0.  Default: no-op."""

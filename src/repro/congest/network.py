@@ -37,6 +37,22 @@ sent in it and nothing was pending, so it is a probe, not a communication
 round.  For message-driven algorithms that fall silent only when done, this
 makes ``ExecutionResult.rounds == CommMetrics.rounds`` exactly.
 
+Schedule-driven algorithms may implement the optional ``wake_round(node,
+r)`` hook (``wake_round(run, state, r)`` in the vectorized lane): the
+earliest round ``>= r`` in which the node could send, change its state or
+decision, or halt, assuming it receives nothing.  After a round that sent
+nothing and did not end the run, the engine jumps to the minimum wake
+round over the non-halted nodes (capped at ``max_rounds``).  The skipped
+rounds are billed exactly as executed silent rounds: ``rounds``, the
+metrics ledger and every live context's final ``round`` are what running
+them would have produced.  The skip is off when an observer (the
+sanitizer) or a fault plan is attached; under the sanitizer every round
+runs and the hook's promises are audited instead
+(:meth:`~repro.congest.sanitizer.TrafficDigest.wake_promises`).  An
+algorithm without the hook runs every round.  Skipped rounds never
+consult ``is_quiescent``, so an algorithm with both hooks must make the
+probe a function of node state, not of ``node.round``.
+
 Fast path
 ---------
 Adjacency sets and sorted neighbor tuples are precomputed once per
@@ -366,9 +382,11 @@ class CongestNetwork:
         injector: Optional[Any] = None,
     ) -> ExecutionResult:
         """One pass of the round loop; ``observer`` (when set) receives
-        ``after_init`` / ``on_message`` / ``after_round`` / ``after_finish``
-        callbacks -- the sanitizer's attachment points.  ``observer=None``
-        keeps the hot loop free of per-message indirection.
+        ``after_init`` / ``wake_promises`` / ``on_message`` /
+        ``after_round`` / ``after_finish`` callbacks -- the sanitizer's
+        attachment points -- and turns the ``wake_round`` skip into an
+        audit.  ``observer=None`` keeps the hot loop free of per-message
+        indirection.
 
         ``injector`` (a :class:`~repro.faults.inject.FaultInjector`, when
         set) applies the fault plan: crash-stopped nodes are force-halted
@@ -404,6 +422,10 @@ class CongestNetwork:
         # Hoisted hot-loop state.
         on_message = observer.on_message if observer is not None else None
         probe = getattr(algorithm, "is_quiescent", None)
+        # Faults act on scheduled rounds (crashes), so a faulty run neither
+        # skips nor audits; under an observer every round runs and the
+        # observer audits the wake promises instead of trusting them.
+        wake = algorithm.wake_round if injector is None else None
         lite = metrics == "lite"
         adj = self._adj
         bandwidth = self.bandwidth
@@ -426,7 +448,9 @@ class CongestNetwork:
 
         inboxes: Dict[int, Dict[int, Message]] = {}
         rounds_run = 0
-        for r in range(max_rounds):
+        any_traffic = True
+        r = 0
+        while r < max_rounds:
             if crash_pending:
                 # Crash-stop activation: from its scheduled round on, a
                 # crashed node is a forced halt -- it executes nothing and
@@ -444,6 +468,23 @@ class CongestNetwork:
                 ctx.decision is Decision.REJECT for ctx in ctx_values
             ):
                 break
+            if not any_traffic and wake is not None:
+                # Round r - 1 sent nothing, so every inbox is empty: ask
+                # each live node when it next acts on its own.
+                wakes = {u: wake(ctx, r) for u, ctx in ctx_items if not ctx._halted}
+                nxt = min(min(wakes.values()), max_rounds)
+                if observer is not None:
+                    observer.wake_promises(r, contexts, wakes)
+                elif nxt > r:
+                    # Rounds r .. nxt-1 are provably silent and change no
+                    # state: bill them as executed and leave each live
+                    # context's round where running them would have.
+                    for ctx in ctx_values:
+                        if not ctx._halted:
+                            ctx.round = nxt - 1
+                    r = rounds_run = nxt
+                    if r >= max_rounds:
+                        break
             next_inboxes: Dict[int, Dict[int, Message]] = {}
             any_traffic = False
             round_total = 0
@@ -511,6 +552,7 @@ class CongestNetwork:
                 # with CommMetrics.rounds for message-driven algorithms.
                 rounds_run = r
                 break
+            r += 1
 
         for ctx in contexts.values():
             algorithm.finish(ctx)
@@ -535,29 +577,6 @@ class CongestNetwork:
             node_decisions=decisions,
             contexts=contexts,
         )
-
-    # ------------------------------------------------------------------
-    def _validate_send(self, u: int, v: int, msg: Message) -> None:
-        """Reference send validation (the round loop inlines these checks)."""
-        if not isinstance(msg, Message):
-            raise TypeError(f"node {u} tried to send a non-Message: {msg!r}")
-        if v not in self._adj[u]:
-            raise ValueError(f"node {u} tried to send to non-neighbor {v}")
-        if self.bandwidth is not None and msg.size_bits > self.bandwidth:
-            raise BandwidthExceeded(
-                f"node {u} -> {v}: message of {msg.size_bits} bits exceeds B={self.bandwidth}"
-            )
-
-    @staticmethod
-    def _all_quiescent(algorithm: Algorithm, contexts: Dict[int, NodeContext]) -> bool:
-        """True if the algorithm *affirms* every node idle via its optional
-        ``is_quiescent`` hook.  A missing hook means "do not assume
-        quiescent": schedule-driven algorithms have legitimately silent
-        rounds, so silence alone never ends a run."""
-        probe = getattr(algorithm, "is_quiescent", None)
-        if probe is None:
-            return False
-        return all(ctx._halted or probe(ctx) for ctx in contexts.values())
 
 
 def _build_injector(faults: Any, seed: Optional[int]) -> Optional[Any]:

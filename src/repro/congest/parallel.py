@@ -117,12 +117,12 @@ def _get_pool(jobs: int) -> ProcessPoolExecutor:
         return pool
 
 
-def _discard_pool(jobs: int) -> None:
+def _discard_pool(jobs: int, wait: bool = False) -> None:
     with _POOL_LOCK:
         pool = _POOLS.pop(jobs, None)  # repro: noqa[L8]
     if pool is not None:
         try:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=wait, cancel_futures=True)
         except Exception:
             # A pool broken by worker death (or half-torn-down by a
             # concurrent shutdown) must not abort the teardown sweep.
@@ -138,15 +138,25 @@ def shutdown_pools() -> None:
     (see :mod:`repro.congest.shm`), so no named segment outlives the
     pools that were using it.
 
-    Safe to call from signal handlers and from several threads at once:
-    each pool is popped from the registry under the (reentrant) lock
-    before being shut down, so a second caller -- or a reentrant one, a
-    SIGTERM landing mid-teardown -- finds nothing left to do.
+    Joins each pool's workers and manager thread before returning, so a
+    call that lands mid-run blocks until the chunks already handed to
+    workers finish (the rest are cancelled).  A pool shut down without waiting
+    keeps its manager thread winding down in the background; if the
+    interpreter exits meanwhile, ``concurrent.futures``' exit hook can
+    write to the wakeup pipe that thread just closed and print
+    ``OSError: [Errno 9] Bad file descriptor``.  Only pools broken by a
+    dead or hung worker are discarded without waiting, and
+    :func:`run_amplified` does that itself.
+
+    Safe to call from several threads at once: each pool is popped from
+    the registry under the (reentrant) lock before being shut down, so a
+    second caller -- or a reentrant one, a SIGTERM landing mid-teardown
+    -- finds nothing left to do.
     """
     with _POOL_LOCK:
         stale = list(_POOLS)
     for jobs in stale:
-        _discard_pool(jobs)
+        _discard_pool(jobs, wait=True)
     from .shm import release_shared_graphs
 
     release_shared_graphs()

@@ -37,6 +37,17 @@ wire -- the dynamic twin of the static determinism pass.
 worker: a worker mutating its copy diverges silently from the parent.
 ``run_amplified`` calls it on every factory it ships.
 
+**Wake promises are kept (rule L3).**  An algorithm's optional
+``wake_round`` hook lets the engine skip rounds it promises are idle, so a
+hook that lies changes results only in fast runs -- exactly where nobody
+looks.  Sanitized runs never skip; instead the first pass records every
+promise the engine would have acted on (:meth:`TrafficDigest.wake_promises`,
+:meth:`VecTrafficDigest.vec_wake_promise`) and raises
+``SanitizerViolation("L3", ...)`` if a node promised idle for a round
+sends in it or changes its decision, halt flag or state digest.  A
+message delivered to a node voids its promise (the hook assumes an empty
+inbox).
+
 Scope, honestly stated: aliasing detection tracks *mutable* objects
 (dict / list / set / deque / bytearray / ndarray) one container level deep
 -- sharing immutable values is not a channel; and replay detection sees
@@ -50,7 +61,7 @@ import dataclasses
 import hashlib
 from collections import deque
 from itertools import zip_longest
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -120,6 +131,31 @@ def _unordered_parts(value: Any, depth: int = 2) -> Iterator[Any]:
     elif isinstance(value, (list, tuple, deque)):
         for v in value:
             yield from _unordered_parts(v, depth - 1)
+
+
+def _state_digest(state: Dict[str, Any]) -> str:
+    """Digest of a node's (or a vectorized run's) state dict for the
+    wake-promise audit.  Arrays hash by content (their ``repr`` elides
+    large arrays); everything else by ``repr``, which is stable for an
+    unmutated object."""
+    h = hashlib.blake2b(digest_size=16)
+    for key, value in state.items():
+        h.update(f"{key!r}=".encode())
+        if isinstance(value, np.ndarray):
+            h.update(f"{value.dtype}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            h.update(repr(value).encode("utf-8", "backslashreplace"))
+    return h.hexdigest()
+
+
+def _broken_promise(who: str, r: int, until: int, what: str) -> SanitizerViolation:
+    return SanitizerViolation(
+        "L3",
+        f"{who} {what} in round {r}, but wake_round promised it idle "
+        f"until round {until}; a fast run skips that round, so the "
+        "hook changes results -- return an earlier wake round",
+    )
 
 
 def check_pool_crossing(obj: Any, what: str = "object") -> None:
@@ -232,13 +268,44 @@ class TrafficDigest:
         #: running digest snapshot at the end of each round, in order.
         self.round_digests: List[str] = []
         self.final_digest: Optional[str] = None
+        #: node -> (promised wake round, (decision, halted, state digest)).
+        self._promises: Dict[int, Tuple[int, Tuple[Any, bool, str]]] = {}
+        #: promised nodes that were sent a message this round.
+        self._voided: Set[int] = set()
 
     # -- engine hooks --------------------------------------------------
     def after_init(self, contexts: Dict[int, NodeContext]) -> None:
         if self.guard is not None:
             self.guard.check(contexts, "init")
 
+    def wake_promises(
+        self, r: int, contexts: Dict[int, NodeContext], wakes: Dict[int, int]
+    ) -> None:
+        """Record the nodes ``wake_round`` calls idle from round ``r`` on
+        (first pass only).  A node already holding an unexpired promise
+        keeps its snapshot: it must not have changed since."""
+        if self.guard is None:
+            return
+        for u, w in wakes.items():
+            if w <= r:
+                continue
+            held = self._promises.get(u)
+            if held is not None and held[0] > r:
+                if w > held[0]:
+                    self._promises[u] = (w, held[1])
+                continue
+            ctx = contexts[u]
+            self._promises[u] = (
+                w, (ctx.decision, ctx._halted, _state_digest(ctx.state))
+            )
+
     def on_message(self, r: int, u: int, v: int, msg: Message) -> None:
+        if self._promises:
+            held = self._promises.get(u)
+            if held is not None and held[0] > r:
+                raise _broken_promise(f"node {u}", r, held[0], "sent a message")
+            if v in self._promises:
+                self._voided.add(v)
         for part in _unordered_parts(msg.payload):
             raise SanitizerViolation(
                 "L7",
@@ -253,8 +320,23 @@ class TrafficDigest:
 
     def after_round(self, r: int, contexts: Dict[int, NodeContext]) -> None:
         self.round_digests.append(self._h.hexdigest())
+        if self._promises:
+            self._audit_promises(r, contexts)
         if self.guard is not None:
             self.guard.check(contexts, f"round {r}")
+
+    def _audit_promises(self, r: int, contexts: Dict[int, NodeContext]) -> None:
+        for u, (until, (decision, halted, digest)) in list(self._promises.items()):
+            ctx = contexts[u]
+            if ctx.decision is not decision:
+                raise _broken_promise(f"node {u}", r, until, "changed its decision")
+            if ctx._halted != halted:
+                raise _broken_promise(f"node {u}", r, until, "changed its halt flag")
+            if _state_digest(ctx.state) != digest:
+                raise _broken_promise(f"node {u}", r, until, "changed its state")
+            if until <= r + 1 or u in self._voided:
+                del self._promises[u]
+        self._voided.clear()
 
     def after_finish(self, contexts: Dict[int, NodeContext]) -> None:
         for u in sorted(contexts):
@@ -286,13 +368,32 @@ class VecTrafficDigest:
         self._h = hashlib.blake2b(digest_size=16)
         self.round_digests: List[str] = []
         self.final_digest: Optional[str] = None
+        #: (promised wake round, run state, (decision, halted, state digest))
+        self._promise: Optional[Tuple[int, Any, Tuple[bytes, bytes, str]]] = None
 
     # -- vectorized-engine hooks ---------------------------------------
     def vec_after_init(self, run: Any) -> None:
         if self.guard is not None:
             self.guard.check({}, "init")
 
+    def vec_wake_promise(self, r: int, run: Any, state: Any, until: int) -> None:
+        """Record that ``wake_round`` calls the whole network idle from
+        round ``r`` until ``until`` (first pass only)."""
+        if self.guard is None or until <= r:
+            return
+        held = self._promise
+        if held is not None and held[0] > r:
+            self._promise = (max(until, held[0]), held[1], held[2])
+            return
+        self._promise = (
+            until,
+            state,
+            (run.decision.tobytes(), run.halted.tobytes(), _state_digest(state)),
+        )
+
     def vec_round(self, r: int, edges: Any, sizes: Any, payload: Any) -> None:
+        if self._promise is not None and len(edges):
+            raise _broken_promise("the network", r, self._promise[0], "sent messages")
         self._h.update(f"R|{r}|".encode())
         self._h.update(np.ascontiguousarray(edges).tobytes())
         if isinstance(sizes, np.ndarray):
@@ -303,6 +404,16 @@ class VecTrafficDigest:
             self._h.update(np.ascontiguousarray(payload).tobytes())
 
     def vec_after_round(self, r: int, run: Any) -> None:
+        if self._promise is not None:
+            until, state, (decision, halted, digest) = self._promise
+            if run.decision.tobytes() != decision:
+                raise _broken_promise("the network", r, until, "changed a decision")
+            if run.halted.tobytes() != halted:
+                raise _broken_promise("the network", r, until, "changed a halt flag")
+            if _state_digest(state) != digest:
+                raise _broken_promise("the network", r, until, "changed its state")
+            if until <= r + 1:
+                self._promise = None
         self._h.update(run.decision.tobytes())
         self._h.update(run.halted.tobytes())
         self.round_digests.append(self._h.hexdigest())

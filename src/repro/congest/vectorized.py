@@ -52,7 +52,7 @@ import abc
 import time
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -418,10 +418,20 @@ class VectorizedAlgorithm(abc.ABC):
     Halting discipline: the engine skips :meth:`step_all` only once
     **every** node has halted.  A kernel whose nodes halt at different
     times must itself refrain from acting for halted positions.
+
+    Optional ``wake_round(run, state, r) -> int`` hook: the earliest round
+    ``>= r`` in which any non-halted node could send, change ``state``,
+    its decision or its halt flag, assuming nothing is delivered.  After a
+    silent round the engine jumps straight there and bills the skipped
+    rounds as executed silent rounds -- the object lane's
+    ``Algorithm.wake_round`` contract, batched.  ``None`` (the default)
+    runs every round.
     """
 
     #: Human-readable name used in benchmark tables.
     name: str = "vectorized-algorithm"
+    #: Optional ``wake_round(run, state, r) -> int`` hook (see the class doc).
+    wake_round: Optional[Callable[[VecRun, Dict[str, Any], int], int]] = None
     #: Fixed per-message payload dtype, when one exists for the whole
     #: class (``None``: the kernel builds payloads per run, e.g. chunked
     #: bitmaps whose width depends on ``B``).
@@ -478,9 +488,10 @@ def execute_vectorized(
 
     Semantics mirror :meth:`CongestNetwork._execute` exactly: round
     boundaries, ``stop_on_reject``, the terminal silent quiescence-probe
-    rollback, and the metrics ledger are all bit-identical to an
-    object-lane run of the same algorithm.  ``observer`` (when set)
-    receives ``vec_after_init`` / ``vec_round`` / ``vec_after_round`` /
+    rollback, the ``wake_round`` fast-forward over silent rounds, and the
+    metrics ledger are all bit-identical to an object-lane run of the
+    same algorithm.  ``observer`` (when set) receives ``vec_after_init`` /
+    ``vec_wake_promise`` / ``vec_round`` / ``vec_after_round`` /
     ``vec_after_finish`` callbacks -- the sanitizer's attachment points.
 
     ``injector`` (a :class:`~repro.faults.inject.FaultInjector`, when
@@ -555,9 +566,14 @@ def execute_vectorized(
     crash_halted = np.zeros(n, dtype=bool)
     frozen_decision = np.zeros(n, dtype=run.decision.dtype)
 
+    # Same wake-round policy as the object lane: no skip and no audit
+    # under faults; under an observer every round runs and is audited.
+    wake = algorithm.wake_round if injector is None else None
     inbox = VecInbox.empty()
     rounds_run = 0
-    for r in range(max_rounds):
+    any_traffic = True
+    r = 0
+    while r < max_rounds:
         if crash_round_pos is not None:
             # Crash-stop activation, identical to the object lane: the
             # node is a forced halt from its scheduled round on and its
@@ -571,6 +587,15 @@ def execute_vectorized(
             break
         if stop_on_reject and bool((run.decision == VEC_REJECT).any()):
             break
+        if not any_traffic and wake is not None:
+            nxt = wake(run, state, r)
+            if observer is not None:
+                observer.vec_wake_promise(r, run, state, nxt)
+            elif nxt > r:
+                # Provably silent rounds r .. nxt-1: billed as executed.
+                r = rounds_run = min(nxt, max_rounds)
+                if r >= max_rounds:
+                    break
         if profile is not None:
             t0 = time.perf_counter()
         out = algorithm.step_all(run, r, state, inbox)
@@ -624,6 +649,7 @@ def execute_vectorized(
             # lane.
             rounds_run = r
             break
+        r += 1
 
     algorithm.finish_all(run, state)
     if crash_round_pos is not None and crash_halted.any():

@@ -102,6 +102,12 @@ class LinearCycleIterationAlgorithm(Algorithm):
     def is_quiescent(self, node: NodeContext) -> bool:
         return node._halted
 
+    def wake_round(self, node: NodeContext, r: int) -> int:
+        # Without arrivals a node only pops its queue or halts at the
+        # deadline.
+        st = node.state
+        return r if st["queue"] else max(r, st["deadline"])
+
     def round(self, node: NodeContext, inbox: Mapping[int, Message]):
         st = node.state
         ell = self.length
@@ -132,6 +138,11 @@ class LinearCycleIterationAlgorithm(Algorithm):
             node,
             Message.of_record((origin, hop), w + int_width(self.length), kind="bfs"),
         )
+
+
+def _seen_key(recv, origin, hop, n: int, ell: int):
+    """Flat int64 key of a ``(receiver, origin, hop)`` position triple."""
+    return (np.asarray(recv, dtype=np.int64) * n + origin) * ell + hop
 
 
 class VectorizedLinearCycle(VectorizedAlgorithm):
@@ -181,15 +192,16 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
                 if rng is None:
                     raise ValueError("random coloring needs per-node randomness")
                 colors[p] = int(rng.integers(0, ell))
-        seen = np.zeros((n, n, ell), dtype=bool)
         queues: List[deque] = [deque() for _ in range(n)]
         start = np.nonzero(colors == 0)[0]
         for p in start:
             queues[p].append((int(grid.ids[p]), 0))
-        seen[start, start, 0] = True
         return {
             "colors": colors,
-            "seen": seen,
+            # The object lane's per-node ``seen`` sets, as one sorted array
+            # of (receiver, origin, hop) keys -- see _seen_key.  A dense
+            # (n, n, ell) mask would cost n^2 * ell bytes.
+            "seen": _seen_key(start, start, 0, n, ell),
             "queues": queues,
             "has_queue": colors == 0,
             "witness": np.full(n, -1, dtype=np.int64),
@@ -199,6 +211,11 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
 
     def all_quiescent(self, run: VecRun, state: Dict[str, Any]) -> bool:
         return bool(run.halted.all())
+
+    def wake_round(self, run: VecRun, state: Dict[str, Any], r: int) -> int:
+        # The object lane's hook, batched: any queued token, else the
+        # deadline on which every node halts.
+        return r if bool(state["has_queue"].any()) else max(r, state["deadline"])
 
     def node_state(self, run: VecRun, state: Dict[str, Any], pos: int) -> Dict[str, Any]:
         w = int(state["witness"][pos])
@@ -221,11 +238,11 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
             # First occurrence per (receiver, origin, hop); arrivals are in
             # (receiver, ascending sender) order, so "first" is exactly the
             # arrival the object lane's seen-check lets through.
-            key = (rv * grid.n + op) * ell + hv
+            key = _seen_key(rv, op, hv, grid.n, ell)
             _, first_idx = np.unique(key, return_index=True)
             first = np.zeros(key.shape[0], dtype=bool)
             first[first_idx] = True
-            processed = first & ~seen[rv, op, hv]
+            processed = first & ~np.isin(key, seen)
             closure = processed & (ov == grid.ids[rv]) & (hv == ell - 1)
             trigger = processed & ~closure & (hv + 1 < ell) & (colors[rv] == hv + 1)
             # Same-round suppression: an arrival (o, c) at a node of color c
@@ -250,9 +267,11 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
                     processed &= ~blocked
                     closure &= ~blocked
                     # triggers are never blocked: their hop is c-1 != c.
-            seen[rv[processed], op[processed], hv[processed]] = True
+            # key + 1 is the (receiver, origin, hop + 1) key of a trigger.
+            seen = state["seen"] = np.union1d(
+                seen, np.concatenate((key[processed], key[trigger] + 1))
+            )
             if bool(trigger.any()):
-                seen[rv[trigger], op[trigger], hv[trigger] + 1] = True
                 # Enqueue relays in arrival order (FIFO parity with the
                 # object lane); deliberately no seen-check -- see class doc.
                 for i in np.nonzero(trigger)[0]:

@@ -226,6 +226,38 @@ class EvenCycleIterationAlgorithm(Algorithm):
         # Keep the engine ticking through silent scheduled rounds.
         return node._halted
 
+    def wake_round(self, node: NodeContext, r: int) -> int:
+        # Walk the schedule from round r and stop at the first round in
+        # which round() would act with an empty inbox.
+        st = node.state
+        if r == 0:
+            return 0  # the HIGH announcement
+        if r < st["bfs_end"]:
+            if st["queue"]:
+                return r
+            r = st["bfs_end"]
+        if st["is_high"]:
+            return max(r, st["prefix_end"])
+        if r < st["peel_end"]:
+            if st["layer"] is None:
+                # Without arrivals the active degree is frozen: either
+                # this node peels now, or it rejects on the last step.
+                if self._active_degree(node) <= st["tau"]:
+                    return r
+                return max(r, st["peel_start"] + st["peel_steps"])
+            r = st["peel_end"]
+        if r < st["prefix_end"]:
+            if st["pfx_queue"]:
+                return r
+            if (
+                r == st["prefix_start"]
+                and st["layer"] is not None
+                and st["color"] == 0
+            ):
+                return r
+            r = st["prefix_end"]
+        return r
+
     # ------------------------------------------------------------------
     def round(self, node: NodeContext, inbox: Mapping[int, Message]):
         st = node.state

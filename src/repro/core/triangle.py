@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import networkx as nx
 import numpy as np
 
-from ..congest.algorithm import Algorithm, Decision, NodeContext
+from ..congest.algorithm import WAKE_NEVER, Algorithm, Decision, NodeContext
 from ..congest.message import Message, int_width
 from ..congest.network import CongestNetwork, ExecutionResult
 from ..graphs.template_graph import SPECIALS, TemplateSample
@@ -78,6 +78,20 @@ class NeighborExchangeTriangleDetection(Algorithm):
 
     def is_quiescent(self, node: NodeContext) -> bool:
         return node._halted
+
+    def wake_round(self, node: NodeContext, r: int) -> int:
+        # Mirrors round() with an empty inbox: the next chunk, else the
+        # grace round on which an undecided node accepts and halts.  A
+        # node that rejected never halts on its own.
+        chunks = node.state["chunks"]
+        if r < len(chunks):
+            return r
+        if node.decision is Decision.UNDECIDED:
+            per_round = max(1, len(chunks[0]) if chunks else 1)
+            return max(r, 1, math.ceil((node.n or 1) / per_round) + 1)
+        if not chunks:
+            return max(r, 2)
+        return WAKE_NEVER
 
     def round(self, node: NodeContext, inbox: Mapping[int, Message]):
         st = node.state

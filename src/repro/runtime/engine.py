@@ -265,7 +265,9 @@ class ExecutionEngine:
         """Retire the orchestration threads (and, by default, the pools).
 
         Idempotent and safe to call from signal handlers: a second call
-        (or a reentrant one) finds nothing left to do.
+        (or a reentrant one) finds nothing left to do.  ``wait`` applies
+        to the threads only; the pools are always joined (see
+        :func:`~repro.congest.parallel.shutdown_pools`).
         """
         with self._lock:
             threads, self._threads = self._threads, None

@@ -345,12 +345,19 @@ class DetectionServer:
             self._governor_store.save(
                 self.base_policy.policy_hash(), self.governor
             )
-        self.release_resources()
+        # Joining the pools waits for running worker chunks; do it off
+        # the loop so in-flight handlers can still write their rows.
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.release_resources
+        )
 
     def release_resources(self) -> None:
         """Release engine pools + shm segments; safe to call repeatedly
-        (and from signal handlers -- everything downstream is idempotent
-        and reentrancy-guarded)."""
+        (everything downstream is idempotent and reentrancy-guarded).
+
+        Blocks until the pools' running worker chunks finish (pending
+        ones are cancelled), so :meth:`stop` runs it in the loop's
+        default executor rather than on the loop thread."""
         if self.owns_engine:
             self.engine.release_pools()
 
@@ -395,11 +402,18 @@ class DetectionServer:
                 # dropped connection must never wedge a coalescing group.
                 for task in list(tasks):
                     task.cancel()
-                await asyncio.gather(*tasks, return_exceptions=True)
+                try:
+                    await asyncio.gather(*tasks, return_exceptions=True)
+                except asyncio.CancelledError:
+                    pass
+            # The loop's final sweep can cancel this handler here too; on
+            # Python 3.11 the streams protocol then logs a spurious
+            # traceback for the cancelled task, so unwind quietly again.
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+            except (ConnectionResetError, BrokenPipeError,
+                    asyncio.CancelledError):
                 pass
 
     async def _respond(

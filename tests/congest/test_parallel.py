@@ -11,7 +11,11 @@ Two contracts are pinned here:
   same witness set, same per-iteration aggregates.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -210,3 +214,48 @@ class TestPersistentPool:
             g, factory, iterations=2, jobs=2, bandwidth=8, max_rounds=4
         )
         assert amp.iterations_run == 2
+
+
+_EXIT_SCRIPT = """
+import networkx as nx
+from repro.core.cycle_detection_linear import detect_cycle_linear
+from repro.runtime import ExecutionPolicy, RunSession
+
+ses = RunSession(ExecutionPolicy.from_spec("jobs=2,metrics=lite"))
+rep = detect_cycle_linear(nx.grid_2d_graph(6, 6), 5, iterations=4, session=ses)
+assert not rep.detected
+ses.close()
+"""
+
+# No session at all: the legacy kwargs build an implicit session that
+# does not own the pools, so only the atexit hooks tear them down.
+_IMPLICIT_EXIT_SCRIPT = """
+import networkx as nx
+from repro.core.cycle_detection_linear import detect_cycle_linear
+
+rep = detect_cycle_linear(
+    nx.grid_2d_graph(6, 6), 5, iterations=4, jobs=2, metrics="lite"
+)
+assert not rep.detected
+"""
+
+
+class TestCleanInterpreterExit:
+    """Exiting right after an amplified run must not race the pool's
+    manager thread: CPython's exit hook used to write to a wakeup pipe
+    the thread had already closed (``OSError: [Errno 9]``)."""
+
+    @pytest.mark.parametrize(
+        "script", [_EXIT_SCRIPT, _IMPLICIT_EXIT_SCRIPT],
+        ids=["session-close", "implicit-session-atexit"],
+    )
+    def test_exit_after_amplified_run_prints_nothing(self, script):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for _ in range(4):
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""

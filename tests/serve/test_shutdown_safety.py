@@ -24,6 +24,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -133,6 +134,85 @@ class TestSigtermLeavesNoSegments:
         for name in banner["segments"]:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
+
+
+class TestStopKeepsTheLoopFree:
+    """Releasing the pools joins their running chunks, so ``stop()`` does
+    it off the event loop and a SIGTERM mid-request still exits promptly."""
+
+    def test_pool_release_runs_off_the_loop_thread(self, monkeypatch):
+        threads = []
+
+        async def scenario():
+            srv = DetectionServer()
+            monkeypatch.setattr(
+                srv.engine, "release_pools",
+                lambda: threads.append(threading.get_ident()),
+            )
+            await srv.start()
+            await srv.stop()
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(scenario())
+        assert threads and loop_thread not in threads
+
+    CHILD = textwrap.dedent("""
+        import asyncio, json
+
+        from repro.runtime import ExecutionPolicy
+        from repro.serve import DetectionServer
+
+        async def main():
+            srv = DetectionServer(base_policy=ExecutionPolicy(jobs=2))
+            await srv.start()
+            srv.install_signal_handlers(asyncio.get_running_loop())
+            print(json.dumps({"port": srv.bound_port}), flush=True)
+            await srv.serve_forever()
+
+        asyncio.run(main())
+    """)
+
+    def test_sigterm_mid_amplified_request_exits_promptly(self):
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.CHILD],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=env,
+        )
+        try:
+            port = json.loads(proc.stdout.readline())["port"]
+
+            async def fire_and_kill():
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writer.write(json.dumps({
+                    # Bipartite, so no C5 cuts the work short: run to
+                    # the end it takes about 35 s of pool time.
+                    "id": "inflight", "pattern": "odd-c5",
+                    "graph": {"kind": "grid", "rows": 20, "cols": 20},
+                    "iterations": 1600,
+                }).encode() + b"\n")
+                await writer.drain()
+                # Let the pool spin up and start chunks before the kill.
+                await asyncio.sleep(1.0)
+                sent = time.monotonic()
+                proc.send_signal(signal.SIGTERM)
+                writer.close()
+                return sent
+
+            sent = asyncio.run(fire_and_kill())
+            rc = proc.wait(timeout=60)
+            elapsed = time.monotonic() - sent
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        stderr = proc.stderr.read()
+        assert rc == 0, stderr
+        assert "Traceback" not in stderr, stderr
+        # Chunks already handed to workers finish, the rest are
+        # cancelled: the exit waits for a few chunks, not the request.
+        assert elapsed < 20.0, elapsed
 
 
 class TestSigkillIsRecoverable:
