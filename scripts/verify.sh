@@ -42,6 +42,21 @@ else
 fi
 
 if [ "${1:-}" != "--fast" ]; then
+    # Time-budgeted numpy drift guard, ahead of every lane differential:
+    # the fused lane's vectorized first draw (_LazyRngs.first_integers)
+    # re-implements numpy's SeedSequence -> PCG64 -> bounded-draw chain,
+    # so a numpy release that changes any of them must fail here, by
+    # name, rather than as a puzzling lane mismatch further down.
+    step "numpy drift guard (vectorized first draw vs default_rng, 60s budget)"
+    python -c "import numpy; print('numpy', numpy.__version__)"
+    timeout 60 python -m pytest -q -p no:cacheprovider \
+        "tests/congest/test_kernels.py::TestVectorizedFirstDraw" || {
+        echo "numpy drift: _LazyRngs.first_integers no longer matches" \
+             "default_rng(seed).integers(0, high) on this numpy; re-derive it" \
+             "from numpy's SeedSequence / PCG64 / Lemire bounded-draw sources"
+        fail=1
+    }
+
     step "pytest (tier-1)"
     python -m pytest -x -q || fail=1
 

@@ -91,13 +91,19 @@ class ExecutionResult:
     otherwise ACCEPT.  ``rounds`` counts billable communication rounds (all
     executed rounds except a terminal silent quiescence probe -- see the
     module docstring).  ``metrics`` holds the exact bit accounting.
+
+    ``contexts`` maps each identifier to its final :class:`NodeContext`,
+    in ``node_decisions`` order.  The object lane returns its live dict;
+    the vectorized lane returns a read-only mapping that synthesizes each
+    context on first access, so read only the contexts you need (e.g. the
+    rejecting nodes from ``node_decisions``).
     """
 
     decision: Decision
     rounds: int
     metrics: CommMetrics
     node_decisions: Dict[int, Decision]
-    contexts: Dict[int, NodeContext]
+    contexts: Mapping[int, NodeContext]
 
     @property
     def rejected(self) -> bool:

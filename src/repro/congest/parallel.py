@@ -263,11 +263,11 @@ class AmplifiedOutcome:
 
 
 def _summarize(index: int, res: ExecutionResult) -> IterationOutcome:
-    witnesses = tuple(
-        ctx.state.get("witness")
-        for ctx in res.contexts.values()
-        if ctx.decision is Decision.REJECT
-    )
+    # node_decisions iterates in the contexts' order; reading only the
+    # rejecting nodes' contexts keeps the vectorized lane's lazy mapping
+    # from synthesizing the other n - k.
+    rejecting = [u for u, d in res.node_decisions.items() if d is Decision.REJECT]
+    witnesses = tuple(res.contexts[u].state.get("witness") for u in rejecting)
     m = res.metrics
     return IterationOutcome(
         index=index,
@@ -277,7 +277,7 @@ def _summarize(index: int, res: ExecutionResult) -> IterationOutcome:
         total_messages=m.total_messages,
         max_message_bits=m.max_message_bits,
         witnesses=witnesses,
-        rejecting_nodes=res.rejecting_nodes(),
+        rejecting_nodes=tuple(sorted(rejecting)),
     )
 
 

@@ -61,7 +61,7 @@ import dataclasses
 import hashlib
 from collections import deque
 from itertools import zip_longest
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -208,7 +208,7 @@ class AliasGuard:
                 seen.setdefault(k, v)
         return [(k, v) for k, v in seen.items() if isinstance(v, _MUTABLE_TYPES)]
 
-    def check(self, contexts: Dict[int, NodeContext], where: str) -> None:
+    def check(self, contexts: Mapping[int, NodeContext], where: str) -> None:
         """Raise ``SanitizerViolation("L2", ...)`` on the first breach."""
         current = {k: id(v) for k, v in vars(self.algorithm).items()}
         for k, ident in current.items():
@@ -420,7 +420,7 @@ class VecTrafficDigest:
         if self.guard is not None:
             self.guard.check({}, f"round {r}")
 
-    def vec_after_finish(self, contexts: Dict[int, NodeContext]) -> None:
+    def vec_after_finish(self, contexts: Mapping[int, NodeContext]) -> None:
         for u in sorted(contexts):
             self._h.update(f"D|{u}|{contexts[u].decision}".encode("utf-8"))
         self.final_digest = self._h.hexdigest()

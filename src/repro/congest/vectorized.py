@@ -50,13 +50,14 @@ from __future__ import annotations
 
 import abc
 import time
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algorithm import Decision
+from .algorithm import Decision, NodeContext
 from .kernels import KernelProfile, RoundKernel, resolve_backend
 from .message import BandwidthExceeded
 from .metrics import METRIC_MODES, CommMetrics
@@ -361,14 +362,114 @@ class VecRun:
         return self.inputs.get(int(self.grid.ids[pos]))
 
 
+# numpy's seeding and bounded-draw constants, mirrored by
+# _LazyRngs.first_integers: SeedSequence's hash mixing (bit_generator.pyx)
+# and PCG64's 128-bit LCG multiplier (pcg64.h).
+_M32 = np.uint64(0xFFFFFFFF)
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MUL_HI = np.uint64(2549297995355413924)
+_PCG_MUL_LO = np.uint64(4865540595714422341)
+
+
+def _hash_consts(init: int, mult: int, count: int) -> List[np.uint32]:
+    """The scalar ``hash_const`` sequence of ``count`` SeedSequence hash
+    steps: step ``i`` xors with entry ``i`` and multiplies by entry
+    ``i + 1``."""
+    out = [init]
+    for _ in range(count):
+        out.append((out[-1] * mult) & 0xFFFFFFFF)
+    return [np.uint32(c) for c in out]
+
+
+# SeedSequence.mix_entropy hashes 4 pool words, then 12 cross-mixes;
+# generate_state(4, uint64) hashes 8 output words.
+_MIX_CONSTS = _hash_consts(_SS_INIT_A, _SS_MULT_A, 16)
+_OUT_CONSTS = _hash_consts(_SS_INIT_B, _SS_MULT_B, 8)
+
+
+def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of each ``a * b`` (schoolbook over 32-bit halves)."""
+    a0, a1 = a & _M32, a >> np.uint64(32)
+    b0, b1 = b & _M32, b >> np.uint64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> np.uint64(32)) + (p01 & _M32) + (p10 & _M32)
+    return (
+        a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32))
+        + (mid >> np.uint64(32))
+    )
+
+
+def _pcg64_first_output(seeds: np.ndarray) -> np.ndarray:
+    """First ``next_uint64`` of ``default_rng(s)`` for every seed, as uint64.
+
+    ``default_rng(s)`` is ``PCG64(SeedSequence(s))``.  The seed's 32-bit
+    little-endian words (two at most, for ``s < 2**64``) are hashed into a
+    4-word pool, which yields the 128-bit initial state and stream
+    increment; PCG64 seeds with two LCG steps and outputs with a third
+    (XSL-RR).  All 128-bit arithmetic runs in ``(hi, lo)`` uint64 limbs;
+    uint32/uint64 array products wrap, which is exactly the C semantics.
+    """
+    s = seeds.astype(np.uint64)
+    hc = iter(_MIX_CONSTS)
+    c = next(hc)
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal c
+        value = value ^ c
+        c = next(hc)
+        value = value * c
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = _SS_MIX_L * x - _SS_MIX_R * y
+        return out ^ (out >> np.uint32(16))
+
+    zero = np.zeros(s.shape[0], dtype=np.uint32)
+    words = [(s & _M32).astype(np.uint32), (s >> np.uint64(32)).astype(np.uint32)]
+    pool = [hashmix(w) for w in words + [zero, zero]]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    state32 = []
+    for i in range(8):
+        value = (pool[i % 4] ^ _OUT_CONSTS[i]) * _OUT_CONSTS[i + 1]
+        state32.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # generate_state(4, uint64): little-endian pairs of 32-bit words.
+    init_hi, init_lo, seq_hi, seq_lo = (
+        state32[2 * i] | (state32[2 * i + 1] << np.uint64(32)) for i in range(4)
+    )
+    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+
+    def step(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        new_hi = _mulhi64(lo, _PCG_MUL_LO) + lo * _PCG_MUL_HI + hi * _PCG_MUL_LO
+        new_lo = lo * _PCG_MUL_LO + inc_lo
+        carry = (new_lo < inc_lo).astype(np.uint64)
+        return new_hi + inc_hi + carry, new_lo
+
+    # pcg_setseq_128_srandom_r: state = 0; step; state += initstate; step.
+    lo = inc_lo + init_lo
+    hi = inc_hi + init_hi + (lo < init_lo).astype(np.uint64)
+    hi, lo = step(hi, lo)
+    hi, lo = step(hi, lo)  # pcg64_random_r steps before it outputs
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
 class _LazyRngs:
     """Per-node generators spawned on first touch (fused lane only).
 
     Constructing ``n`` :class:`numpy.random.Generator` objects dominates
     the whole engine wrapper at ``n ~ 10^5`` (well over a second at
-    ``n = 65536``), yet most vectorized kernels never read ``run.rngs``.
-    This sequence holds only the derived seeds and builds each generator
-    at its first ``[p]`` access, caching it for repeat reads.
+    ``n = 65536``).  This sequence holds only the derived seeds and builds
+    each generator at its first ``[p]`` access, caching it for repeat
+    reads.  A kernel that needs one bounded draw per node reads
+    :meth:`first_integers` instead, which computes every node's draw as
+    one array and builds no generator at all (see :func:`first_integers`).
 
     Seed derivation is bit-identical to the eager list: numpy's bounded
     ``integers(0, 2**63)`` consumes exactly one 64-bit word per value
@@ -377,11 +478,14 @@ class _LazyRngs:
     single-value draws -- pinned by a regression test.
     """
 
-    __slots__ = ("_seeds", "_made")
+    __slots__ = ("_seeds", "_made", "_drawn")
 
     def __init__(self, seeds: np.ndarray):
         self._seeds = seeds
         self._made: Dict[int, np.random.Generator] = {}
+        #: ``high`` of the vectorized first draw, once taken: generators
+        #: built afterwards replay it so each stream continues past it.
+        self._drawn: Optional[int] = None
 
     def __len__(self) -> int:
         return int(self._seeds.shape[0])
@@ -390,12 +494,178 @@ class _LazyRngs:
         rng = self._made.get(pos)
         if rng is None:
             rng = np.random.default_rng(int(self._seeds[pos]))
+            if self._drawn is not None:
+                rng.integers(0, self._drawn)
             self._made[pos] = rng
         return rng
 
-    def materialized(self, pos: int) -> Optional[np.random.Generator]:
-        """The generator for ``pos`` if the run ever touched it."""
-        return self._made.get(pos)
+    def first_integers(self, high: int) -> np.ndarray:
+        """Every node's first ``self[p].integers(0, high)``, as int64.
+
+        Bit-identical to the per-node calls, without building a generator:
+        ``SeedSequence`` -> ``PCG64`` seeding -> one 64-bit output, whose
+        low 32 bits feed numpy's Lemire bounded draw (``high == 2**32``
+        takes the word as is; ``high == 1`` draws nothing).  Lemire
+        rejects only when the product's low word falls under ``high``
+        (probability ``high / 2**32``); those nodes draw from their real
+        generator instead.  Every generator built later is advanced past
+        this draw, so ``self[p]`` continues each node's stream exactly.
+        Must be the stream's first use.  If the installed numpy's draw no
+        longer matches this mirror (checked once per process, see
+        :func:`_first_draw_matches_numpy`), every node draws from its real
+        generator, so the answer never depends on the mirror.
+        """
+        if not 1 <= high <= 2**32:
+            raise ValueError(f"high must be in [1, 2**32], got {high}")
+        if self._made or self._drawn is not None:
+            raise RuntimeError("first_integers must be the first use of the generators")
+        self._drawn = high
+        if high == 1:
+            # rng == 0: numpy returns the bound without consuming output.
+            return np.zeros(len(self), dtype=np.int64)
+        if not _first_draw_matches_numpy():
+            # numpy changed its seeding or bounded draw: use real generators.
+            out = np.empty(len(self), dtype=np.int64)
+            for p in range(len(self)):
+                rng = self._made[p] = np.random.default_rng(int(self._seeds[p]))
+                out[p] = rng.integers(0, high)
+            return out
+        return self._mirrored_draw(high)
+
+    def _mirrored_draw(self, high: int) -> np.ndarray:
+        """:meth:`first_integers` for ``1 < high`` via the numpy mirror;
+        Lemire-rejected positions build (and keep) their real generator."""
+        seeds = self._seeds
+        low32 = _pcg64_first_output(seeds) & _M32
+        if high == 2**32:
+            return low32.astype(np.int64)
+        m = low32 * np.uint64(high)
+        out = (m >> np.uint64(32)).astype(np.int64)
+        rejected = np.nonzero((m & _M32) < np.uint64(high))[0]
+        for p in rejected.tolist():
+            rng = self._made[p] = np.random.default_rng(int(seeds[p]))
+            out[p] = rng.integers(0, high)
+        return out
+
+
+#: Cached outcome of :func:`_first_draw_matches_numpy` for this process.
+_FIRST_DRAW_OK: Optional[bool] = None
+
+
+def _first_draw_matches_numpy() -> bool:
+    """Whether the mirrored first draw agrees with the installed numpy.
+
+    numpy does not promise that ``Generator.integers`` keeps its stream
+    across releases, so the first call compares
+    :meth:`_LazyRngs._mirrored_draw` with ``default_rng(s).integers(0,
+    high)`` on fixed seeds -- one- and two-word seeds, powers of two and
+    odd bounds, and a bound near ``2**32`` whose draws mostly take the
+    Lemire rejection path -- and caches the verdict.  On a mismatch
+    :meth:`_LazyRngs.first_integers` builds real generators instead.
+    """
+    global _FIRST_DRAW_OK
+    if _FIRST_DRAW_OK is None:
+        seeds = np.array([0, 1, 2, 2**32, 2**32 + 1, 12345, 2**63 - 1], dtype=np.int64)
+        ok = True
+        for high in (2, 5, 2**31 + 1, 2**32 - 2**30, 2**32):
+            # A throwaway instance: its fallback generators are discarded.
+            got = _LazyRngs(seeds)._mirrored_draw(high)
+            want = [np.random.default_rng(int(s)).integers(0, high) for s in seeds.tolist()]
+            ok = ok and got.tolist() == want
+        _FIRST_DRAW_OK = ok
+    return _FIRST_DRAW_OK
+
+
+def first_integers(rngs: Sequence[Optional[np.random.Generator]], high: int) -> np.ndarray:
+    """Every position's first ``rngs[p].integers(0, high)``, as int64.
+
+    The fused lane's :class:`_LazyRngs` computes the whole array without
+    building a generator; a plain list (the reference loop) is drawn from
+    one generator at a time.  Raises ``ValueError`` for an unseeded run.
+    """
+    if isinstance(rngs, _LazyRngs):
+        return rngs.first_integers(high)
+    out = np.empty(len(rngs), dtype=np.int64)
+    for p, rng in enumerate(rngs):
+        if rng is None:
+            raise ValueError("per-node randomness needs a seeded run")
+        out[p] = rng.integers(0, high)
+    return out
+
+
+class _FinalContexts(Mapping[int, NodeContext]):
+    """Read-only ``id -> NodeContext`` view of a finished fused run.
+
+    Each node's final context is synthesized on first access and cached;
+    iteration is in ascending-identifier order, like the eager dict the
+    object lane builds.  Most callers read a handful of contexts (e.g.
+    ``run_amplified``'s summary reads only the rejecting nodes), so
+    building all ``n`` up front would be pure overhead.  A context's
+    ``rng`` is the node's generator as the run left it if the run touched
+    that stream (built on demand after a :meth:`_LazyRngs.first_integers`
+    draw), else ``None`` -- as for an unseeded run; its ``state`` is
+    :meth:`VectorizedAlgorithm.node_state`.
+    """
+
+    __slots__ = ("_net", "_algorithm", "_run", "_state", "_round", "_made")
+
+    def __init__(
+        self,
+        net: Any,
+        algorithm: "VectorizedAlgorithm",
+        run: VecRun,
+        state: Dict[str, Any],
+        final_round: int,
+    ) -> None:
+        self._net = net
+        self._algorithm = algorithm
+        self._run = run
+        self._state = state
+        self._round = final_round
+        self._made: Dict[int, NodeContext] = {}
+
+    def __len__(self) -> int:
+        return self._run.n
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._run.grid.ids.tolist())
+
+    def __getitem__(self, u: Any) -> NodeContext:
+        ctx = self._made.get(u)
+        if ctx is not None:
+            return ctx
+        ids = self._run.grid.ids
+        try:
+            p = int(np.searchsorted(ids, u))
+        except (TypeError, ValueError):
+            raise KeyError(u) from None
+        if p >= ids.shape[0] or ids[p] != u:
+            raise KeyError(u)
+        u = int(ids[p])
+        net, run = self._net, self._run
+        rngs = run.rngs
+        # Streams the run never touched stay None: building a generator
+        # per context would cost every full pass over the mapping n
+        # constructions (over a second at n = 65536).
+        if isinstance(rngs, _LazyRngs):
+            touched = rngs._drawn is not None or p in rngs._made
+        else:
+            touched = True
+        ctx = NodeContext(
+            id=u,
+            neighbors=net._neighbor_tuples[u],
+            n=net.n if net.knows_n else None,
+            namespace_size=net.namespace_size,
+            bandwidth=net.bandwidth,
+            input=net.inputs.get(u),
+            rng=rngs[p] if touched else None,
+            state=dict(self._algorithm.node_state(run, self._state, p)),
+            round=self._round,
+            decision=_DECISION_OF_CODE[int(run.decision[p])],
+        )
+        ctx._halted = bool(run.halted[p])
+        self._made[u] = ctx
+        return ctx
 
 
 class VectorizedAlgorithm(abc.ABC):
@@ -465,9 +735,11 @@ class VectorizedAlgorithm(abc.ABC):
     def node_state(self, run: VecRun, state: Dict[str, Any], pos: int) -> Dict[str, Any]:
         """Per-node state dict for the synthesized final ``NodeContext``.
 
-        Ports expose whatever their object-lane reference leaves behind
-        that callers read -- e.g. ``{"witness": ...}`` for rejecting
-        nodes, consumed by ``run_amplified``'s summary.
+        Called when that node's final context is first read, after
+        :meth:`finish_all`.  Ports expose whatever their object-lane
+        reference leaves behind that callers read -- e.g. ``{"witness":
+        ...}`` for rejecting nodes, consumed by ``run_amplified``'s
+        summary.
         """
         return {}
 
@@ -508,9 +780,12 @@ def execute_vectorized(
     differential suites and benchmarks compare against.  ``profile``
     (a :class:`~repro.congest.kernels.KernelProfile`, opt-in) accumulates
     per-phase wall-clock for the run; ``None`` keeps the loop timer-free.
+
+    The result's ``contexts`` is a read-only mapping that synthesizes each
+    final :class:`NodeContext` on first access; ``node_decisions`` and the
+    global decision come straight from the engine's decision array.
     """
     from .network import ExecutionResult  # local import: network imports us
-    from .algorithm import NodeContext
 
     if metrics not in METRIC_MODES:
         raise ValueError(f"metrics must be one of {METRIC_MODES}, got {metrics!r}")
@@ -658,31 +933,7 @@ def execute_vectorized(
         run.decision[crash_halted] = frozen_decision[crash_halted]
         run.halted |= crash_halted
 
-    contexts: Dict[int, NodeContext] = {}
-    decisions: Dict[int, Decision] = {}
-    lazy_rngs = rngs if isinstance(rngs, _LazyRngs) else None
-    for p in range(n):
-        u = int(grid.ids[p])
-        d = _DECISION_OF_CODE[int(run.decision[p])]
-        ctx = NodeContext(
-            id=u,
-            neighbors=net._neighbor_tuples[u],
-            n=net.n if net.knows_n else None,
-            namespace_size=net.namespace_size,
-            bandwidth=net.bandwidth,
-            input=net.inputs.get(u),
-            # Only generators the kernel actually touched ride into the
-            # synthesized contexts; spawning n untouched ones here would
-            # undo the lazy win.  (node.rng is only ever *used* during
-            # object-lane execution.)
-            rng=lazy_rngs.materialized(p) if lazy_rngs is not None else rngs[p],
-            state=dict(algorithm.node_state(run, state, p)),
-            round=max(rounds_run - 1, 0),
-            decision=d,
-        )
-        ctx._halted = bool(run.halted[p])
-        contexts[u] = ctx
-        decisions[u] = d
+    contexts = _FinalContexts(net, algorithm, run, state, max(rounds_run - 1, 0))
     if observer is not None:
         observer.vec_after_finish(contexts)
 
@@ -691,12 +942,12 @@ def execute_vectorized(
     # updates per round.  No-op under lite metrics.
     kernel.expand_full_ledger()
 
-    if any(d is Decision.REJECT for d in decisions.values()):
-        global_decision = Decision.REJECT
-    else:
-        global_decision = Decision.ACCEPT
+    decisions = dict(
+        zip(grid.ids.tolist(), map(_DECISION_OF_CODE.__getitem__, run.decision.tolist()))
+    )
+    rejected = bool((run.decision == VEC_REJECT).any())
     return ExecutionResult(
-        decision=global_decision,
+        decision=Decision.REJECT if rejected else Decision.ACCEPT,
         rounds=rounds_run,
         metrics=comm,
         node_decisions=decisions,

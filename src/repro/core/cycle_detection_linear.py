@@ -36,6 +36,7 @@ from ..congest.vectorized import (
     VecOutbox,
     VecRun,
     VectorizedAlgorithm,
+    first_integers,
 )
 from .color_coding import ColorSource
 
@@ -145,6 +146,40 @@ def _seen_key(recv, origin, hop, n: int, ell: int):
     return (np.asarray(recv, dtype=np.int64) * n + origin) * ell + hop
 
 
+def _first_occurrence(keys: np.ndarray) -> np.ndarray:
+    """Mask of each key's first occurrence (``np.unique``'s
+    ``return_index``): in a stable sort, the head of each run of equal
+    keys is its earliest entry."""
+    order = np.argsort(keys, kind="stable")
+    first = np.zeros(keys.shape[0], dtype=bool)
+    first[order[_run_heads(keys[order])]] = True
+    return first
+
+
+def _run_heads(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal keys in a sorted array."""
+    head = np.ones(sorted_keys.shape[0], dtype=bool)
+    head[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return head
+
+
+def _sorted_member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.isin(keys, sorted_keys)`` for a sorted, duplicate-free array."""
+    where = np.searchsorted(sorted_keys, keys)
+    hit = where < sorted_keys.shape[0]
+    hit[hit] = sorted_keys[where[hit]] == keys[hit]
+    return hit
+
+
+def _sorted_union(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.union1d(sorted_keys, keys)`` for a sorted, duplicate-free
+    ``sorted_keys``: sort and dedupe the (few) new keys, then merge."""
+    keys = np.sort(keys)
+    keys = keys[_run_heads(keys)]
+    keys = keys[~_sorted_member(sorted_keys, keys)]
+    return np.insert(sorted_keys, np.searchsorted(sorted_keys, keys), keys)
+
+
 class VectorizedLinearCycle(VectorizedAlgorithm):
     """Vectorized lane of :class:`LinearCycleIterationAlgorithm` (bit-exact).
 
@@ -162,8 +197,12 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
       ``(o, c-1)`` from a smaller sender is skipped (the trigger marks
       ``(o, c)`` seen first), which can suppress a closure.
 
-    Colors are drawn from the same per-node generators in the same order,
-    so random colorings agree with the reference bit-for-bit.
+    Each node's color is its generator's first ``integers(0, ℓ)`` draw,
+    as in the reference; the fused lane computes all ``n`` draws as one
+    array without building a generator (:func:`first_integers`), so
+    random colorings agree with the reference bit-for-bit.  Queues exist
+    only for positions holding tokens, and the ``seen`` keys stay one
+    sorted array maintained by binary search and merge.
     """
 
     name = "linear-cycle-detection-vec"
@@ -181,28 +220,26 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
         ell = self.length
         n = run.n
         grid = run.grid
-        colors = np.empty(n, dtype=np.int64)
         if self.color_map is not None:
             cm = self.color_map
-            for p in range(n):
-                colors[p] = cm.get(int(grid.ids[p]), ell - 1)
+            colors = np.fromiter(
+                (cm.get(u, ell - 1) for u in grid.ids.tolist()), np.int64, n
+            )
         else:
-            for p in range(n):
-                rng = run.rngs[p]
-                if rng is None:
-                    raise ValueError("random coloring needs per-node randomness")
-                colors[p] = int(rng.integers(0, ell))
-        queues: List[deque] = [deque() for _ in range(n)]
+            colors = first_integers(run.rngs, ell)
         start = np.nonzero(colors == 0)[0]
-        for p in start:
-            queues[p].append((int(grid.ids[p]), 0))
         return {
             "colors": colors,
             # The object lane's per-node ``seen`` sets, as one sorted array
             # of (receiver, origin, hop) keys -- see _seen_key.  A dense
             # (n, n, ell) mask would cost n^2 * ell bytes.
             "seen": _seen_key(start, start, 0, n, ell),
-            "queues": queues,
+            # FIFO token queues of the positions holding tokens only; a
+            # queue is dropped once it drains.
+            "queues": {
+                p: deque([(o, 0)])
+                for p, o in zip(start.tolist(), grid.ids[start].tolist())
+            },
             "has_queue": colors == 0,
             "witness": np.full(n, -1, dtype=np.int64),
             "deadline": n + ell + 1,
@@ -239,10 +276,7 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
             # (receiver, ascending sender) order, so "first" is exactly the
             # arrival the object lane's seen-check lets through.
             key = _seen_key(rv, op, hv, grid.n, ell)
-            _, first_idx = np.unique(key, return_index=True)
-            first = np.zeros(key.shape[0], dtype=bool)
-            first[first_idx] = True
-            processed = first & ~np.isin(key, seen)
+            processed = _first_occurrence(key) & ~_sorted_member(seen, key)
             closure = processed & (ov == grid.ids[rv]) & (hv == ell - 1)
             trigger = processed & ~closure & (hv + 1 < ell) & (colors[rv] == hv + 1)
             # Same-round suppression: an arrival (o, c) at a node of color c
@@ -268,16 +302,18 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
                     closure &= ~blocked
                     # triggers are never blocked: their hop is c-1 != c.
             # key + 1 is the (receiver, origin, hop + 1) key of a trigger.
-            seen = state["seen"] = np.union1d(
+            seen = state["seen"] = _sorted_union(
                 seen, np.concatenate((key[processed], key[trigger] + 1))
             )
             if bool(trigger.any()):
                 # Enqueue relays in arrival order (FIFO parity with the
                 # object lane); deliberately no seen-check -- see class doc.
-                for i in np.nonzero(trigger)[0]:
-                    p = int(rv[i])
-                    queues[p].append((int(ov[i]), int(hv[i]) + 1))
-                    has_queue[p] = True
+                t_idx = np.nonzero(trigger)[0]
+                for p, o, h in zip(
+                    rv[t_idx].tolist(), ov[t_idx].tolist(), hv[t_idx].tolist()
+                ):
+                    queues.setdefault(p, deque()).append((o, h + 1))
+                has_queue[rv[t_idx]] = True
             if bool(closure.any()):
                 run.decision[rv[closure]] = VEC_REJECT
                 # Fancy assignment: the last (largest-sender) closure wins,
@@ -292,11 +328,11 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
             return None
         origins = np.empty(senders.shape[0], dtype=np.int64)
         hops = np.empty(senders.shape[0], dtype=np.int64)
-        for j, p in enumerate(senders):
-            o, h = queues[p].popleft()
-            origins[j] = o
-            hops[j] = h
-            if not queues[p]:
+        for j, p in enumerate(senders.tolist()):
+            q = queues[p]
+            origins[j], hops[j] = q.popleft()
+            if not q:
+                del queues[p]
                 has_queue[p] = False
         edges = grid.out_edges(senders)
         deg = grid.deg[senders]

@@ -16,6 +16,8 @@ Three contracts:
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest import (
     BandwidthExceeded,
@@ -31,10 +33,12 @@ from repro.congest.kernels import (
     backend_available,
     resolve_backend,
 )
+import repro.congest.vectorized as vec
 from repro.congest.vectorized import (
     VecOutbox,
     VectorizedAlgorithm,
     _LazyRngs,
+    first_integers,
 )
 from repro.core.broadcast_accumulate import VectorizedBroadcastAccumulate
 from repro.core.cycle_detection_linear import VectorizedLinearCycle
@@ -197,13 +201,116 @@ class TestLazyRngs:
         seeds = np.array([1, 2, 3], dtype=np.int64)
         rngs = _LazyRngs(seeds)
         assert len(rngs) == 3
-        assert rngs.materialized(1) is None
+        assert not rngs._made
         g1 = rngs[1]
-        assert rngs.materialized(1) is g1
+        assert rngs._made == {1: g1}
         assert rngs[1] is g1
-        assert rngs.materialized(0) is None
         # Same seed, same stream as an eagerly-built generator.
         assert g1.integers(0, 100) == np.random.default_rng(2).integers(0, 100)
+
+
+def _numpy_first_draws(seeds, high):
+    return np.array(
+        [np.random.default_rng(int(s)).integers(0, high) for s in seeds],
+        dtype=np.int64,
+    )
+
+
+class TestVectorizedFirstDraw:
+    """Pins ``_LazyRngs.first_integers`` against numpy itself.
+
+    The method re-implements ``SeedSequence`` -> ``PCG64`` seeding -> one
+    64-bit output -> Lemire's 32-bit bounded draw in uint64 arrays.  A
+    numpy release that changes any of those steps fails here first, with
+    the seed and bound that diverged, before any lane differential does.
+    At run time such a numpy makes ``first_integers`` fall back to real
+    generators, so these tests check the mirror itself
+    (``_mirrored_draw``) as well as the public method.
+    """
+
+    @staticmethod
+    def _check(seeds, high):
+        arr = np.array(seeds, dtype=np.int64)
+        want = _numpy_first_draws(seeds, high).tolist()
+        got = _LazyRngs(arr).first_integers(high)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        if high > 1:
+            assert _LazyRngs(arr)._mirrored_draw(high).tolist() == want
+
+    @settings(max_examples=60)
+    @given(
+        seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=40),
+        high=st.integers(1, 2**32),
+    )
+    def test_matches_default_rng(self, seeds, high):
+        self._check(seeds, high)
+
+    @pytest.mark.parametrize("high", [1, 2, 5, 7, 2**31 + 1, 2**32 - 1, 2**32])
+    def test_edge_seeds(self, high):
+        self._check([0, 1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1], high)
+
+    def test_rejection_fallback_runs(self):
+        """Near 2**32 most Lemire draws land under the bound (here 3 in
+        4): those nodes fall back to, and keep, their real generator."""
+        seeds = np.arange(200, dtype=np.int64)
+        high = 2**32 - 2**30
+        rngs = _LazyRngs(seeds)
+        got = rngs.first_integers(high)
+        assert got.tolist() == _numpy_first_draws(seeds, high).tolist()
+        assert 0 < len(rngs._made) < 200  # the fallback nodes only
+
+    @pytest.mark.parametrize("high", [1, 5, 2**32 - 3, 2**32])
+    def test_stream_continues_after_draw(self, high):
+        """``rngs[p]`` read after the vectorized draw continues exactly
+        where ``default_rng(s)`` does after one ``integers(0, high)`` --
+        for fallback and vectorized positions alike."""
+        seeds = np.array([0, 1, 2**32, 12345, 2**62 + 7] + list(range(40, 80)),
+                         dtype=np.int64)
+        rngs = _LazyRngs(seeds)
+        rngs.first_integers(high)
+        for p, s in enumerate(seeds.tolist()):
+            ref = np.random.default_rng(s)
+            ref.integers(0, high)
+            got = rngs[p]
+            assert got.bit_generator.state == ref.bit_generator.state
+            assert got.integers(0, 2**40, size=3).tolist() == \
+                ref.integers(0, 2**40, size=3).tolist()
+
+    def test_must_be_first_use(self):
+        rngs = _LazyRngs(np.arange(4, dtype=np.int64))
+        rngs[0]
+        with pytest.raises(RuntimeError, match="first use"):
+            rngs.first_integers(5)
+        with pytest.raises(ValueError, match="high"):
+            _LazyRngs(np.arange(4, dtype=np.int64)).first_integers(2**32 + 1)
+
+    def test_reference_list_path(self):
+        """A plain generator list (the reference loop) draws one by one."""
+        rngs = [np.random.default_rng(s) for s in (3, 4, 5)]
+        assert first_integers(rngs, 9).tolist() == \
+            _numpy_first_draws([3, 4, 5], 9).tolist()
+        with pytest.raises(ValueError, match="seeded"):
+            first_integers([None, None], 9)
+
+    def test_runtime_self_check_passes_on_installed_numpy(self):
+        vec._FIRST_DRAW_OK = None  # force a fresh check
+        assert vec._first_draw_matches_numpy() is True
+        assert vec._FIRST_DRAW_OK is True
+
+    @pytest.mark.parametrize("high", [5, 2**32])
+    def test_falls_back_to_real_generators_on_mismatch(self, monkeypatch, high):
+        """A numpy whose draw no longer matches the mirror gets every
+        node's draw from its real generator, and streams still continue."""
+        monkeypatch.setattr(vec, "_FIRST_DRAW_OK", False)
+        seeds = np.arange(30, dtype=np.int64)
+        rngs = _LazyRngs(seeds)
+        got = rngs.first_integers(high)
+        assert got.tolist() == _numpy_first_draws(seeds, high).tolist()
+        assert sorted(rngs._made) == list(range(30))
+        ref = np.random.default_rng(7)
+        ref.integers(0, high)
+        assert rngs[7].bit_generator.state == ref.bit_generator.state
 
 
 class TestKernelProfile:

@@ -206,3 +206,114 @@ class TestSanitizeComposition:
         with pytest.raises(SanitizerViolation) as exc:
             guard.check(contexts, "finish")
         assert exc.value.rule_id == "L2"
+
+
+def _planted_c5():
+    """Two 5-cycles joined by a path, with an oracle coloring: each
+    cycle's color-0 node (0 and 10) rejects, every other node accepts."""
+    g = nx.cycle_graph(5)
+    nx.add_cycle(g, [10, 11, 12, 13, 14])
+    nx.add_path(g, [2, 5, 6, 7, 12])
+    nx.add_path(g, [3, 8, 9])
+    return g, {u: u % 10 for u in (0, 1, 2, 3, 4, 10, 11, 12, 13, 14)}
+
+
+class TestLazyFinalContexts:
+    """The fused lane's final contexts are a read-only mapping that
+    synthesizes each NodeContext on first access; every one must equal
+    the reference loop's eager synthesis."""
+
+    @pytest.mark.parametrize("seed,color_map", [
+        (0, False), (7, False), (0, True), (None, True),
+    ])
+    def test_fields_match_eager_reference(self, seed, color_map):
+        from repro.congest import execute_vectorized, execute_vectorized_reference
+        from repro.core.cycle_detection_linear import VectorizedLinearCycle
+
+        g, cmap = _planted_c5()
+        net = CongestNetwork(g, bandwidth=16)
+        algo = VectorizedLinearCycle(5, color_map=cmap if color_map else None)
+        lazy = execute_vectorized(net, algo, 20, seed, False, "full").contexts
+        eager = execute_vectorized_reference(net, algo, 20, seed, False, "full").contexts
+        assert isinstance(eager, dict)
+        assert not isinstance(lazy, dict)
+        assert list(lazy) == list(eager)
+        assert len(lazy) == len(eager)
+        for u in reversed(list(eager)):  # out of order on purpose
+            a, b = lazy[u], eager[u]
+            assert lazy[u] is a  # cached
+            assert (a.id, a.neighbors, a.n, a.decision, a.round, a._halted) == (
+                b.id, b.neighbors, b.n, b.decision, b.round, b._halted
+            )
+            assert a.state == b.state
+            if seed is None:
+                assert a.rng is None and b.rng is None
+            elif color_map:
+                # No stream was touched: the lazy lane leaves rng None
+                # rather than build n generators; the reference's is fresh.
+                assert a.rng is None
+                p = list(eager).index(u)
+                fresh = np.random.default_rng(int(lazy._run.rngs._seeds[p]))
+                assert b.rng.bit_generator.state == fresh.bit_generator.state
+            else:
+                assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        if color_map:
+            assert {u for u in lazy if lazy[u].state} == {0, 10}
+
+    def test_read_only_and_missing_keys(self):
+        from repro.core.cycle_detection_linear import VectorizedLinearCycle
+
+        net = CongestNetwork(nx.path_graph(4), bandwidth=16)
+        ctxs = net.run(VectorizedLinearCycle(3), max_rounds=10, seed=1).contexts
+        for missing in (-1, 4, 1.5, "a"):
+            assert missing not in ctxs
+            with pytest.raises(KeyError):
+                ctxs[missing]
+        assert 3 in ctxs and ctxs.get(9) is None
+        with pytest.raises(TypeError):
+            ctxs[0] = None  # type: ignore[index]
+
+    def test_summarize_reads_only_rejecting_contexts(self):
+        import dataclasses
+        from collections.abc import Mapping
+
+        from repro.congest.parallel import _summarize
+        from repro.core.cycle_detection_linear import VectorizedLinearCycle
+
+        class Spy(Mapping):
+            def __init__(self, inner):
+                self.inner, self.read = inner, []
+
+            def __getitem__(self, u):
+                self.read.append(u)
+                return self.inner[u]
+
+            def __iter__(self):
+                raise AssertionError("_summarize must not iterate contexts")
+
+            def __len__(self):
+                return len(self.inner)
+
+        g, cmap = _planted_c5()
+        net = CongestNetwork(g, bandwidth=16)
+        res = net.run(VectorizedLinearCycle(5, color_map=cmap), max_rounds=20, seed=0)
+        spy = Spy(res.contexts)
+        out = _summarize(3, dataclasses.replace(res, contexts=spy))
+        assert spy.read == [0, 10]
+        assert out.rejecting_nodes == (0, 10)
+        assert out.witnesses == (0, 10)
+        assert out.rejected and out.index == 3
+
+    def test_sanitized_run_on_lazy_mapping(self):
+        from repro.core.cycle_detection_linear import VectorizedLinearCycle
+
+        g, cmap = _planted_c5()
+        net = CongestNetwork(g, bandwidth=16)
+        for algo in (VectorizedLinearCycle(5, color_map=cmap), VectorizedLinearCycle(4)):
+            checked = net.run(algo, max_rounds=20, seed=2, sanitize=True)
+            plain = net.run(algo, max_rounds=20, seed=2)
+            assert checked.node_decisions == plain.node_decisions
+            assert checked.rounds == plain.rounds
+            assert {u: c.state for u, c in checked.contexts.items()} == {
+                u: c.state for u, c in plain.contexts.items()
+            }

@@ -14,8 +14,11 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest import BandwidthExceeded, CongestNetwork
+from repro.congest.message import int_width
 from repro.congest.broadcast_model import BroadcastNetwork
 from repro.congest.congested_clique import CongestedClique
 from repro.core.clique_detection import (
@@ -26,6 +29,10 @@ from repro.core.clique_detection import (
 from repro.core.cycle_detection_linear import (
     LinearCycleIterationAlgorithm,
     VectorizedLinearCycle,
+    _first_occurrence,
+    _sorted_member,
+    _sorted_union,
+    detect_cycle_linear,
 )
 from repro.core.triangle import (
     FullAnnouncementProtocol,
@@ -167,6 +174,116 @@ class TestLinearCycleDifferential:
         )
         b = net.run(VectorizedLinearCycle(4), max_rounds=20, seed=2, metrics="full")
         assert_equivalent(a, b, check_witness=True)
+
+
+def _planted_cycle_graph(n: int, ell: int, p: float, seed: int):
+    """gnp(n, p) plus a C_ell on random nodes, and the oracle coloring
+    that makes that cycle properly colored."""
+    rng = np.random.default_rng(seed)
+    g = nx.gnp_random_graph(n, p, seed=seed)
+    cyc = [int(v) for v in rng.choice(n, size=ell, replace=False)]
+    nx.add_cycle(g, cyc)
+    return g, {v: i for i, v in enumerate(cyc)}
+
+
+def _run_both_lanes(g, ell, seed, metrics, color_map=None):
+    # detect_cycle_linear's bandwidth and round budget.
+    n = g.number_of_nodes()
+    net = CongestNetwork(g, bandwidth=int_width(max(n, 2)) + int_width(ell))
+    rounds = n + ell + 2
+    a = net.run(LinearCycleIterationAlgorithm(ell, color_map=color_map),
+                max_rounds=rounds, seed=seed, metrics=metrics)
+    b = net.run(VectorizedLinearCycle(ell, color_map=color_map),
+                max_rounds=rounds, seed=seed, metrics=metrics)
+    return a, b
+
+
+def _assert_lane_parity(a, b):
+    assert_equivalent(a, b, check_witness=True)
+    assert a.node_decisions == b.node_decisions
+    assert list(a.node_decisions) == list(b.node_decisions)
+    assert a.metrics.rounds == b.metrics.rounds
+    assert a.rejecting_nodes() == b.rejecting_nodes()
+
+
+class TestLinearCycleLaneProperty:
+    """Lane parity of the O(n) baseline over random seeds, lengths,
+    graph families and metric modes -- decision, rounds, the full
+    ledger, node decisions and witnesses."""
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ell=st.integers(3, 7),
+        kind=st.sampled_from(["gnp", "grid", "planted", "planted-oracle"]),
+        n=st.integers(6, 28),
+        metrics=st.sampled_from(["full", "lite"]),
+    )
+    def test_lanes_agree(self, seed, ell, kind, n, metrics):
+        color_map = None
+        if kind == "gnp":
+            g = nx.gnp_random_graph(n, 3.0 / n, seed=seed % 2**31)
+        elif kind == "grid":
+            g = nx.convert_node_labels_to_integers(
+                nx.grid_2d_graph(max(2, n // 5), 5)
+            )
+        else:
+            g, oracle = _planted_cycle_graph(max(n, ell), ell, 2.0 / n, seed)
+            if kind == "planted-oracle":
+                color_map = oracle
+        a, b = _run_both_lanes(g, ell, seed, metrics, color_map)
+        _assert_lane_parity(a, b)
+        if color_map is not None:
+            assert a.rejected  # the oracle coloring closes the planted cycle
+
+    @pytest.mark.parametrize("metrics", ["full", "lite"])
+    def test_large_grid(self, metrics):
+        """n = 1024: one scale point well past the small-graph property."""
+        g = nx.convert_node_labels_to_integers(nx.grid_2d_graph(32, 32))
+        for seed, ell in ((5, 4), (11, 6)):
+            a, b = _run_both_lanes(g, ell, seed, metrics)
+            _assert_lane_parity(a, b)
+
+    def test_parallel_summary_matches_sequential(self):
+        """jobs=2 ships IterationOutcomes built by the parallel summary
+        (which reads only rejecting contexts); jobs=1 runs in-process."""
+        g, oracle = _planted_cycle_graph(40, 5, 0.05, 3)
+        for color_map, iterations in ((oracle, 3), (None, 6)):
+            one, two = (
+                detect_cycle_linear(g, 5, iterations, seed=9, color_map=color_map,
+                                    lane="vectorized", jobs=jobs, metrics="lite")
+                for jobs in (1, 2)
+            )
+            assert (one.detected, one.iterations_run, one.total_bits,
+                    one.total_messages, one.stop_reason) == (
+                two.detected, two.iterations_run, two.total_bits,
+                two.total_messages, two.stop_reason)
+            assert one.detected == (color_map is not None)
+
+
+_keys = st.lists(st.integers(-50, 50), max_size=40).map(
+    lambda xs: np.array(xs, dtype=np.int64)
+)
+
+
+class TestSortedSetHelpers:
+    """The linear-cycle kernel's set operations against the numpy calls
+    they replace.  Same-round duplicates and their order rarely reach an
+    observable ledger, so these pin the semantics directly."""
+
+    @given(keys=_keys)
+    def test_first_occurrence_is_unique_return_index(self, keys):
+        want = np.zeros(keys.shape[0], dtype=bool)
+        want[np.unique(keys, return_index=True)[1]] = True
+        assert _first_occurrence(keys).tolist() == want.tolist()
+
+    @given(base=_keys, keys=_keys)
+    def test_member_and_union(self, base, keys):
+        base = np.unique(base)
+        assert _sorted_member(base, keys).tolist() == np.isin(keys, base).tolist()
+        union = _sorted_union(base, keys)
+        assert union.dtype == np.int64
+        assert union.tolist() == np.union1d(base, keys).tolist()
 
 
 class TestBroadcastDifferential:
