@@ -43,7 +43,7 @@ from repro.core.even_cycle import (
     detect_even_cycle,
     required_bandwidth,
 )
-from repro.runtime import ExecutionPolicy
+from repro.runtime import ExecutionPolicy, RunSession
 
 NS = [65, 97, 129]  # odd => C_4-free; >= 64 per the bench contract
 K = 2
@@ -304,7 +304,8 @@ def run_seed_snapshot(graph: nx.Graph, k: int, iterations: int, seed: int):
 def run_fastpath(graph: nx.Graph, k: int, iterations: int, seed: int,
                  jobs: int = JOBS):
     rep = detect_even_cycle(
-        graph, k, iterations=iterations, seed=seed, jobs=jobs, metrics="lite"
+        graph, k, iterations=iterations, seed=seed,
+        session=RunSession(jobs=jobs, metrics="lite", owns_pools=False),
     )
     return rep.detected, rep.total_bits, rep.iterations_run
 
@@ -375,13 +376,19 @@ class TestEngineFastpath:
 # ----------------------------------------------------------------------
 # PR 3: vectorized round kernels vs the PR 1 object-lane fast path.
 # ----------------------------------------------------------------------
+def _lane_session(lane: str, metrics: str) -> RunSession:
+    return RunSession(lane=lane, metrics=metrics, owns_pools=False)
+
+
 class TestVectorizedCliqueLane:
     def test_vectorized_clique_smoke(self):
         """Quick (non-slow) equivalence check; scripts/verify.sh runs this
         as its time-budgeted bench smoke step."""
         g = nx.gnp_random_graph(48, CLIQUE_P, seed=11)
-        a = detect_clique(g, 3, CLIQUE_B, metrics="full", lane="object")
-        b = detect_clique(g, 3, CLIQUE_B, metrics="full", lane="vectorized")
+        a = detect_clique(g, 3, CLIQUE_B, session=_lane_session("object", "full"))
+        b = detect_clique(
+            g, 3, CLIQUE_B, session=_lane_session("vectorized", "full")
+        )
         assert a.decision == b.decision
         assert a.rounds == b.rounds
         assert a.metrics.total_bits == b.metrics.total_bits
@@ -396,14 +403,9 @@ class TestVectorizedCliqueLane:
         speedup_largest = 0.0
         for n in CLIQUE_NS:
             g = nx.gnp_random_graph(n, CLIQUE_P, seed=11)
-            t_obj, a = _best_of(
-                lambda: detect_clique(g, 3, CLIQUE_B, metrics="lite", lane="object")
-            )
-            t_vec, b = _best_of(
-                lambda: detect_clique(
-                    g, 3, CLIQUE_B, metrics="lite", lane="vectorized"
-                )
-            )
+            obj, vec = _lane_session("object", "lite"), _lane_session("vectorized", "lite")
+            t_obj, a = _best_of(lambda: detect_clique(g, 3, CLIQUE_B, session=obj))
+            t_vec, b = _best_of(lambda: detect_clique(g, 3, CLIQUE_B, session=vec))
             assert a.decision == b.decision
             assert a.rounds == b.rounds
             assert a.metrics.total_bits == b.metrics.total_bits

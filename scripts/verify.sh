@@ -79,9 +79,10 @@ if [ "${1:-}" != "--fast" ]; then
     timeout 120 python -m pytest -q -p no:cacheprovider \
         tests/congest/test_wake_round.py || fail=1
 
-    # Time-budgeted scale smoke: one mid-size fused-vs-reference point
-    # (n=16384, parity checked inline) so a fused-kernel or lazy-RNG
-    # regression fails the gate without paying for the full scale sweep.
+    # Time-budgeted scale smoke: one mid-size point of the fused lane
+    # against the object lane (n=16384, parity checked inline) so a
+    # fused-kernel or lazy-RNG regression fails the gate without paying
+    # for the full scale sweep.
     step "bench smoke (fused kernel scale point, 120s budget)"
     (
         cd benchmarks &&

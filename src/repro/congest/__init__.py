@@ -19,7 +19,7 @@ from .identifiers import (
     partitioned_namespace,
     random_assignment,
 )
-from .kernels import BACKENDS, BackendUnavailable, KernelProfile, backend_available
+from .kernels import KernelProfile
 from .local_model import BallCollection, LocalNetwork, run_local
 from .message import BandwidthExceeded, Message, id_width, int_width
 from .metrics import (
@@ -43,7 +43,6 @@ from .vectorized import (
     VecRun,
     VectorizedAlgorithm,
     execute_vectorized,
-    execute_vectorized_reference,
 )
 
 __all__ = [
@@ -75,10 +74,7 @@ __all__ = [
     "RoundLedger",
     "LiteLedgerGuard",
     "DEFAULT_ROUND_WINDOW",
-    "BACKENDS",
-    "BackendUnavailable",
     "KernelProfile",
-    "backend_available",
     "GRAPH_SHARE_MIN_NODES",
     "release_shared_graphs",
     "CongestNetwork",
@@ -100,5 +96,4 @@ __all__ = [
     "VecRun",
     "VectorizedAlgorithm",
     "execute_vectorized",
-    "execute_vectorized_reference",
 ]

@@ -56,7 +56,6 @@ class BroadcastNetwork(CongestNetwork):
         metrics: str = "full",
         sanitize: bool = False,
         faults: Any = None,
-        backend: Optional[str] = None,
         profile: Any = None,
     ) -> ExecutionResult:
         checked: Algorithm | VectorizedAlgorithm
@@ -76,7 +75,6 @@ class BroadcastNetwork(CongestNetwork):
             metrics=metrics,
             sanitize=sanitize,
             faults=faults,
-            backend=backend,
             profile=profile,
         )
 

@@ -1,8 +1,7 @@
 """Fused per-round kernels for the vectorized execution lane.
 
-The pre-fusion vectorized round loop (kept verbatim as
-:func:`repro.congest.vectorized.execute_vectorized_reference`) paid three
-avoidable costs per round on its way from an outbox to an inbox:
+A straightforward vectorized round loop pays three avoidable costs per
+round on its way from an outbox to an inbox:
 
 * an ``O(E log E)`` stable ``argsort`` of the outbox edge list just to
   *check* it was sorted (kernels almost always emit out-order edges);
@@ -18,144 +17,35 @@ one pass over the CSR :class:`~repro.congest.vectorized.EdgeIndex`:
   read-only array; an outbox built from it is recognised *by identity* and
   skips the sortedness / range / duplicate validation entirely (the array
   is the engine's own constant).  Any other outbox is validated with a
-  single ``O(E)`` strictly-increasing check, falling back to the original
-  stable-sort path only for genuinely unsorted outboxes.
+  single ``O(E)`` strictly-increasing check, falling back to a stable sort
+  only for genuinely unsorted outboxes.
 * **Precomputed delivery permutation.**  A full outbox (every directed
   edge, the common broadcast shape) is delivered through the index's
   precomputed ``in_order`` / ``in_recv`` / ``in_send`` arrays: the only
   per-round allocation left is the payload gather itself.  Partial
   outboxes gather ranks into a preallocated scratch buffer before the
   (unavoidable) argsort.
-* **Backends.**  The handful of primitive array operations the fused pass
-  needs is factored into a :class:`KernelOps` bundle so a compiled backend
-  can substitute its own loops (``backend="numba"``, feature-gated in
-  :mod:`repro.congest._numba_kernels`).  The pure-numpy bundle is the
-  reference; the differential suites assert bit-identical ledgers, fault
-  masks, and error strings across backends.
 
-Semantics are bit-identical to the reference loop: validation order, error
-strings, billing, observer callbacks, fault masking, and inbox ordering
-all match -- ``tests/congest/test_kernels.py`` pins this differentially.
+Billing, ``BandwidthExceeded`` strings, observer callbacks, fault masking
+and inbox ordering are bit-identical to the object lane --
+``tests/congest/test_kernels.py`` and ``tests/core/test_vectorized_diff.py``
+pin this differentially.
 
-:class:`KernelProfile` is the lightweight per-phase wall-clock counter the
-tentpole profiling asked for: sessions thread one through
-``net.run(..., profile=...)`` and surface it as a ``vec_profile`` note
-event in the run record.
+:class:`KernelProfile` is the lightweight per-phase wall-clock counter:
+sessions thread one through ``net.run(..., profile=...)`` and surface it
+as a ``vec_profile`` note event in the run record.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from .message import BandwidthExceeded
 
-__all__ = [
-    "BACKENDS",
-    "BackendUnavailable",
-    "KernelOps",
-    "KernelProfile",
-    "RoundKernel",
-    "backend_available",
-    "resolve_backend",
-]
-
-#: Kernel backends the vectorized lane can run on.  ``numpy`` is always
-#: available and is the reference; ``numba`` is feature-gated on the
-#: import actually succeeding (the container may not ship it).
-BACKENDS = ("numpy", "numba")
-
-
-class BackendUnavailable(RuntimeError):
-    """A kernel backend was requested that this environment cannot provide."""
-
-
-@dataclass(frozen=True)
-class KernelOps:
-    """The backend-swappable primitives of the fused round pass.
-
-    Each operation is small and loop-shaped on purpose: a compiled backend
-    replaces exactly these, and nothing else, so the surrounding control
-    flow (validation order, error strings, billing) is shared by
-    construction.
-
-    ``is_strictly_increasing(a)``
-        True iff the int64 array ``a`` is strictly increasing (hence
-        sorted with no duplicates).
-    ``delivery_order(ranks)``
-        Stable argsort of an int64 rank array -- the permutation taking a
-        partial outbox to ``(recv, send)`` delivery order.
-    ``size_stats(sizes)``
-        ``(total, max, min)`` of an int64 per-message size array in one
-        pass.
-    """
-
-    name: str
-    is_strictly_increasing: Callable[[np.ndarray], bool]
-    delivery_order: Callable[[np.ndarray], np.ndarray]
-    size_stats: Callable[[np.ndarray], Tuple[int, int, int]]
-
-
-def _np_is_strictly_increasing(a: np.ndarray) -> bool:
-    if a.shape[0] < 2:
-        return True
-    return bool(np.all(a[1:] > a[:-1]))
-
-
-def _np_delivery_order(ranks: np.ndarray) -> np.ndarray:
-    return np.argsort(ranks, kind="stable")
-
-
-def _np_size_stats(sizes: np.ndarray) -> Tuple[int, int, int]:
-    return int(sizes.sum()), int(sizes.max()), int(sizes.min())
-
-
-NUMPY_OPS = KernelOps(
-    name="numpy",
-    is_strictly_increasing=_np_is_strictly_increasing,
-    delivery_order=_np_delivery_order,
-    size_stats=_np_size_stats,
-)
-
-
-def backend_available(name: str) -> bool:
-    """Whether ``name`` can actually run in this environment."""
-    if name == "numpy":
-        return True
-    if name == "numba":
-        try:
-            import numba  # noqa: F401
-        except Exception:
-            return False
-        return True
-    return False
-
-
-def resolve_backend(name: Optional[str]) -> KernelOps:
-    """The :class:`KernelOps` bundle for ``name`` (``None`` = numpy).
-
-    Raises :class:`BackendUnavailable` when a known backend cannot be
-    imported here, and for unknown names -- policy validation turns both
-    into a :class:`~repro.runtime.policy.PolicyError` at construction, so
-    a run never discovers a missing backend mid-loop.
-    """
-    if name is None or name == "numpy":
-        return NUMPY_OPS
-    if name == "numba":
-        if not backend_available("numba"):
-            raise BackendUnavailable(
-                "backend='numba' requested but numba is not importable in "
-                "this environment; install numba or use backend='numpy'"
-            )
-        from ._numba_kernels import numba_ops
-
-        return numba_ops()
-    raise BackendUnavailable(
-        f"unknown kernel backend {name!r}; known backends: {BACKENDS}"
-    )
+__all__ = ["KernelProfile", "RoundKernel"]
 
 
 class KernelProfile:
@@ -172,7 +62,6 @@ class KernelProfile:
     """
 
     __slots__ = (
-        "backend",
         "rounds",
         "fast_rounds",
         "messages",
@@ -184,7 +73,6 @@ class KernelProfile:
     )
 
     def __init__(self) -> None:
-        self.backend = "numpy"
         self.rounds = 0
         self.fast_rounds = 0
         self.messages = 0
@@ -197,7 +85,6 @@ class KernelProfile:
     def as_dict(self) -> Dict[str, Any]:
         """JSON-friendly snapshot for a ``vec_profile`` note event."""
         return {
-            "backend": self.backend,
             "rounds": self.rounds,
             "fast_rounds": self.fast_rounds,
             "messages": self.messages,
@@ -215,8 +102,8 @@ class RoundKernel:
     Built once per :func:`execute_vectorized` call; owns the preallocated
     scratch buffers and (optionally) the full-mode ledger accumulators.
     :meth:`process` consumes one round's crash-masked outbox and returns
-    the packed inbox, reproducing the reference loop's checks, error
-    strings, billing, observer callbacks, and fault masking exactly.
+    the packed inbox; billing, ``BandwidthExceeded`` strings, observer
+    callbacks, and fault masking match the object lane exactly.
     """
 
     def __init__(
@@ -227,7 +114,6 @@ class RoundKernel:
         *,
         observer: Optional[Any] = None,
         injector: Optional[Any] = None,
-        ops: KernelOps = NUMPY_OPS,
         profile: Optional[KernelProfile] = None,
         track_full: bool = False,
     ) -> None:
@@ -240,10 +126,7 @@ class RoundKernel:
         self.observer = observer
         self.injector = injector
         self.apply_delivery = injector is not None and injector.affects_delivery
-        self.ops = ops
         self.profile = profile
-        if profile is not None:
-            profile.backend = ops.name
         e = max(1, grid.num_directed)
         # Scratch reused every round by the partial-outbox path, so the
         # steady state allocates nothing but the payload gather.
@@ -266,7 +149,6 @@ class RoundKernel:
     ) -> Any:
         """Validate, bill, and deliver one round's (non-empty) outbox."""
         grid = self.grid
-        ops = self.ops
         prof = self.profile
         if prof is not None:
             t = time.perf_counter()
@@ -274,7 +156,7 @@ class RoundKernel:
         # -- mask: sortedness / range / duplicate validation ------------
         trusted = edges is grid._all_edges
         if not trusted:
-            if not ops.is_strictly_increasing(edges):
+            if edges.shape[0] > 1 and not bool(np.all(edges[1:] > edges[:-1])):
                 order = np.argsort(edges, kind="stable")
                 edges = edges[order]
                 payload = payload[order]
@@ -298,7 +180,8 @@ class RoundKernel:
         # -- bill: size stats, bandwidth, ledger, observer ---------------
         if per_message:
             sizes = sizes.astype(np.int64, copy=False)
-            bits, max_size, min_size = ops.size_stats(sizes)
+            bits = int(sizes.sum())
+            max_size, min_size = int(sizes.max()), int(sizes.min())
         else:
             max_size = min_size = int(sizes)
             bits = max_size * edges.shape[0]
@@ -377,7 +260,7 @@ class RoundKernel:
         ranks = np.take(grid.in_rank, edges, out=self._rank_scratch[:m])
         if prof is not None:
             tp = time.perf_counter()
-        dorder = self.ops.delivery_order(ranks)
+        dorder = np.argsort(ranks, kind="stable")
         if prof is not None:
             t2 = time.perf_counter()
             prof.permute_s += t2 - tp
@@ -397,8 +280,7 @@ class RoundKernel:
     def expand_full_ledger(self) -> None:
         """Flush the flat full-mode accumulators into the metrics dicts.
 
-        Called once at the end of a ``metrics="full"`` run -- the lazy
-        expansion the reference loop performs, unchanged.  Keyed on
+        Called once at the end of a ``metrics="full"`` run.  Keyed on
         messages, not bits: the object lane creates a ledger entry even
         for a 0-bit message.
         """

@@ -287,7 +287,6 @@ class CongestNetwork:
         metrics: str = "full",
         sanitize: bool = False,
         faults: Any = None,
-        backend: Optional[str] = None,
         profile: Any = None,
     ) -> ExecutionResult:
         """Execute ``algorithm`` for up to ``max_rounds`` rounds.
@@ -323,13 +322,10 @@ class CongestNetwork:
         dispatched to the vectorized lane (batched array kernels over the
         precomputed edge index) with identical semantics -- decisions,
         round accounting, metrics ledger, ``sanitize`` and ``faults``
-        support all match the object lane bit-for-bit.  ``backend``
-        selects the vectorized lane's kernel backend
-        (``None``/``"numpy"`` is the reference; ``"numba"`` is
-        feature-gated) and ``profile`` (a
-        :class:`~repro.congest.kernels.KernelProfile`) opts into
-        per-phase wall-clock counters; both are ignored by the object
-        lane.
+        support all match the object lane bit-for-bit.  ``profile`` (a
+        :class:`~repro.congest.kernels.KernelProfile`) opts into the
+        vectorized lane's per-phase wall-clock counters; the object lane
+        ignores it.
         """
         from .vectorized import VectorizedAlgorithm, execute_vectorized
 
@@ -338,7 +334,7 @@ class CongestNetwork:
             if not sanitize:
                 return execute_vectorized(
                     self, algorithm, max_rounds, seed, stop_on_reject, metrics,
-                    injector=injector, backend=backend, profile=profile,
+                    injector=injector, profile=profile,
                 )
             from .sanitizer import AliasGuard, VecTrafficDigest, verify_replay
 
@@ -346,13 +342,12 @@ class CongestNetwork:
             vfirst = VecTrafficDigest(guard=vguard)
             result = execute_vectorized(
                 self, algorithm, max_rounds, seed, stop_on_reject, metrics,
-                observer=vfirst, injector=injector, backend=backend,
-                profile=profile,
+                observer=vfirst, injector=injector, profile=profile,
             )
             vreplay = VecTrafficDigest()
             execute_vectorized(
                 self, algorithm, max_rounds, seed, stop_on_reject, metrics,
-                observer=vreplay, injector=injector, backend=backend,
+                observer=vreplay, injector=injector,
             )
             verify_replay(vfirst, vreplay)
             return result

@@ -326,24 +326,19 @@ def detect_clique(
     s: int,
     bandwidth: int,
     seed: int = 0,
-    metrics: str = "full",
-    lane: str = "object",
     session: Optional["RunSession"] = None,
 ) -> ExecutionResult:
     """Run the O(n) clique detector; deterministic, two-sided correct.
 
-    ``metrics="lite"`` selects the engine fast path (aggregate counters
-    only); the decision and aggregate bit totals are unchanged.
-    ``lane="vectorized"`` runs :class:`VectorizedCliqueDetection` (batched
-    array kernels, same decisions and ledger bit-for-bit).  With a
-    ``session``, its policy picks the lane/metrics and the legacy kwargs
-    are ignored.
+    Under a ``session`` whose policy says ``metrics=lite`` the engine
+    keeps aggregate counters only; the decision and aggregate bit totals
+    are unchanged.  ``lane=vectorized`` runs
+    :class:`VectorizedCliqueDetection` (batched array kernels, same
+    decisions and ledger bit-for-bit).
     """
     from ..runtime.session import use_session
 
-    if lane not in ("object", "vectorized"):
-        raise ValueError(f"lane must be 'object' or 'vectorized', got {lane!r}")
-    ses = use_session(session, metrics=metrics, lane=lane)
+    ses = use_session(session)
     net = ses.network(graph, bandwidth=bandwidth)
     n = graph.number_of_nodes()
     max_rounds = math.ceil(n / max(1, bandwidth)) + 2

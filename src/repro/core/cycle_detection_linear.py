@@ -381,26 +381,20 @@ def detect_cycle_linear(
     color_map: Optional[Mapping[int, int]] = None,
     stop_on_detect: bool = True,
     keep_results: bool = False,
-    jobs: int = 1,
-    metrics: str = "full",
-    lane: str = "object",
     session: Optional["RunSession"] = None,
 ) -> LinearCycleReport:
     """Amplified O(n)-baseline detection of ``C_length``.
 
-    ``jobs`` / ``metrics`` mirror :func:`repro.core.even_cycle.detect_even_cycle`:
-    iterations fan out over a process pool with a first-rejecting-seed merge,
-    so the decision is bit-identical to the sequential loop.
-    ``lane="vectorized"`` runs :class:`VectorizedLinearCycle` per iteration
-    (same decisions, witnesses, and bit totals as the object lane).  With a
-    ``session``, its policy supplies jobs/metrics/lane and those legacy
-    kwargs are ignored.
+    The ``session``'s policy ``jobs`` / ``metrics`` mirror
+    :func:`repro.core.even_cycle.detect_even_cycle`: iterations fan out
+    over a process pool with a first-rejecting-seed merge, so the decision
+    is bit-identical to the sequential loop.  ``lane=vectorized`` runs
+    :class:`VectorizedLinearCycle` per iteration (same decisions,
+    witnesses, and bit totals as the object lane).
     """
     from ..runtime.session import use_session
 
-    if lane not in ("object", "vectorized"):
-        raise ValueError(f"lane must be 'object' or 'vectorized', got {lane!r}")
-    ses = use_session(session, metrics=metrics, lane=lane, jobs=jobs)
+    ses = use_session(session)
     n = graph.number_of_nodes()
     if bandwidth is None:
         bandwidth = int_width(max(n, 2)) + int_width(length)

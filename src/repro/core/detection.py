@@ -91,26 +91,20 @@ def detect(
     seed: int = 0,
     target_confidence: float = 2.0 / 3.0,
     max_iterations: Optional[int] = None,
-    jobs: int = 1,
-    metrics: str = "full",
     session: Optional["RunSession"] = None,
 ) -> DetectOutcome:
     """Detect ``pattern`` in ``graph`` with the best algorithm we have.
 
     ``target_confidence`` sizes the amplification of the randomized
     detectors (capped by ``max_iterations`` to keep simulations finite at
-    large k; the cap is reported through ``miss_probability``).
-    ``jobs``/``metrics`` select the fast-path engine for the amplified
-    detectors: iterations fan out over ``jobs`` worker processes, and
-    ``metrics="lite"`` skips the per-edge accounting (aggregate totals stay
-    exact).  Neither changes the detection decision.  A ``session``
-    carries those knobs as an
-    :class:`~repro.runtime.policy.ExecutionPolicy` instead and is threaded
-    through to whichever detector the dispatcher picks.
+    large k; the cap is reported through ``miss_probability``).  A
+    ``session``'s :class:`~repro.runtime.policy.ExecutionPolicy` (jobs,
+    metrics mode, ...) is threaded through to whichever detector the
+    dispatcher picks; none of its knobs changes the detection decision.
     """
     from ..runtime.session import use_session
 
-    ses = use_session(session, metrics=metrics, jobs=jobs)
+    ses = use_session(session)
     kind = classify_pattern(pattern)
     n = graph.number_of_nodes()
 

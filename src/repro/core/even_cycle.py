@@ -518,8 +518,6 @@ def detect_even_cycle(
     keep_results: bool = False,
     enable_phase1: bool = True,
     layer_filter: bool = True,
-    jobs: int = 1,
-    metrics: str = "full",
     session: Optional["RunSession"] = None,
 ) -> DetectionReport:
     """Run the Theorem 1.1 algorithm for up to ``iterations`` colorings.
@@ -530,17 +528,17 @@ def detect_even_cycle(
     ``enable_phase1`` / ``layer_filter`` are ablation switches (see
     :class:`EvenCycleIterationAlgorithm`).
 
-    ``jobs > 1`` fans the independent iterations out over a process pool
+    A ``session`` whose policy has ``jobs > 1`` fans the independent
+    iterations out over a process pool
     (:func:`repro.congest.parallel.run_amplified`); the first-rejecting-seed
     merge keeps the decision and witness set bit-identical to the
-    sequential loop.  ``metrics`` selects the engine's accounting mode
-    (``"lite"`` skips the per-edge ledger; aggregates stay exact).  With
-    a ``session``, its policy supplies jobs/metrics and those legacy
-    kwargs are ignored.
+    sequential loop.  The policy's ``metrics`` selects the engine's
+    accounting mode (``"lite"`` skips the per-edge ledger; aggregates stay
+    exact).
     """
     from ..runtime.session import use_session
 
-    ses = use_session(session, metrics=metrics, jobs=jobs)
+    ses = use_session(session)
     n = graph.number_of_nodes()
     sched = IterationSchedule.build(n, k, edge_constant)
     if bandwidth is None:

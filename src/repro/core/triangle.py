@@ -123,19 +123,17 @@ def detect_triangle_congest(
     graph: nx.Graph,
     bandwidth: int,
     seed: int = 0,
-    metrics: str = "full",
     session: Optional["RunSession"] = None,
 ) -> ExecutionResult:
     """Run the neighbor-exchange detector; REJECT iff a triangle exists.
 
-    ``metrics="lite"`` selects the engine fast path (aggregate counters
-    only); the decision and aggregate bit totals are unchanged.  With a
-    ``session``, its :class:`~repro.runtime.policy.ExecutionPolicy`
-    governs instead and the legacy ``metrics`` kwarg is ignored.
+    Under a ``session`` whose policy says ``metrics=lite`` the engine
+    keeps aggregate counters only; the decision and aggregate bit totals
+    are unchanged.
     """
     from ..runtime.session import use_session
 
-    ses = use_session(session, metrics=metrics)
+    ses = use_session(session)
     n = graph.number_of_nodes()
     w = int_width(max(n, 2))
     if bandwidth < w:

@@ -74,8 +74,6 @@ def run_live(
     iterations: int = 4,
     edge_constant: float = 1.0,
     seed: int = 0,
-    jobs: int = 1,
-    metrics: str = "lite",
     tolerance: float = 0.15,
     r_squared_min: float = 0.75,
     session: Optional["RunSession"] = None,
@@ -86,18 +84,20 @@ def run_live(
     Unlike :func:`run` (an analytic schedule sweep), this drives the
     simulator: each ``n`` runs ``iterations`` color-coded iterations of the
     even-cycle detector on the cycle ``C_n`` (odd ``n`` is forced so the
-    instance is C_{2k}-free and every iteration executes).  ``jobs`` fans
-    the iterations over worker processes and ``metrics`` selects the
-    engine's accounting mode; neither changes decisions or bit totals.
-    The fitted exponent uses *executed* rounds, so the R² floor is looser
-    than the analytic sweep's.  With a ``session``, its policy supplies
-    jobs/metrics and those legacy kwargs are ignored.  With a
-    ``checkpoint``, each ``n`` is one journaled cell: a resumed sweep
-    skips completed cells and reproduces the same report.
+    instance is C_{2k}-free and every iteration executes).  The
+    ``session``'s policy ``jobs`` fans the iterations over worker
+    processes and its ``metrics`` selects the engine's accounting mode;
+    neither changes decisions or bit totals.  Without a session the sweep
+    runs inline under ``metrics=lite``.  The fitted exponent uses
+    *executed* rounds, so the R² floor is looser than the analytic
+    sweep's.  With a ``checkpoint``, each ``n`` is one journaled cell: a
+    resumed sweep skips completed cells and reproduces the same report.
     """
-    from ..runtime.session import use_session
+    from ..runtime.session import RunSession
 
-    ses = use_session(session, jobs=jobs, metrics=metrics)
+    ses = session
+    if ses is None:
+        ses = RunSession(metrics="lite", owns_pools=False)
     if ns is None:
         ns = [65, 97, 129, 193]
     rows = []

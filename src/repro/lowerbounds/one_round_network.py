@@ -198,7 +198,6 @@ def run_one_round_on_network(
     sample: TemplateSample,
     bandwidth: Optional[int] = None,
     seed: int = 0,
-    lane: str = "object",
     session: Optional["RunSession"] = None,
 ) -> OneRoundOutcome:
     """Execute the protocol on the realized graph via the engine.
@@ -206,16 +205,13 @@ def run_one_round_on_network(
     ``bandwidth=None`` sizes the pipe to the largest message the protocol
     actually produced (so the run documents its own bandwidth, which the
     outcome reports -- the quantity Theorem 5.1 bounds).
-    ``lane="vectorized"`` runs :class:`VectorizedOneRoundAlgorithm`; the
-    decision, round count, and metrics ledger match the object lane.
-    With a ``session``, its policy picks the lane and the legacy ``lane``
-    kwarg is ignored.
+    A ``session`` whose policy says ``lane=vectorized`` runs
+    :class:`VectorizedOneRoundAlgorithm`; the decision, round count, and
+    metrics ledger match the object lane.
     """
     from ..runtime.session import use_session
 
-    if lane not in ("object", "vectorized"):
-        raise ValueError(f"lane must be 'object' or 'vectorized', got {lane!r}")
-    ses = use_session(session, lane=lane)
+    ses = use_session(session)
     g = sample.graph
     inputs: Dict[Hashable, Dict] = {}
     for v in g.nodes():

@@ -119,11 +119,11 @@ class ExecutionEngine:
         """One engine run of ``algorithm`` on ``net`` under ``policy``.
 
         This is the execution body :meth:`RunSession.run` used to own:
-        metrics mode, sanitizer, fault plan, and backend come from the
-        policy; ``fallback`` arms the vectorized->object degradation rung
-        (a hard numpy fault retries the run on the object lane and
-        reports the step through ``on_degrade``); a ``governor`` observes
-        the run's cost so later amplifications start throttled.
+        metrics mode, sanitizer and fault plan come from the policy;
+        ``fallback`` arms the vectorized->object degradation rung (a hard
+        numpy fault retries the run on the object lane and reports the
+        step through ``on_degrade``); a ``governor`` observes the run's
+        cost so later amplifications start throttled.
         """
         try:
             result = net.run(
@@ -134,7 +134,6 @@ class ExecutionEngine:
                 metrics=policy.metrics,
                 sanitize=policy.sanitize,
                 faults=policy.faults,
-                backend=policy.backend,
                 profile=profile,
             )
         except _NUMPY_FAULTS as exc:

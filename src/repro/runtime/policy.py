@@ -208,13 +208,6 @@ class ExecutionPolicy:
         Decay factor for the governor's peak-hold estimator, in
         ``(0, 1]``; requires ``governor_budget``.  ``None`` uses the
         governor's default.
-    backend:
-        Kernel backend for the vectorized lane: ``"numpy"`` (the
-        reference, always available) or ``"numba"`` (compiled, only when
-        the package is importable -- a missing backend is a
-        :class:`PolicyError` at construction, not a mid-run surprise).
-        ``None`` means numpy and keeps the policy's historical hash.
-        Ignored by the object lane.
     """
 
     lane: str = "object"
@@ -231,7 +224,6 @@ class ExecutionPolicy:
     amplify_max_seeds: Optional[int] = None
     governor_budget: Optional[int] = None
     governor_decay: Optional[float] = None
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.lane not in LANES:
@@ -310,23 +302,6 @@ class ExecutionPolicy:
                     "governor_decay tunes the peak-hold estimator; it needs "
                     "governor_budget to enable the governor"
                 )
-        if self.backend is not None:
-            from ..congest.kernels import BACKENDS, backend_available
-
-            if self.backend not in BACKENDS:
-                raise PolicyError(
-                    f"backend must be one of {BACKENDS}, got {self.backend!r}"
-                )
-            if not backend_available(self.backend):
-                raise PolicyError(
-                    f"backend={self.backend!r} requested but not importable in "
-                    "this environment; install it or use backend='numpy'"
-                )
-            # Canonicalize: numpy *is* the default backend, so requesting
-            # it explicitly collapses to None (same semantics, same
-            # policy_hash as an unset field -- the faults precedent).
-            if self.backend == "numpy":
-                object.__setattr__(self, "backend", None)
         # Illegal combinations (see the module docstring for why).
         if self.sanitize and self.metrics == "lite":
             raise PolicyError(
@@ -377,7 +352,6 @@ class ExecutionPolicy:
             "amplify_max_seeds",
             "governor_budget",
             "governor_decay",
-            "backend",
         ):
             if fields.get(name) is None:
                 fields.pop(name, None)
@@ -452,8 +426,7 @@ class ExecutionPolicy:
         ``REPRO_FAULTS`` (a fault spec; empty / ``none`` disables),
         ``REPRO_AMPLIFY_CONFIDENCE``, ``REPRO_AMPLIFY_BATCH``,
         ``REPRO_AMPLIFY_MAX_SEEDS``, ``REPRO_GOVERNOR_BUDGET``,
-        ``REPRO_GOVERNOR_DECAY``, ``REPRO_BACKEND`` (empty / ``none``
-        disables each).
+        ``REPRO_GOVERNOR_DECAY`` (empty / ``none`` disables each).
         Unset variables keep ``base``'s values (default policy if absent).
         """
         env = os.environ if environ is None else environ
@@ -508,7 +481,7 @@ class ExecutionPolicy:
             )
         if field in ("sanitize", "cache"):
             return _parse_bool(field, raw)
-        if field in ("faults", "backend"):
+        if field == "faults":
             return None if raw.lower() in ("", "none") else raw
         if field in ("amplify_batch", "amplify_max_seeds", "governor_budget"):
             return None if raw.lower() in ("", "none") else _parse_int(field, raw)

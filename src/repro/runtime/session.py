@@ -18,7 +18,7 @@ It takes an :class:`~repro.runtime.policy.ExecutionPolicy` and
   **cache scope**: a ``cache=False`` policy clears the construction
   cache on close.
 
-Sessions created implicitly by the legacy keyword shims
+Sessions created implicitly for a detector called without one
 (:func:`use_session` with ``session=None``) set ``owns_pools=False``:
 they must not tear down the persistent pools between two detector calls,
 or the pool-reuse performance contract (and its tests) would break.
@@ -84,7 +84,7 @@ class RunSession:
     owns_pools:
         Whether closing this session shuts down the persistent
         amplification pools.  Explicit sessions default to ``True``;
-        the legacy-shim sessions built by :func:`use_session` pass
+        the implicit sessions built by :func:`use_session` pass
         ``False`` so back-to-back detector calls keep reusing pools.
     governor:
         An existing :class:`~repro.runtime.governor.PeakHoldGovernor` to
@@ -425,19 +425,14 @@ class RunSession:
         return cache_stats()
 
 
-def use_session(
-    session: Optional[RunSession], **legacy: Any
-) -> RunSession:
+def use_session(session: Optional[RunSession]) -> RunSession:
     """Resolve a detector's ``session=`` argument.
 
-    With an explicit session, return it unchanged -- its policy governs
-    and the caller's legacy keyword arguments are ignored.  Without one,
-    build an implicit session from the legacy kwargs (dropping ``None``
-    values so policy defaults apply).  Implicit sessions never own the
-    persistent pools: two back-to-back legacy-style detector calls must
-    keep reusing the same workers, exactly as before this layer existed.
+    An explicit session is returned unchanged.  Without one, build an
+    implicit session on the default policy.  Implicit sessions never own
+    the persistent pools: two back-to-back detector calls without a
+    session must keep reusing the same workers.
     """
     if session is not None:
         return session
-    fields = {k: v for k, v in legacy.items() if v is not None}
-    return RunSession(ExecutionPolicy(**fields), owns_pools=False)
+    return RunSession(owns_pools=False)

@@ -1,15 +1,11 @@
-"""The fused round kernel: backend gating, differentials, profiling.
+"""The fused round kernel: object-lane differentials and profiling.
 
-Three contracts:
+Two contracts:
 
 * :func:`execute_vectorized` (the fused :class:`RoundKernel` loop) is
-  bit-identical to :func:`execute_vectorized_reference` (the frozen
-  pre-fusion loop) -- decisions, rounds, ledgers, and every validation /
-  bandwidth *error string*;
-* the ``backend`` knob is feature-gated: ``numpy`` is always there (and
-  canonicalizes to the policy default), ``numba`` resolves only where
-  installed, anything else fails loudly at policy construction;
-* the cross matrix: backend x lane x fault plan runs diff clean through
+  bit-identical to the object lane -- decisions, rounds, ledgers -- and
+  its outbox-validation and bandwidth *error strings* are pinned;
+* the cross matrix: lane x fault plan runs diff clean through
   :func:`diff_records`.
 """
 
@@ -23,16 +19,8 @@ from repro.congest import (
     BandwidthExceeded,
     CongestNetwork,
     execute_vectorized,
-    execute_vectorized_reference,
 )
-from repro.congest.kernels import (
-    BACKENDS,
-    NUMPY_OPS,
-    BackendUnavailable,
-    KernelProfile,
-    backend_available,
-    resolve_backend,
-)
+from repro.congest.kernels import KernelProfile
 import repro.congest.vectorized as vec
 from repro.congest.vectorized import (
     VecOutbox,
@@ -40,54 +28,21 @@ from repro.congest.vectorized import (
     _LazyRngs,
     first_integers,
 )
-from repro.core.broadcast_accumulate import VectorizedBroadcastAccumulate
-from repro.core.cycle_detection_linear import VectorizedLinearCycle
-from repro.runtime import ExecutionPolicy, PolicyError
-
-
-class TestBackendResolution:
-    def test_numpy_is_always_available(self):
-        assert backend_available("numpy")
-        assert resolve_backend(None) is NUMPY_OPS
-        assert resolve_backend("numpy") is NUMPY_OPS
-
-    def test_unknown_backend_is_loud(self):
-        assert not backend_available("cuda")
-        with pytest.raises(BackendUnavailable, match="cuda"):
-            resolve_backend("cuda")
-
-    def test_numba_is_gated(self):
-        if backend_available("numba"):
-            ops = resolve_backend("numba")
-            assert ops.name == "numba"
-        else:
-            with pytest.raises(BackendUnavailable):
-                resolve_backend("numba")
-
-    def test_policy_validates_backend(self):
-        with pytest.raises(PolicyError, match="backend"):
-            ExecutionPolicy(backend="cuda")
-        if not backend_available("numba"):
-            with pytest.raises(PolicyError, match="numba"):
-                ExecutionPolicy(backend="numba")
-
-    def test_explicit_numpy_collapses_to_default_hash(self):
-        # Like no-op fault specs: spelling out the default must not fork
-        # the policy hash (records diff on hashes).
-        assert ExecutionPolicy(backend="numpy").backend is None
-        assert (
-            ExecutionPolicy(backend="numpy").policy_hash()
-            == ExecutionPolicy().policy_hash()
-        )
-
-    def test_backends_tuple(self):
-        assert BACKENDS == ("numpy", "numba")
+from repro.core.broadcast_accumulate import (
+    BroadcastAccumulate,
+    VectorizedBroadcastAccumulate,
+)
+from repro.core.cycle_detection_linear import (
+    LinearCycleIterationAlgorithm,
+    VectorizedLinearCycle,
+)
+from repro.runtime import ExecutionPolicy
 
 
 class _UnsortedEcho(VectorizedAlgorithm):
     """Sends on a valid but *descending* edge list: exercises the fused
     kernel's argsort fallback (the strictly-increasing fast check fails,
-    the reorder must reproduce the reference's canonical order)."""
+    the reorder must restore the canonical edge order)."""
 
     name = "unsorted-echo"
     message_dtype = np.dtype(np.int64)
@@ -134,13 +89,16 @@ class _BadEdges(VectorizedAlgorithm):
 
 
 class TestFusedVsReference:
+    """The fused loop against the object lane, the reference semantics."""
+
     @pytest.mark.parametrize("metrics", ["full", "lite"])
     def test_broadcast_workload_bit_identical(self, metrics):
         g = nx.random_regular_graph(4, 48, seed=3)
         net = CongestNetwork(g, bandwidth=31)
-        algo = VectorizedBroadcastAccumulate(6)
-        a = execute_vectorized(net, algo, 10, 0, False, metrics)
-        b = execute_vectorized_reference(net, algo, 10, 0, False, metrics)
+        a = execute_vectorized(
+            net, VectorizedBroadcastAccumulate(6), 10, 0, False, metrics
+        )
+        b = net.run(BroadcastAccumulate(6), max_rounds=10, seed=0, metrics=metrics)
         assert a.decision == b.decision
         assert a.rounds == b.rounds
         assert a.node_decisions == b.node_decisions
@@ -153,37 +111,38 @@ class TestFusedVsReference:
     def test_randomized_workload_same_rng_stream(self):
         g = nx.cycle_graph(12)
         net = CongestNetwork(g, bandwidth=16)
-        algo = VectorizedLinearCycle(4)
-        a = execute_vectorized(net, algo, 20, 7, False, "full")
-        b = execute_vectorized_reference(net, algo, 20, 7, False, "full")
+        a = execute_vectorized(net, VectorizedLinearCycle(4), 20, 7, False, "full")
+        b = net.run(LinearCycleIterationAlgorithm(4), max_rounds=20, seed=7)
         assert a.node_decisions == b.node_decisions
         assert a.metrics.total_bits == b.metrics.total_bits
-        assert {u: c.state for u, c in a.contexts.items()} == {
-            u: c.state for u, c in b.contexts.items()
-        }
+        assert a.metrics.edge_bits == b.metrics.edge_bits
 
     def test_unsorted_outbox_falls_back_bit_identical(self):
         g = nx.path_graph(9)
         net = CongestNetwork(g, bandwidth=8)
-        algo = _UnsortedEcho()
-        a = execute_vectorized(net, algo, 8, 0, False, "full")
-        b = execute_vectorized_reference(net, algo, 8, 0, False, "full")
-        assert a.metrics.edge_bits == b.metrics.edge_bits
-        assert a.metrics.round_bits == b.metrics.round_bits
+        a = execute_vectorized(net, _UnsortedEcho(), 8, 0, False, "full")
+        # Three rounds of 5-bit messages on all 16 directed edges; the
+        # silent decide round is the unbilled quiescence probe.
+        assert a.rounds == 3
+        assert a.metrics.round_bits == {0: 80, 1: 80, 2: 80}
+        assert a.metrics.edge_bits == {
+            e: 15 for u, v in g.edges() for e in ((u, v), (v, u))
+        }
 
-    @pytest.mark.parametrize("mode,exc", [
-        ("range", ValueError),
-        ("dup", ValueError),
-        ("oversize", BandwidthExceeded),
-    ])
-    def test_error_strings_identical(self, mode, exc):
+    @pytest.mark.parametrize("mode,exc,message", [
+        ("range", ValueError, "round 0: outbox edge index out of range"),
+        ("dup", ValueError,
+         "node 1 tried to send two messages to 0 in round 0; "
+         "the model allows one message per edge per round"),
+        ("oversize", BandwidthExceeded,
+         "node 0 -> 1: message of 1000000 bits exceeds B=8"),
+    ], ids=["range-ValueError", "dup-ValueError", "oversize-BandwidthExceeded"])
+    def test_error_strings_identical(self, mode, exc, message):
         g = nx.path_graph(6)
         net = CongestNetwork(g, bandwidth=8)
         with pytest.raises(exc) as fused:
             execute_vectorized(net, _BadEdges(mode), 4, 0, False, "lite")
-        with pytest.raises(exc) as ref:
-            execute_vectorized_reference(net, _BadEdges(mode), 4, 0, False, "lite")
-        assert str(fused.value) == str(ref.value)
+        assert str(fused.value) == message
 
 
 class TestLazyRngs:
@@ -286,10 +245,7 @@ class TestVectorizedFirstDraw:
             _LazyRngs(np.arange(4, dtype=np.int64)).first_integers(2**32 + 1)
 
     def test_reference_list_path(self):
-        """A plain generator list (the reference loop) draws one by one."""
-        rngs = [np.random.default_rng(s) for s in (3, 4, 5)]
-        assert first_integers(rngs, 9).tolist() == \
-            _numpy_first_draws([3, 4, 5], 9).tolist()
+        """An unseeded run's rngs is a list of None: no draw is possible."""
         with pytest.raises(ValueError, match="seeded"):
             first_integers([None, None], 9)
 
@@ -326,7 +282,6 @@ class TestKernelProfile:
         assert prof.fast_rounds == 5  # full broadcast rides the fast path
         assert prof.messages == 5 * 4 * 32
         d = prof.as_dict()
-        assert d["backend"] == "numpy"
         assert all(k in d for k in ("step_ms", "mask_ms", "bill_ms",
                                     "permute_ms", "deliver_ms"))
 
@@ -353,21 +308,20 @@ class TestKernelProfile:
                  if e.kind == "note" and e.label == "vec_profile"]
         assert len(notes) == 1
         assert notes[0].extra["rounds"] == 3
-        assert notes[0].extra["backend"] == "numpy"
 
 
 # ----------------------------------------------------------------------
-# backend x lane x fault-plan cross matrix
+# lane x fault-plan cross matrix
 # ----------------------------------------------------------------------
 MATRIX_FAULTS = [None, "drop:0.3", "drop:0.2|corrupt:0.2|crash:1@2|seed:13"]
 
 
-def _run_matrix_cell(backend, lane, spec):
+def _run_matrix_cell(lane, spec):
     from repro.core.cycle_detection_linear import detect_cycle_linear
     from repro.runtime import RunSession
 
     g = nx.cycle_graph(12)
-    policy = ExecutionPolicy(lane=lane, faults=spec, seed=5, backend=backend)
+    policy = ExecutionPolicy(lane=lane, faults=spec, seed=5)
     with RunSession(policy, record=True, owns_pools=False) as ses:
         rep = detect_cycle_linear(g, 4, iterations=6, session=ses)
         out = (rep.detected, rep.iterations_run, rep.total_bits,
@@ -380,21 +334,9 @@ class TestBackendLaneFaultMatrix:
     def test_numpy_backend_matches_object_lane(self, spec):
         from repro.runtime import diff_records
 
-        out_obj, rec_obj = _run_matrix_cell(None, "object", spec)
-        out_vec, rec_vec = _run_matrix_cell("numpy", "vectorized", spec)
+        out_obj, rec_obj = _run_matrix_cell("object", spec)
+        out_vec, rec_vec = _run_matrix_cell("vectorized", spec)
         assert out_obj == out_vec
         diff = diff_records(rec_obj, rec_vec)
         assert diff["num_events"][0] == diff["num_events"][1], diff
-        assert diff["first_divergence"] is None, diff
-
-    def test_numba_backend_matches_numpy(self, spec):
-        pytest.importorskip("numba")
-        from repro.runtime import diff_records
-
-        out_np, rec_np = _run_matrix_cell("numpy", "vectorized", spec)
-        out_nb, rec_nb = _run_matrix_cell("numba", "vectorized", spec)
-        assert out_np == out_nb
-        # Backend rides in the policy hash only when non-default; the
-        # traces themselves must be indistinguishable.
-        diff = diff_records(rec_np, rec_nb)
         assert diff["first_divergence"] is None, diff

@@ -29,6 +29,7 @@ from repro.congest import (
     run_amplified,
 )
 from repro.core.even_cycle import detect_even_cycle
+from repro.runtime import RunSession
 
 
 class Gossip(Algorithm):
@@ -148,10 +149,14 @@ class TestRunAmplified:
 
     def test_parallel_even_cycle_matches_sequential(self):
         g = nx.gnp_random_graph(36, 0.12, seed=5)
-        seq = detect_even_cycle(g, 2, iterations=8, seed=0, metrics="full")
+        seq = detect_even_cycle(
+            g, 2, iterations=8, seed=0,
+            session=RunSession(metrics="full", owns_pools=False),
+        )
         for jobs in (2, 4):
             par = detect_even_cycle(
-                g, 2, iterations=8, seed=0, jobs=jobs, metrics="lite"
+                g, 2, iterations=8, seed=0,
+                session=RunSession(jobs=jobs, metrics="lite", owns_pools=False),
             )
             assert par.detected == seq.detected
             assert par.iterations_run == seq.iterations_run
@@ -162,8 +167,14 @@ class TestRunAmplified:
     def test_parallel_accept_case_matches_sequential(self):
         # An odd cycle is C_4-free: every iteration runs, nothing rejects.
         g = nx.cycle_graph(21)
-        seq = detect_even_cycle(g, 2, iterations=3, seed=2, metrics="full")
-        par = detect_even_cycle(g, 2, iterations=3, seed=2, jobs=3, metrics="lite")
+        seq = detect_even_cycle(
+            g, 2, iterations=3, seed=2,
+            session=RunSession(metrics="full", owns_pools=False),
+        )
+        par = detect_even_cycle(
+            g, 2, iterations=3, seed=2,
+            session=RunSession(jobs=3, metrics="lite", owns_pools=False),
+        )
         assert not seq.detected and not par.detected
         assert par.iterations_run == seq.iterations_run == 3
         assert par.total_bits == seq.total_bits
@@ -171,7 +182,10 @@ class TestRunAmplified:
     def test_keep_results_requires_sequential(self):
         g = nx.cycle_graph(9)
         with pytest.raises(ValueError):
-            detect_even_cycle(g, 2, iterations=2, jobs=2, keep_results=True)
+            detect_even_cycle(
+                g, 2, iterations=2, keep_results=True,
+                session=RunSession(jobs=2, owns_pools=False),
+            )
 
     def test_input_validation(self):
         g = nx.path_graph(2)
@@ -227,15 +241,16 @@ assert not rep.detected
 ses.close()
 """
 
-# No session at all: the legacy kwargs build an implicit session that
-# does not own the pools, so only the atexit hooks tear them down.
+# A session that does not own the pools (like the implicit one a
+# detector builds for session=None) and is never closed, so only the
+# atexit hooks tear the pools down.
 _IMPLICIT_EXIT_SCRIPT = """
 import networkx as nx
 from repro.core.cycle_detection_linear import detect_cycle_linear
+from repro.runtime import RunSession
 
-rep = detect_cycle_linear(
-    nx.grid_2d_graph(6, 6), 5, iterations=4, jobs=2, metrics="lite"
-)
+ses = RunSession(jobs=2, metrics="lite", owns_pools=False)
+rep = detect_cycle_linear(nx.grid_2d_graph(6, 6), 5, iterations=4, session=ses)
 assert not rep.detected
 """
 

@@ -219,7 +219,10 @@ class TestPolicyDrivenDetection:
         g = nx.grid_2d_graph(3, 3)
         g = nx.convert_node_labels_to_integers(g, ordering="sorted")
         assert seeds_for_confidence(0.05, 1 / 256) == 14
-        plain = detect_even_cycle(g, 2, iterations=12, seed=0, metrics="lite")
+        plain = detect_even_cycle(
+            g, 2, iterations=12, seed=0,
+            session=RunSession(metrics="lite", owns_pools=False),
+        )
         with RunSession(
             ExecutionPolicy(metrics="lite", amplify_confidence=0.05), owns_pools=False
         ) as ses:

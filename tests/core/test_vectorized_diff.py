@@ -42,6 +42,12 @@ from repro.core.triangle import (
 )
 from repro.graphs.template_graph import sample_input
 from repro.lowerbounds.one_round_network import run_one_round_on_network
+from repro.runtime import RunSession
+
+
+def _session(lane, metrics="full", jobs=1):
+    """A session for one lane/metrics/jobs cell that leaves pools warm."""
+    return RunSession(lane=lane, metrics=metrics, jobs=jobs, owns_pools=False)
 
 
 def assert_equivalent(res_obj, res_vec, *, check_witness: bool = False):
@@ -81,14 +87,14 @@ class TestCliqueDifferential:
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_full_matrix(self, gname, g, s):
         for bandwidth in (4, 16):
-            a = detect_clique(g, s, bandwidth, metrics="full", lane="object")
-            b = detect_clique(g, s, bandwidth, metrics="full", lane="vectorized")
+            a = detect_clique(g, s, bandwidth, session=_session("object", "full"))
+            b = detect_clique(g, s, bandwidth, session=_session("vectorized", "full"))
             assert_equivalent(a, b)
 
     def test_lite_metrics(self):
         g = nx.gnp_random_graph(16, 0.3, seed=3)
-        a = detect_clique(g, 3, 8, metrics="lite", lane="object")
-        b = detect_clique(g, 3, 8, metrics="lite", lane="vectorized")
+        a = detect_clique(g, 3, 8, session=_session("object", "lite"))
+        b = detect_clique(g, 3, 8, session=_session("vectorized", "lite"))
         assert_equivalent(a, b)
 
     def test_local_mode(self):
@@ -130,7 +136,7 @@ class TestCliqueDifferential:
             truth = any(
                 len(c) >= s for c in nx.find_cliques(g)
             )
-            res = detect_clique(g, s, 8, lane="vectorized")
+            res = detect_clique(g, s, 8, session=_session("vectorized"))
             assert res.rejected == truth
 
 
@@ -251,7 +257,7 @@ class TestLinearCycleLaneProperty:
         for color_map, iterations in ((oracle, 3), (None, 6)):
             one, two = (
                 detect_cycle_linear(g, 5, iterations, seed=9, color_map=color_map,
-                                    lane="vectorized", jobs=jobs, metrics="lite")
+                                    session=_session("vectorized", "lite", jobs))
                 for jobs in (1, 2)
             )
             assert (one.detected, one.iterations_run, one.total_bits,
@@ -373,16 +379,13 @@ class TestOneRoundDifferential:
             sample = sample_input(6, np.random.default_rng(seed), id_space=10**6)
             if sample.has_duplicate_ids():
                 continue
-            a = run_one_round_on_network(protocol, sample, lane="object")
-            b = run_one_round_on_network(protocol, sample, lane="vectorized")
+            a = run_one_round_on_network(protocol, sample, session=_session("object"))
+            b = run_one_round_on_network(
+                protocol, sample, session=_session("vectorized")
+            )
             assert a.rejected == b.rejected
             assert a.correct == b.correct
             assert a.bandwidth_used == b.bandwidth_used
             assert a.messages == b.messages
             checked += 1
         assert checked > 10
-
-    def test_lane_validation(self):
-        sample = sample_input(5, np.random.default_rng(0), id_space=10**6)
-        with pytest.raises(ValueError, match="lane"):
-            run_one_round_on_network(SilentProtocol(), sample, lane="simd")

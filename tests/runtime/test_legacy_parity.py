@@ -1,159 +1,29 @@
-"""Legacy-kwarg shims vs explicit sessions: bit-identical results.
+"""The ``detect`` dispatcher with an implicit vs an explicit session.
 
-The refactor's compatibility contract: every detector keeps its old
-keyword arguments (``metrics=``, ``lane=``, ``jobs=``), and for a fixed
-seed the legacy spelling and the equivalent explicit-session spelling
-produce bit-identical ExecutionResults / reports -- same decisions, same
-round counts, same complete communication ledger.
+For a fixed seed, ``detect(..., session=None)`` and the same call under an
+explicit default ``RunSession()`` choose the same algorithm and reach the
+same decision in the same number of rounds; an explicit recording session
+sees the run's events.
 """
 
 from __future__ import annotations
 
 import networkx as nx
-import numpy as np
-import pytest
 
-from repro.core.clique_detection import detect_clique
-from repro.core.cycle_detection_linear import detect_cycle_linear
 from repro.core.detection import detect
-from repro.core.even_cycle import detect_even_cycle
-from repro.core.triangle import SilentProtocol, TruncatedAnnouncementProtocol, detect_triangle_congest
-from repro.graphs import generators as gen
-from repro.graphs.template_graph import sample_input
-from repro.lowerbounds.one_round_network import run_one_round_on_network
-from repro.runtime import ExecutionPolicy, RunSession
-
-
-def assert_results_identical(a, b):
-    """Full-ledger equality of two ExecutionResults."""
-    assert a.decision == b.decision
-    assert a.rounds == b.rounds
-    assert {u: c.decision for u, c in a.contexts.items()} == \
-        {u: c.decision for u, c in b.contexts.items()}
-    ma, mb = a.metrics, b.metrics
-    assert ma.total_bits == mb.total_bits
-    assert ma.total_messages == mb.total_messages
-    assert ma.round_bits == mb.round_bits
-    if ma.mode == "full" and mb.mode == "full":
-        assert ma.edge_bits == mb.edge_bits
-        assert ma.node_bits == mb.node_bits
-
-
-def assert_reports_identical(a, b):
-    """Equality of two amplified DetectionReport-style objects."""
-    assert a.detected == b.detected
-    assert a.iterations_run == b.iterations_run
-    assert a.rounds_per_iteration == b.rounds_per_iteration
-    assert a.total_rounds == b.total_rounds
-    assert a.total_bits == b.total_bits
-    assert a.total_messages == b.total_messages
-
-
-class TestCliqueParity:
-    @pytest.mark.parametrize("lane", ["object", "vectorized"])
-    def test_lane_kwarg(self, lane):
-        g = nx.gnp_random_graph(14, 0.35, seed=2)
-        legacy = detect_clique(g, 3, 8, seed=5, metrics="full", lane=lane)
-        with RunSession(ExecutionPolicy(lane=lane)) as ses:
-            via_session = detect_clique(g, 3, 8, seed=5, session=ses)
-        assert_results_identical(legacy, via_session)
-
-    def test_lite_metrics_kwarg(self):
-        g = nx.gnp_random_graph(12, 0.4, seed=3)
-        legacy = detect_clique(g, 4, 8, metrics="lite")
-        with RunSession(ExecutionPolicy(metrics="lite")) as ses:
-            via_session = detect_clique(g, 4, 8, session=ses)
-        assert_results_identical(legacy, via_session)
-
-
-class TestTriangleParity:
-    def test_fixed_seed(self):
-        g = nx.gnp_random_graph(10, 0.5, seed=1)
-        legacy = detect_triangle_congest(g, bandwidth=16, seed=4)
-        with RunSession() as ses:
-            via_session = detect_triangle_congest(g, bandwidth=16, seed=4,
-                                                  session=ses)
-        assert_results_identical(legacy, via_session)
-
-
-class TestEvenCycleParity:
-    def test_sequential(self):
-        g, _ = gen.planted_cycle_graph(40, 4, p=0.02,
-                                       rng=np.random.default_rng(7))
-        legacy = detect_even_cycle(g, k=2, iterations=12, seed=3)
-        with RunSession() as ses:
-            via_session = detect_even_cycle(g, k=2, iterations=12, seed=3,
-                                            session=ses)
-        assert_reports_identical(legacy, via_session)
-
-    def test_jobs_kwarg(self):
-        g, _ = gen.planted_cycle_graph(30, 4, p=0.03,
-                                       rng=np.random.default_rng(8))
-        legacy = detect_even_cycle(g, k=2, iterations=8, seed=2,
-                                   jobs=2, metrics="lite")
-        with RunSession(ExecutionPolicy(jobs=2, metrics="lite")) as ses:
-            via_session = detect_even_cycle(g, k=2, iterations=8, seed=2,
-                                            session=ses)
-        assert_reports_identical(legacy, via_session)
-
-
-class TestLinearCycleParity:
-    def test_sequential_and_amplified(self):
-        g = nx.cycle_graph(8)
-        legacy = detect_cycle_linear(g, 8, iterations=10, seed=1)
-        with RunSession() as ses:
-            via_session = detect_cycle_linear(g, 8, iterations=10, seed=1,
-                                              session=ses)
-        assert_reports_identical(legacy, via_session)
-
-        legacy_jobs = detect_cycle_linear(g, 8, iterations=10, seed=1,
-                                          jobs=2, metrics="lite")
-        with RunSession(ExecutionPolicy(jobs=2, metrics="lite")) as ses:
-            session_jobs = detect_cycle_linear(g, 8, iterations=10, seed=1,
-                                               session=ses)
-        assert_reports_identical(legacy_jobs, session_jobs)
-        assert legacy.detected == legacy_jobs.detected
-
-
-class TestOneRoundParity:
-    @pytest.mark.parametrize("lane", ["object", "vectorized"])
-    def test_lane_kwarg(self, lane):
-        protocol = TruncatedAnnouncementProtocol(10, budget=30)
-        checked = 0
-        for seed in range(12):
-            sample = sample_input(6, np.random.default_rng(seed), id_space=10**6)
-            if sample.has_duplicate_ids():
-                continue
-            legacy = run_one_round_on_network(protocol, sample, lane=lane)
-            with RunSession(ExecutionPolicy(lane=lane)) as ses:
-                via_session = run_one_round_on_network(protocol, sample,
-                                                       session=ses)
-            assert legacy.rejected == via_session.rejected
-            assert legacy.correct == via_session.correct
-            assert legacy.bandwidth_used == via_session.bandwidth_used
-            assert legacy.messages == via_session.messages
-            checked += 1
-        assert checked > 4
-
-    def test_silent_protocol(self):
-        sample = sample_input(5, np.random.default_rng(0), id_space=10**6)
-        legacy = run_one_round_on_network(SilentProtocol(), sample)
-        with RunSession() as ses:
-            via_session = run_one_round_on_network(SilentProtocol(), sample,
-                                                   session=ses)
-        assert legacy.rejected == via_session.rejected
+from repro.runtime import RunSession
 
 
 class TestDispatcherParity:
     def test_detect_routes_with_session(self):
         g = nx.complete_graph(5)
         pattern = nx.complete_graph(3)
-        legacy = detect(g, pattern, seed=1)
+        implicit = detect(g, pattern, seed=1)
         with RunSession() as ses:
             via_session = detect(g, pattern, seed=1, session=ses)
-        assert legacy.detected == via_session.detected
-        assert legacy.algorithm == via_session.algorithm
-        assert legacy.rounds == via_session.rounds
+        assert implicit.detected == via_session.detected
+        assert implicit.algorithm == via_session.algorithm
+        assert implicit.rounds == via_session.rounds
 
     def test_detect_session_records_events(self):
         g = nx.complete_graph(5)

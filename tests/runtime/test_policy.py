@@ -89,6 +89,14 @@ class TestMergedAndDict:
         with pytest.raises(PolicyError, match="unknown policy field"):
             ExecutionPolicy.from_dict({"lane": "object", "warp": 9})
 
+    @pytest.mark.parametrize("load", [
+        lambda: ExecutionPolicy.from_dict({"backend": "numpy"}),
+        lambda: ExecutionPolicy.from_spec("backend=numpy"),
+    ], ids=["dict", "spec"])
+    def test_removed_backend_field_is_unknown(self, load):
+        with pytest.raises(PolicyError, match="unknown policy field"):
+            load()
+
 
 class TestPolicyHash:
     def test_stable_across_instances(self):

@@ -6,7 +6,10 @@ no ``ProcessPoolExecutor`` may survive an explicit session's close.
 
 from __future__ import annotations
 
+import dataclasses
+
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.congest import parallel
@@ -15,8 +18,13 @@ from repro.congest.congested_clique import CongestedClique
 from repro.congest.local_model import LocalNetwork
 from repro.congest.network import CongestNetwork
 from repro.core.clique_detection import CliqueDetection, VectorizedCliqueDetection
-from repro.core.cycle_detection_linear import _LinearCycleFactory
+from repro.core.cycle_detection_linear import _LinearCycleFactory, detect_cycle_linear
+from repro.core.even_cycle import detect_even_cycle
+from repro.core.triangle import SilentProtocol, detect_triangle_congest
+from repro.graphs import generators as gen
 from repro.graphs.cache import cache_stats, cached_hk
+from repro.graphs.template_graph import sample_input
+from repro.lowerbounds.one_round_network import run_one_round_on_network
 from repro.runtime import ExecutionPolicy, RunRecord, RunSession, use_session
 
 
@@ -141,14 +149,17 @@ class TestLifecycle:
 
     def test_implicit_session_leaves_pools_alone(self):
         g = nx.cycle_graph(8)
-        ses = use_session(None, jobs=2, metrics="lite")
-        assert ses.owns_pools is False
-        ses.amplify(g, _LinearCycleFactory(8, None), 4,
-                    bandwidth=32, max_rounds=24)
+        warm = RunSession(ExecutionPolicy(jobs=2, metrics="lite"), owns_pools=False)
+        warm.amplify(g, _LinearCycleFactory(8, None), 4,
+                     bandwidth=32, max_rounds=24)
         pools_before = dict(parallel._POOLS)
+        assert pools_before, "amplify(jobs=2) should have built a pool"
+        ses = use_session(None)
+        assert ses.owns_pools is False
         ses.close()
+        detect_cycle_linear(g, 8, iterations=2)  # no session: implicit
         assert parallel._POOLS == pools_before, \
-            "legacy-shim sessions must keep the persistent pools warm"
+            "implicit sessions must keep the persistent pools warm"
 
     def test_close_is_idempotent(self):
         ses = RunSession(record=True)
@@ -175,14 +186,62 @@ class TestLifecycle:
         assert ses.cache_stats() == cache_stats()
 
 
+def _triangle(ses):
+    res = detect_triangle_congest(nx.gnp_random_graph(10, 0.5, seed=1),
+                                  bandwidth=16, seed=4, session=ses)
+    m = res.metrics
+    return (res.decision, res.rounds, res.node_decisions, m.total_bits,
+            m.total_messages, m.round_bits, m.edge_bits, m.node_bits)
+
+
+def _report(rep):
+    return (rep.detected, rep.iterations_run, rep.rounds_per_iteration,
+            rep.total_rounds, rep.total_bits, rep.total_messages)
+
+
+def _even_cycle(ses):
+    g, _ = gen.planted_cycle_graph(40, 4, p=0.02, rng=np.random.default_rng(7))
+    return _report(detect_even_cycle(g, k=2, iterations=12, seed=3, session=ses))
+
+
+def _linear_cycle(ses):
+    return _report(detect_cycle_linear(nx.cycle_graph(8), 8, iterations=10,
+                                       seed=1, session=ses))
+
+
+def _one_round_silent(ses):
+    sample = sample_input(5, np.random.default_rng(0), id_space=10**6)
+    out = run_one_round_on_network(SilentProtocol(), sample, session=ses)
+    return dataclasses.astuple(out)
+
+
+#: Detector calls whose output must not depend on whether the session is
+#: implicit (``session=None``) or an explicit default ``RunSession()``.
+IMPLICIT_CASES = {
+    "triangle": _triangle,
+    "even-cycle": _even_cycle,
+    "linear-cycle": _linear_cycle,
+    "one-round-silent": _one_round_silent,
+}
+
+
 class TestUseSession:
     def test_explicit_session_wins(self):
         explicit = RunSession(ExecutionPolicy(metrics="lite"), owns_pools=False)
-        ses = use_session(explicit, metrics="full", jobs=8)
+        ses = use_session(explicit)
         assert ses is explicit
         assert ses.policy.metrics == "lite"
 
-    def test_none_values_dropped(self):
-        ses = use_session(None, metrics="lite", bandwidth=None, jobs=None)
-        assert ses.policy.metrics == "lite"
-        assert ses.policy.jobs == 1
+    def test_implicit_session_default_policy(self):
+        ses = use_session(None)
+        assert ses.policy == ExecutionPolicy()
+        assert ses.owns_pools is False
+
+    @pytest.mark.parametrize("case", list(IMPLICIT_CASES))
+    def test_implicit_session_matches_explicit(self, case):
+        run = IMPLICIT_CASES[case]
+        implicit = run(None)
+        with RunSession(record=True) as ses:
+            explicit = run(ses)
+            assert ses.record.events
+        assert implicit == explicit
