@@ -7,18 +7,14 @@ baseline's ``Θ(n)`` rounds with the crossover point.  Absolute constants are
 ours; the *shape* -- who wins and the exponent -- is the paper's.
 """
 
-import time
-
 import numpy as np
 import pytest
 
 from conftest import print_table
-from emit import emit
 from repro.core.color_coding import OracleColorSource, proper_coloring_for_cycle
 from repro.core.even_cycle import IterationSchedule, detect_even_cycle
 from repro.core.cycle_detection_linear import detect_cycle_linear
 from repro.graphs import generators as gen
-from repro.runtime import ExecutionPolicy
 from repro.theory.bounds import even_cycle_exponent, fit_power_law_exponent
 
 # Sweep to n = 2^18 (the schedule is analytic, so large n costs nothing);
@@ -49,16 +45,6 @@ class TestE1Shape:
         )
         assert abs(alpha - predicted) < 0.12
         assert r2 > 0.98
-        emit(
-            "BENCH_e1",
-            f"even_cycle_exponent_k{k}",
-            {
-                "alpha_fit": round(alpha, 4),
-                "alpha_predicted": round(predicted, 4),
-                "r_squared": round(r2, 4),
-                "rounds_per_iteration": {str(n): r for n, r in rows},
-            },
-        )
 
     def test_crossover_exists_and_moves_up_with_k(self, benchmark):
         """The sublinear algorithm eventually beats the linear baseline;
@@ -117,20 +103,3 @@ class TestE1Execution:
             ],
         )
         assert rep.detected and base.detected
-        t0 = time.perf_counter()
-        detect_even_cycle(g, 2, iterations=1, color_source=src)
-        t_thm = time.perf_counter() - t0
-        emit(
-            "BENCH_e1",
-            "planted_instance_rounds",
-            {
-                "n": n,
-                "theorem_rounds": rep.rounds_per_iteration,
-                "baseline_rounds": base.rounds_per_iteration,
-                "rounds_ratio": round(
-                    base.rounds_per_iteration / rep.rounds_per_iteration, 3
-                ),
-                "theorem_iteration_seconds": round(t_thm, 4),
-            },
-            policy=ExecutionPolicy(),
-        )

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# CI / local verify gate: model-soundness lint, optional style/type
-# checkers, then the tier-1 test suite.
+# Verify gate, run locally and in CI: model-soundness lint, optional
+# style/type checkers, the numpy drift guard, the tier-1 test suite, and
+# an end-to-end check that a sweep checkpoint resumes.
 #
 #   ./scripts/verify.sh          # everything
 #   ./scripts/verify.sh --fast   # skip the pytest tier (lint gates only)
 #
-# ruff and mypy run only when installed (the reproduction container ships
-# without them); `repro lint` and pytest are hard requirements.  Configs
-# for all three live in pyproject.toml.
+# ruff and mypy run only when installed; `repro lint` and pytest are hard
+# requirements.  Configs for all three live in pyproject.toml.  Each test
+# runs once, inside tier-1; engine speed is measured by perfbench/ (see
+# BENCHMARK.json), not here.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -60,95 +62,18 @@ if [ "${1:-}" != "--fast" ]; then
     step "pytest (tier-1)"
     python -m pytest -x -q || fail=1
 
-    # Time-budgeted bench smoke: one small vectorized-clique instance,
-    # checked bit-exact against the object lane.  Catches perf-lane
-    # regressions without paying for the full (slow) benchmark sweep.
-    step "bench smoke (vectorized clique, 120s budget)"
-    (
-        cd benchmarks &&
-        PYTHONPATH="../src${PYTHONPATH:+:$PYTHONPATH}" timeout 120 \
-            python -m pytest -q -p no:cacheprovider \
-            "bench_engine_fastpath.py::TestVectorizedCliqueLane::test_vectorized_clique_smoke"
-    ) || fail=1
-
-    # Time-budgeted wake-round differential: every hooked algorithm
-    # against its wake_round = None twin (decisions, rounds, ledgers,
-    # final contexts), the skip-size pin, and the sanitizer's audit of
-    # lying hooks.
-    step "wake-round fast-forward differential (120s budget)"
-    timeout 120 python -m pytest -q -p no:cacheprovider \
-        tests/congest/test_wake_round.py || fail=1
-
-    # Time-budgeted scale smoke: one mid-size point of the fused lane
-    # against the object lane (n=16384, parity checked inline) so a
-    # fused-kernel or lazy-RNG regression fails the gate without paying
-    # for the full scale sweep.
-    step "bench smoke (fused kernel scale point, 120s budget)"
-    (
-        cd benchmarks &&
-        PYTHONPATH="../src${PYTHONPATH:+:$PYTHONPATH}" timeout 120 \
-            python -m pytest -q -p no:cacheprovider \
-            "bench_scale.py::TestScaleSmoke::test_scale_smoke"
-    ) || fail=1
-
-    # Time-budgeted adaptive-amplification smoke: the differential suite
-    # (adaptive outcomes bit-identical across jobs / chunking / faults)
-    # plus the seeds-saved benchmark, which snapshots BENCH_amplify.json.
-    step "adaptive amplification determinism (120s budget)"
-    timeout 120 python -m pytest -q -p no:cacheprovider \
-        "tests/congest/test_parallel_adaptive.py::TestDifferential" \
-        "tests/congest/test_parallel_adaptive.py::TestPolicyDrivenDetection" \
-        || fail=1
-    step "bench smoke (adaptive amplification, 120s budget)"
-    (
-        cd benchmarks &&
-        PYTHONPATH="../src${PYTHONPATH:+:$PYTHONPATH}" timeout 120 \
-            python -m pytest -q -p no:cacheprovider bench_amplify.py
-    ) || fail=1
-
-    # Time-budgeted serve smoke: start the detection server in-process,
-    # fire a mixed-policy burst over loopback TCP, and assert the two
-    # serving invariants -- responses bit-identical to direct runs
-    # (diff_records) and result-cache hits > 0 -- plus zero shm segments
-    # surviving a SIGTERM mid-request.
-    step "serve smoke (bit-identity + shutdown safety, 120s budget)"
-    timeout 120 python -m pytest -q -p no:cacheprovider \
-        "tests/serve/test_server.py::TestBitIdentity" \
-        "tests/serve/test_server.py::TestStatsEndpoint" \
-        "tests/serve/test_shutdown_safety.py" || fail=1
-    step "bench smoke (serve load: 1000 requests, coalescing >= 2x, 240s budget)"
-    (
-        cd benchmarks &&
-        PYTHONPATH="../src${PYTHONPATH:+:$PYTHONPATH}" timeout 240 \
-            python -m pytest -q -p no:cacheprovider bench_serve.py
-    ) || fail=1
-
-    # Time-budgeted chaos smoke: the serving-plane recovery proofs --
-    # the kill->restart->replay matrix (surviving chaos responses
-    # bit-identical to fault-free runs, journal-warm restart) plus the
-    # SIGKILL subprocess test (zero leaked shm, journal restores).
-    step "chaos smoke (kill->restart->replay matrix, 180s budget)"
-    timeout 180 python -m pytest -q -p no:cacheprovider \
-        "tests/serve/test_chaos.py::TestKillRestartReplayMatrix" \
-        "tests/serve/test_chaos.py::TestWorkerDeath" \
-        "tests/serve/test_shutdown_safety.py::TestSigkillIsRecoverable" \
-        || fail=1
-    step "bench smoke (chaos matrix: availability under faults, 240s budget)"
-    (
-        cd benchmarks &&
-        PYTHONPATH="../src${PYTHONPATH:+:$PYTHONPATH}" timeout 240 \
-            python -m pytest -q -p no:cacheprovider bench_chaos.py
-    ) || fail=1
-
-    # Time-budgeted fault-matrix smoke: the cross-lane differential suite
-    # (every fault spec must execute bit-identically on both lanes) plus
-    # one end-to-end fault-sensitivity sweep through the CLI.  Catches
-    # injector/lane drift without the full tier-1 pass.
-    step "fault-matrix smoke (lane parity under faults, 120s budget)"
-    timeout 120 python -m pytest -q -p no:cacheprovider \
-        "tests/congest/test_faults.py::TestLaneParityUnderFaults" || fail=1
-    step "e9 fault-sensitivity smoke (120s budget)"
-    timeout 120 python -m repro experiment e9 > /dev/null || fail=1
+    # The e9 fault-sensitivity sweep end to end through the CLI, twice on
+    # one checkpoint: the second run must resume every completed cell.
+    step "e9 sweep + checkpoint resume (120s budget each)"
+    ckpt_dir="$(mktemp -d)"
+    ckpt="$ckpt_dir/e9.jsonl"
+    timeout 120 python -m repro experiment e9 --resume "$ckpt" > /dev/null &&
+        timeout 120 python -m repro experiment e9 --resume "$ckpt" |
+            grep "resuming: 72 completed cells" > /dev/null || {
+        echo "e9 did not resume all 72 completed cells from $ckpt"
+        fail=1
+    }
+    rm -rf "$ckpt_dir"
 fi
 
 echo

@@ -6,8 +6,9 @@ stress: each node broadcasts a 31-bit accumulator every round and folds
 its neighbours' values back in, so every round moves one message across
 every directed edge -- the densest traffic the CONGEST model allows -- and
 the final decision depends on every value ever received.  It is the
-workload behind ``benchmarks/bench_scale.py`` and the large-``n`` memory
-and parity regressions.
+workload behind the fused kernel's parity, speed and growth checks
+(``tests/congest/test_kernels.py``) and the large-``n`` memory
+regressions (``tests/congest/test_scale_memory.py``).
 
 The arithmetic is deliberately exact in int64 (no overflow for
 ``n <= 2^12`` neighbours per node at 31-bit values, far past any graph

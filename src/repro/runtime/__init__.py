@@ -56,7 +56,6 @@ from .record import (
     RunRecord,
     TraceEvent,
     diff_records,
-    environment_stamp,
     git_sha,
     platform_stamp,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "RunRecord",
     "TraceEvent",
     "diff_records",
-    "environment_stamp",
     "git_sha",
     "platform_stamp",
 ]

@@ -12,10 +12,6 @@ trace event, and a ``footer`` line.  :meth:`RunRecord.load` round-trips
 it, and :func:`diff_records` compares two records field by field --
 the tool for answering "what changed between these two runs?" across
 policies, commits, or machines.
-
-:func:`environment_stamp` is the same attribution bundle in plain-dict
-form; ``benchmarks/emit.py`` embeds it in every ``BENCH_*.json``
-snapshot so perf trajectories stay attributable across PRs.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ __all__ = [
     "TraceEvent",
     "RunRecord",
     "diff_records",
-    "environment_stamp",
     "git_sha",
     "platform_stamp",
 ]
@@ -71,17 +66,6 @@ def platform_stamp() -> Dict[str, str]:
         "machine": _platform.machine(),
         "system": _platform.system(),
     }
-
-
-def environment_stamp(
-    policy: Optional[ExecutionPolicy] = None,
-) -> Dict[str, Any]:
-    """Attribution bundle for benchmark snapshots and run records."""
-    stamp: Dict[str, Any] = {"git_sha": git_sha(), "platform": platform_stamp()}
-    if policy is not None:
-        stamp["policy"] = policy.as_dict()
-        stamp["policy_hash"] = policy.policy_hash()
-    return stamp
 
 
 @dataclass

@@ -9,8 +9,8 @@ detectors use** -- same factories, same round budgets, same bandwidth
 defaults, same success probabilities.  That symmetry is the bit-identity
 contract: a served response's record diffs clean
 (:func:`~repro.runtime.record.diff_records`) against a direct
-``RunSession`` run of the same request, which the verify gate and
-``benchmarks/bench_serve.py`` assert.
+``RunSession`` run of the same request, which ``tests/serve/`` asserts
+for misses, cache hits and coalesced followers.
 
 Amplified patterns (cycles) always take the :meth:`RunSession.amplify`
 path -- one ``amplified`` trace event carrying the ordered per-iteration

@@ -108,6 +108,23 @@ class TestFusedVsReference:
             assert a.metrics.edge_bits == b.metrics.edge_bits
             assert a.metrics.node_messages == b.metrics.node_messages
 
+    def test_broadcast_fused_at_least_1_5x_object(self, cpu_best_of_3):
+        # n = 48 is the smallest size whose measured margin (~11x on a
+        # 2-vCPU Linux host) is at least 5x this floor.
+        g = nx.random_regular_graph(4, 48, seed=3)
+        net = CongestNetwork(g, bandwidth=31)
+        net.edge_index()
+        t_obj, b = cpu_best_of_3(lambda: net.run(
+            BroadcastAccumulate(8), max_rounds=10, seed=0, metrics="lite"
+        ))
+        t_fused, a = cpu_best_of_3(lambda: execute_vectorized(
+            net, VectorizedBroadcastAccumulate(8), 10, 0, False, "lite"
+        ))
+        assert a.decision == b.decision
+        assert a.rounds == b.rounds
+        assert a.metrics.total_bits == b.metrics.total_bits
+        assert t_obj / t_fused >= 1.5, (t_obj, t_fused)
+
     def test_randomized_workload_same_rng_stream(self):
         g = nx.cycle_graph(12)
         net = CongestNetwork(g, bandwidth=16)

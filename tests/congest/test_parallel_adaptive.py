@@ -242,6 +242,53 @@ class TestPolicyDrivenDetection:
         assert rep.iterations_run == 3 and len(rep.results) == 3
 
 
+class TestSeedsSaved:
+    """Against a fixed budget a cautious caller would pick (~1.5x the
+    seeds the sequential test needs), the adaptive stop saves >= 30% of
+    the seeds on a negative instance and changes nothing on a positive
+    one.  All counts are deterministic."""
+
+    K = 2
+    P_SUCCESS = float(2 * K) ** -(2 * K)  # the paper's per-iteration rate
+    CONFIDENCE = 0.9
+    FIXED_BUDGET = 900
+
+    def _pair(self, graph, iterations):
+        reports = []
+        for confidence in (None, self.CONFIDENCE):
+            policy = ExecutionPolicy(
+                metrics="lite", amplify_confidence=confidence
+            )
+            with RunSession(policy, owns_pools=False) as ses:
+                reports.append(detect_even_cycle(
+                    graph, self.K, iterations=iterations, seed=0, session=ses
+                ))
+        return reports
+
+    def test_negative_instance_saves_at_least_30_percent(self):
+        # C_9 is C_4-free: every seed accepts, so the fixed budget burns
+        # all 900 while the sequential test settles at its threshold.
+        fixed, adaptive = self._pair(nx.cycle_graph(9), self.FIXED_BUDGET)
+        assert fixed.detected is False and adaptive.detected is False
+        assert fixed.iterations_run == self.FIXED_BUDGET
+        assert adaptive.iterations_run == seeds_for_confidence(
+            self.CONFIDENCE, self.P_SUCCESS
+        )
+        assert adaptive.stop_reason == "confidence"
+        assert adaptive.seeds_saved / self.FIXED_BUDGET >= 0.30
+
+    def test_positive_instance_decision_unchanged(self):
+        # Every face of the 3x3 grid is a C_4: detection fires long
+        # before the accept threshold, at the fixed run's seed.
+        grid = nx.convert_node_labels_to_integers(
+            nx.grid_2d_graph(3, 3), ordering="sorted"
+        )
+        fixed, adaptive = self._pair(grid, 64)
+        assert fixed.detected and adaptive.detected
+        assert adaptive.iterations_run == fixed.iterations_run
+        assert sorted(adaptive.witnesses) == sorted(fixed.witnesses)
+
+
 class TestSerialCacheSymmetry:
     """The jobs=1 inline path populates the same network LRU workers use."""
 

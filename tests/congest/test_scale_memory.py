@@ -9,7 +9,8 @@ metric state.  Three layers pin that:
   under lite, so *any* access trips loudly instead of silently costing
   gigabytes at ``n ~ 10^5``;
 * the end-to-end guard: a 100k-node lite run's traced allocations stay
-  bounded (the full per-edge ledger alone would dwarf the budget).
+  bounded (the full per-edge ledger alone would dwarf the budget), and
+  its CPU time grows with ``n`` without a quadratic term.
 """
 
 import tracemalloc
@@ -31,6 +32,18 @@ from repro.core.broadcast_accumulate import (
     VectorizedBroadcastAccumulate,
 )
 from repro.core.cycle_detection_linear import VectorizedLinearCycle
+
+
+def ring_lattice_net(n):
+    """Degree-4 ring lattice with its CSR built: edges grow linearly."""
+    net = CongestNetwork(nx.watts_strogatz_graph(n, 4, 0, seed=0), bandwidth=31)
+    net.edge_index()  # CSR construction is not what these tests bound
+    return net
+
+
+@pytest.fixture(scope="module")
+def net_100k():
+    return ring_lattice_net(100_000)
 
 
 class TestRoundLedger:
@@ -87,7 +100,7 @@ class TestLiteLedgerGuard:
 
 
 class TestScaleMemoryGuard:
-    def test_100k_node_lite_run_is_memory_bounded(self):
+    def test_100k_node_lite_run_is_memory_bounded(self, net_100k):
         """The n=10^5 regression: lite peak stays far below O(n*rounds).
 
         A full per-edge ledger at 400k directed edges costs hundreds of
@@ -98,9 +111,7 @@ class TestScaleMemoryGuard:
         """
         n = 100_000
         rounds = 8
-        g = nx.watts_strogatz_graph(n, 4, 0, seed=0)
-        net = CongestNetwork(g, bandwidth=31)
-        net.edge_index()  # CSR construction is not what this test bounds
+        net = net_100k
         net.run(
             VectorizedBroadcastAccumulate(2), max_rounds=4, seed=0, metrics="lite"
         )  # warm caches so the traced window sees steady state
@@ -121,6 +132,21 @@ class TestScaleMemoryGuard:
         with pytest.raises(MetricsModeError):
             res.metrics.edge_bits[(0, 1)]
         assert res.metrics.total_messages == rounds * 4 * n
+
+    def test_fused_cpu_growth_is_not_quadratic(self, net_100k, cpu_best_of_3):
+        """32x more nodes (and edges) must cost well under 32^2: the
+        guard allows 4x over linear, since per-run overhead can only
+        make the ratio sublinear."""
+        def fused_cpu(net):
+            return cpu_best_of_3(lambda: net.run(
+                VectorizedBroadcastAccumulate(8), max_rounds=10, seed=0,
+                metrics="lite",
+            ))[0]
+
+        node_ratio = 32
+        t_lo = fused_cpu(ring_lattice_net(100_000 // node_ratio))
+        t_hi = fused_cpu(net_100k)
+        assert t_hi / max(t_lo, 1e-9) < 4 * node_ratio, (t_lo, t_hi)
 
     def test_vectorized_linear_cycle_seen_set_is_sparse(self):
         """The BFS dedup set grows with the tokens delivered, not as a

@@ -130,6 +130,17 @@ class TestCliqueDifferential:
             net.run(OversizedVec(3), max_rounds=4, seed=0)
         assert str(eo.value) == str(ev.value)
 
+    def test_vectorized_at_least_3x_object_at_n256(self, cpu_best_of_3):
+        g = nx.gnp_random_graph(256, 0.08, seed=11)
+        obj, vec = _session("object", "lite"), _session("vectorized", "lite")
+        t_obj, a = cpu_best_of_3(lambda: detect_clique(g, 3, 16, session=obj))
+        t_vec, b = cpu_best_of_3(lambda: detect_clique(g, 3, 16, session=vec))
+        assert a.decision == b.decision
+        assert a.rounds == b.rounds
+        assert a.metrics.total_bits == b.metrics.total_bits
+        assert a.metrics.total_messages == b.metrics.total_messages
+        assert t_obj / t_vec >= 3.0, (t_obj, t_vec)
+
     def test_ground_truth(self):
         g = nx.gnp_random_graph(15, 0.4, seed=6)
         for s in (3, 4):

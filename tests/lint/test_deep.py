@@ -10,6 +10,7 @@ markers, so assertions never pin line numbers.
 from __future__ import annotations
 
 import re
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,8 +96,14 @@ class TestCallGraphBasics:
 
 class TestRepoIsDeepClean:
     def test_src_has_zero_unsuppressed_errors_deep(self):
-        """The acceptance criterion: `repro lint --deep src/` runs clean."""
+        """The acceptance criterion: `repro lint --deep src/` runs clean,
+        within the 20 s budget that keeps it cheap enough to gate every
+        change (the fixpoints are linear in resolved edges, so a blowup
+        means the analysis went super-linear)."""
+        t0 = time.perf_counter()
         report = lint_paths([str(REPO_ROOT / "src")], deep=True)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 20.0, f"deep lint of src/ took {elapsed:.2f}s"
         assert report.files_checked > 50
         assert report.errors == [], report.render_text()
 

@@ -4,7 +4,9 @@ exit codes, and the machine-readable JSON report."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -40,10 +42,25 @@ class TestDiscovery:
 
 class TestRepoIsClean:
     def test_src_has_zero_unsuppressed_errors(self):
-        """The acceptance criterion: `repro lint src/` runs clean."""
-        report = lint_paths([str(REPO_ROOT / "src")])
-        assert report.files_checked > 50
-        assert report.errors == [], report.render_text()
+        """The acceptance criterion: `repro lint src/` runs clean.
+
+        One walk covers the whole repo (the rules are per-file), so it
+        also holds the gate's time budget: every file parsed once, all
+        rules, under 10 s.  Only ``src/`` is gated for cleanliness --
+        test harness code legitimately pins RNG seeds."""
+        t0 = time.perf_counter()
+        report = lint_paths(
+            [str(REPO_ROOT / d) for d in ("src", "tests", "benchmarks")]
+        )
+        elapsed = time.perf_counter() - t0
+        assert report.files_checked > 100
+        assert elapsed < 10.0, f"full-repo lint took {elapsed:.2f}s"
+        src_root = str(REPO_ROOT / "src") + os.sep
+        src_errors = [f for f in report.errors if f.path.startswith(src_root)]
+        assert src_errors == [], "\n".join(f.format() for f in src_errors)
+        # the deliberate cheats in fixtures.py must keep tripping the
+        # linter: an accidentally pacified rule set would pass silently
+        assert any(f.path == FIXTURES for f in report.errors)
 
     def test_fixture_file_fails_the_gate(self):
         report = lint_paths([FIXTURES])

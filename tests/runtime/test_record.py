@@ -11,7 +11,6 @@ from repro.runtime import (
     RunRecord,
     TraceEvent,
     diff_records,
-    environment_stamp,
     git_sha,
     platform_stamp,
 )
@@ -179,18 +178,6 @@ class TestDiffRecords:
 
 
 class TestEnvironmentStamp:
-    def test_without_policy(self):
-        stamp = environment_stamp()
-        assert set(stamp) == {"git_sha", "platform"}
-        assert stamp["git_sha"] == git_sha()
-        assert stamp["platform"] == platform_stamp()
-
-    def test_with_policy(self):
-        policy = ExecutionPolicy(jobs=2)
-        stamp = environment_stamp(policy)
-        assert stamp["policy"] == policy.as_dict()
-        assert stamp["policy_hash"] == policy.policy_hash()
-
     def test_platform_keys(self):
         assert set(platform_stamp()) == {
             "python", "implementation", "machine", "system",

@@ -12,12 +12,18 @@ Three layers of proof:
   never wedge a coalescing group;
 * **matrix** -- the acceptance gate: a chaos run's surviving responses
   are ``diff_records``-identical to a fault-free run, and a restarted
-  server serves the journalled results as warm hits.
+  server serves the journalled results as warm hits;
+* **availability** -- a concurrent wave under each of five plans, then a
+  repeat wave: what fraction is answered, which errors appear, and that
+  no answered result is corrupted.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
+import json
+from collections import Counter
 
 import pytest
 
@@ -485,6 +491,139 @@ class TestKillRestartReplayMatrix:
         assert all(
             got3[o["id"]]["terminal"]["cache"] == "hit" for o in self.REQS
         )
+
+
+async def _issue(port, obj, sem):
+    """One request on its own connection: its terminal row (``None`` if
+    chaos severed the connection first) and its record rows."""
+    async with sem:
+        client = await Client.connect(port)
+        await client.send(obj)
+        rows, terminal = [], None
+        while line := await client.reader.readline():
+            row = json.loads(line)
+            if row["type"] != "record":
+                terminal = row
+                break
+            rows.append(row["row"])
+        await client.close()
+        return terminal, rows
+
+
+async def _settle(srv):
+    """Wait until detached work has landed: no group is pending and no
+    admission slot is held, so every finished execution is cached."""
+    while (srv.coalescer.snapshot()["pending"]
+           or srv.admission.snapshot()["running"]):
+        await asyncio.sleep(0.02)
+
+
+class TestAvailabilityMatrix:
+    """A fault wave and a repeat wave of the same bodies under each plan.
+
+    Chaos may cost availability and latency, never bit-identity, and no
+    request may end in an unclassified ``execution`` error.
+    """
+
+    PROFILES = [
+        {"pattern": pattern, "graph": graph, "seed": seed, "iterations": 6}
+        for seed, (pattern, graph) in zip(range(10), itertools.cycle([
+            ("c4", GRAPH),
+            ("odd-c5", {"kind": "gnp", "n": 28, "p": 0.12, "seed": 2}),
+            ("triangle", {"kind": "cycle", "k": 12}),
+            ("k4", {"kind": "clique", "s": 5}),
+        ]))
+    ]
+    WAVE = 20
+    PLANS = {
+        "baseline": ("", {}),
+        "conn_drop": ("conn-drop:0.15|seed:7", {}),
+        "worker_kill": ("worker-kill:0@3+1@7|seed:7", {"submit_retries": 2}),
+        # Every leader holds a slot, so every profile's work starts,
+        # detaches at its deadline and lands before the repeat wave.
+        "slow_deadline": ("engine-slow:150|seed:7",
+                          {"default_deadline_ms": 75, "max_inflight": 10}),
+        "composite": (
+            "conn-drop:0.1|req-stall:0.05|worker-kill:0@5|engine-slow:20"
+            "|seed:7",
+            {"submit_retries": 2, "default_deadline_ms": 500},
+        ),
+    }
+
+    def _summary(self, outcomes):
+        answered = [t for t, _ in outcomes if t is not None]
+        return {
+            "availability": sum(t["type"] == "result" for t in answered)
+            / len(outcomes),
+            "dropped": len(outcomes) - len(answered),
+            "errors": Counter(
+                t["code"] for t in answered if t["type"] == "error"
+            ),
+        }
+
+    def _run(self, plan):
+        spec, kwargs = self.PLANS[plan]
+
+        def wave(prefix):
+            return [
+                {"id": f"{prefix}-{i}", **self.PROFILES[i % len(self.PROFILES)]}
+                for i in range(self.WAVE)
+            ]
+
+        async def scenario(srv):
+            sem = asyncio.Semaphore(8)
+            fault = await asyncio.gather(*(
+                _issue(srv.bound_port, obj, sem) for obj in wave("f")
+            ))
+            await _settle(srv)
+            repeat = await asyncio.gather(*(
+                _issue(srv.bound_port, obj, sem) for obj in wave("r")
+            ))
+            return fault, repeat, srv.stats
+
+        server_kwargs = {"max_inflight": 4, "max_queue": self.WAVE, **kwargs}
+        fault, repeat, stats = asyncio.run(_with_server(
+            scenario, chaos=spec or None, **server_kwargs))
+
+        # Bit-identity on the first three answered results.
+        samples = [
+            (terminal, rows) for terminal, rows in fault + repeat
+            if terminal is not None and terminal["type"] == "result"
+        ][:3]
+        assert len(samples) == 3, plan
+        for terminal, rows in samples:
+            idx = int(terminal["id"].split("-")[1]) % len(self.PROFILES)
+            baseline = direct_record({"id": "b", **self.PROFILES[idx]})
+            diff = diff_records(baseline, record_from_rows(rows))
+            assert diff["identical"], (plan, terminal["id"], diff)
+
+        summaries = self._summary(fault), self._summary(repeat)
+        for summary in summaries:
+            assert "execution" not in summary["errors"], (plan, summary)
+        return summaries + (stats,)
+
+    def test_baseline_answers_everything(self):
+        fault, repeat, _ = self._run("baseline")
+        assert fault["availability"] == 1.0
+        assert repeat["availability"] == 1.0
+
+    def test_worker_kills_are_absorbed_by_retries(self):
+        fault, _, stats = self._run("worker_kill")
+        assert fault["availability"] == 1.0
+        assert stats.worker_deaths >= 2
+
+    def test_deadlines_fire_then_repeats_hit_the_filled_cache(self):
+        fault, repeat, _ = self._run("slow_deadline")
+        assert fault["errors"]["deadline-exceeded"] >= 1
+        assert repeat["availability"] == 1.0
+
+    def test_conn_drop_severs_some_and_answers_the_rest(self):
+        fault, _, _ = self._run("conn_drop")
+        assert fault["dropped"] >= 1
+        assert fault["availability"] > 0.5
+
+    def test_composite_plan_never_corrupts_or_misclassifies(self):
+        self._run("composite")
 
 
 class TestGovernorStatePersistence:

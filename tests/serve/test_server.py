@@ -212,6 +212,79 @@ class TestAdmission:
         assert snap["running"] == 0 and snap["queued"] == 0
 
 
+class TestDuplicateHeavyLoad:
+    """A concurrent wave of duplicates, then a wave of repeats.
+
+    ``engine-slow`` holds every leader's execution open while its
+    duplicates arrive, so each profile runs once and the rest of the
+    wave coalesces onto it; the repeat wave is served from the cache.
+    """
+
+    PROFILES = [
+        {"pattern": "c4", "graph": GRAPH, "seed": 0, "iterations": 8},
+        {"pattern": "odd-c5", "graph": GRAPH, "seed": 1, "iterations": 8,
+         "policy": "metrics=lite"},
+        {"pattern": "c6", "graph": {"kind": "gnp", "n": 32, "p": 0.12,
+                                    "seed": 2}, "seed": 2, "iterations": 8},
+        {"pattern": "c4", "graph": {"kind": "cycle", "k": 12}, "seed": 3,
+         "iterations": 8, "policy": "metrics=lite"},
+        {"pattern": "triangle", "graph": {"kind": "clique", "s": 4}},
+        {"pattern": "k4", "graph": {"kind": "clique", "s": 5},
+         "policy": "metrics=lite"},
+    ]
+    COPIES = 6
+    CONNECTIONS = 3
+
+    def test_duplicates_coalesce_and_repeats_hit(self):
+        n = len(self.PROFILES)
+        wave1 = [
+            {"id": f"w1-{i}", **self.PROFILES[i % n]}
+            for i in range(n * self.COPIES)
+        ]
+        wave2 = [{"id": f"w2-{i}", **p} for i, p in enumerate(self.PROFILES)]
+
+        async def scenario(srv):
+            clients = [
+                await Client.connect(srv.bound_port)
+                for _ in range(self.CONNECTIONS)
+            ]
+            for i, obj in enumerate(wave1):
+                await clients[i % self.CONNECTIONS].send(obj)
+            got = {}
+            for c, client in enumerate(clients):
+                got.update(await client.collect(
+                    len(wave1[c::self.CONNECTIONS])
+                ))
+            for obj in wave2:
+                await clients[0].send(obj)
+            got.update(await clients[0].collect(len(wave2)))
+            for client in clients:
+                await client.close()
+            return got, srv.coalescer.snapshot(), srv.cache.stats(), \
+                srv.stats.executed
+
+        got, coalesce, cache, executed = asyncio.run(_with_server(
+            scenario, chaos="engine-slow:300|seed:1"))
+        assert len(got) == len(wave1) + len(wave2)
+        failures = [b["terminal"] for b in got.values()
+                    if b["terminal"]["type"] != "result"]
+        assert failures == []
+        assert coalesce["coalescing_factor"] >= 2, coalesce
+        assert cache["hits"] > 0, cache
+        assert executed <= n
+
+        # One response of each source diffs clean against a direct run.
+        sampled = {}
+        for obj in wave1 + wave2:
+            source = got[obj["id"]]["terminal"]["cache"]
+            sampled.setdefault(source, obj)
+        assert set(sampled) == {"miss", "coalesced", "hit"}
+        for source, obj in sampled.items():
+            served = record_from_rows(got[obj["id"]]["records"])
+            baseline = direct_record({**obj, "id": "base"})
+            assert diff_records(baseline, served)["identical"], source
+
+
 class TestProtocolErrors:
     def test_bad_lines_answer_errors_not_disconnects(self):
         async def scenario(srv):
