@@ -13,6 +13,8 @@ from typing import Hashable, Union
 
 import networkx as nx
 
+from ..runtime import durable
+
 __all__ = ["read_edgelist", "write_edgelist"]
 
 
@@ -56,7 +58,7 @@ def write_edgelist(g: nx.Graph, path: Union[str, pathlib.Path]) -> None:
     for v in sorted(g.nodes(), key=repr):
         if v not in covered:
             lines.append(_fmt(v))
-    pathlib.Path(path).write_text("\n".join(lines) + "\n")
+    durable.atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _fmt(v: Hashable) -> str:

@@ -6,15 +6,10 @@ policy.  A :class:`SweepCheckpoint` makes that loop resumable after a kill
 or crash:
 
 * every completed cell appends its :class:`~repro.runtime.record.TraceEvent`
-  (stamped with the cell key in ``extra["cell"]``) to the journal with an
-  *appending* flush -- only the not-yet-flushed events are written and
-  fsynced, so checkpoint I/O across a sweep is linear in cells (the old
-  rewrite-everything flush made it quadratic).  The first flush creates
-  the file atomically (temp + ``os.replace``); a kill mid-append leaves
-  at worst one torn final line, which :meth:`resume` drops via lenient
-  loading -- the on-disk journal is always a loadable prefix of the
-  sweep.  The footer is only written by :meth:`finish`, so an
-  in-progress journal is header + events and never claims completion;
+  (stamped with the cell key in ``extra["cell"]``) to the journal, so
+  checkpoint I/O is linear in cells and the file is always a loadable
+  prefix of the sweep (see :mod:`repro.runtime.durable`); only
+  :meth:`finish` writes the footer;
 * resuming loads the journal, verifies the **policy hash** matches (a
   resumed sweep under a different policy would silently mix
   incomparable cells -- that's an error, not a merge), and answers
@@ -31,10 +26,10 @@ other axis fold it into ``label``.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from . import durable
 from .policy import ExecutionPolicy
 from .record import RunRecord, TraceEvent
 
@@ -72,12 +67,10 @@ class SweepCheckpoint:
         self.record = record
         self.path = Path(path)
         self._done: Dict[Cell, TraceEvent] = {}
-        #: Events already on disk (the append cursor) and whether the
-        #: header line has been written yet.
-        self._flushed = 0
-        self._header_written = False
-        #: Total journal bytes written by this checkpoint's flushes --
-        #: linear in cells now that flushes append (tested).
+        #: Events already on disk (the append cursor); ``None`` until
+        #: the journal file exists.
+        self._flushed: Optional[int] = None
+        #: Journal bytes written by this checkpoint's flushes.
         self.bytes_flushed = 0
         for event in record.events:
             cell = event.extra.get("cell") if event.extra else None
@@ -100,18 +93,15 @@ class SweepCheckpoint:
         under a different policy are not interchangeable, and resuming
         across policies would corrupt the sweep silently.
 
-        Loading is lenient: an appending writer killed mid-flush leaves
-        at worst a torn final line, which is dropped.  On an unfinished
-        journal, trailing events *without* a cell stamp are dropped too
-        -- a flush batch ends with its cell's completion event, so such
-        a tail is the intact half of a torn batch; the cell it belonged
-        to re-runs and regenerates those events, keeping the resumed
-        journal ``diff_records``-identical to a straight-through one.
-        The journal is then rewritten once (atomic, no footer) so later
-        appends land on a clean tail.
+        On an unfinished journal, trailing events without a cell stamp
+        are the intact half of a torn flush batch; they are dropped so
+        their cell re-runs.  The file is cut back to the last kept event,
+        dropping any torn tail or premature footer with it.
         """
         try:
-            record = RunRecord.load(path, lenient=True)
+            # Keep every terminated line: from_lines rejects a corrupt one.
+            lines, clean, dropped = durable.read_clean_prefix(path, bytes)
+            record = RunRecord.from_lines(lines, path)
         except (OSError, ValueError) as exc:
             raise CheckpointError(f"cannot resume {path}: {exc}") from None
         if record.policy_hash != policy.policy_hash():
@@ -121,15 +111,17 @@ class SweepCheckpoint:
                 "(the sweep would mix cells from incomparable policies)"
             )
         if record.finished_unix is None:
-            while record.events and not (
-                record.events[-1].extra or {}
-            ).get("cell"):
+            while record.events and not (record.events[-1].extra or {}).get("cell"):
                 record.events.pop()
         # A journal loaded mid-sweep is unfinished regardless of what a
         # premature footer said.
         record.finished_unix = None
+        # The writer's layout: header, events, footer.
+        cut = sum(len(line) + 1 for line in lines[: 1 + len(record.events)])
+        if dropped or cut < clean:
+            durable.repair_to(path, cut)
         ckpt = cls(record, path)
-        ckpt._rewrite()
+        ckpt._flushed = len(record.events)
         return ckpt
 
     # -- the cell protocol ---------------------------------------------
@@ -141,9 +133,7 @@ class SweepCheckpoint:
         """Record ``cell`` as completed by ``event`` and flush the journal.
 
         The cell key is stamped into ``event.extra["cell"]`` so a later
-        :meth:`resume` can index it; the flush is atomic, so a kill at
-        any point leaves a loadable journal covering a prefix of the
-        sweep.
+        :meth:`resume` can index it.
         """
         key = cell_key(*cell)
         event.extra = {**(event.extra or {}), "cell": list(key)}
@@ -156,52 +146,26 @@ class SweepCheckpoint:
         return event
 
     # -- journal I/O ---------------------------------------------------
-    def _rewrite(self) -> None:
-        """Atomically write header + all events (no footer) and reset the
-        append cursor.  Used for the first flush and the resume-time
-        normalization; cost is O(events), paid once, not per cell."""
-        lines = [self.record.header_line()]
-        lines.extend(self.record.event_line(e) for e in self.record.events)
-        payload = "\n".join(lines) + "\n"
-        tmp = self.path.with_name(self.path.name + f".tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
-        self.bytes_flushed += len(payload)
-        self._flushed = len(self.record.events)
-        self._header_written = True
-
     def _flush(self) -> None:
-        """Flush not-yet-journaled events: append-only after the first
-        write, so a sweep's total checkpoint I/O is linear in cells."""
-        if not self._header_written:
-            self._rewrite()
+        """Journal the not-yet-flushed events: the first flush creates the
+        file whole, every later one appends."""
+        events = self.record.events
+        if self._flushed is None:
+            lines = [self.record.header_line(), *map(self.record.event_line, events)]
+            durable.atomic_write(self.path, "\n".join(lines) + "\n")
+        elif self._flushed < len(events):
+            lines = [self.record.event_line(e) for e in events[self._flushed:]]
+            durable.append_line(self.path, "\n".join(lines))
+        else:
             return
-        fresh_events = self.record.events[self._flushed:]
-        if not fresh_events:
-            return
-        payload = "".join(
-            self.record.event_line(e) + "\n" for e in fresh_events
-        )
-        with open(self.path, "a") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        self.bytes_flushed += len(payload)
-        self._flushed = len(self.record.events)
+        self.bytes_flushed += sum(len(line) + 1 for line in lines)
+        self._flushed = len(events)
 
     def finish(self) -> Path:
-        """Finalize and write the completed journal (atomic full write,
-        stamping the footer; also repairs any torn tail)."""
-        out = self.record.write(self.path, final=True)
+        """Finalize and write the completed journal (a whole rewrite that
+        stamps the footer)."""
+        out = self.record.write(self.path)
         self._flushed = len(self.record.events)
-        self._header_written = True
         return out
 
     @property

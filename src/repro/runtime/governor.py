@@ -24,11 +24,12 @@ ungoverned one.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
+
+from . import durable
 
 __all__ = ["GovernorStateStore", "PeakHoldGovernor"]
 
@@ -121,9 +122,8 @@ class GovernorStateStore:
 
     One file holds one entry per *policy hash*: runs under different
     policies (different bandwidth, lane, fault plan...) have unrelated
-    cost profiles, so their estimates never mix.  Writes are atomic
-    (temp file + :func:`os.replace` in the same directory), so a crashed
-    or concurrent writer can corrupt nothing -- readers see either the
+    cost profiles, so their estimates never mix.  Saves are atomic
+    (:mod:`repro.runtime.durable`): readers and crashes see either the
     old snapshot or the new one.
 
     Wired into :class:`~repro.runtime.session.RunSession` via its
@@ -139,7 +139,7 @@ class GovernorStateStore:
     def _read_all(self) -> Dict[str, Any]:
         try:
             data = json.loads(self.path.read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
+        except (FileNotFoundError, ValueError):
             return {}
         return data if isinstance(data, dict) else {}
 
@@ -161,7 +161,4 @@ class GovernorStateStore:
             "saved_unix": int(time.time()),
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.parent / f".{self.path.name}.tmp.{os.getpid()}"
-        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, self.path)
-        return self.path
+        return durable.atomic_write(self.path, json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -17,7 +17,6 @@ policies, commits, or machines.
 from __future__ import annotations
 
 import json
-import os
 import platform as _platform
 import subprocess
 import threading
@@ -26,6 +25,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from . import durable
 from .policy import ExecutionPolicy
 
 __all__ = [
@@ -186,80 +186,50 @@ class RunRecord:
         )
 
     def write(self, path: "str | Path", final: bool = True) -> Path:
-        """Write the record as JSONL (header, events, footer).
+        """Atomically write the record as JSONL (header, events, footer).
 
-        Crash-safe: the lines are written to a sibling temp file which is
-        fsynced and atomically renamed over ``path``, so a process killed
-        mid-write leaves either the old complete record or the new one --
-        never a truncated file that :meth:`load` would half-parse.
-
-        ``final=False`` skips the :meth:`finalize` stamp -- the mode used
-        by :class:`~repro.runtime.checkpoint.SweepCheckpoint` for its
-        compacting rewrites, so an in-progress sweep journal is not
-        marked finished.
+        ``final=False`` skips the :meth:`finalize` stamp, so a record
+        written mid-run is not marked finished.
         """
         if final:
             self.finalize()
-        out = Path(path)
         lines = [self.header_line()]
         lines.extend(self.event_line(e) for e in self.events)
         lines.append(self.footer_line())
-        tmp = out.with_name(out.name + f".tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, out)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
-        return out
+        return durable.atomic_write(path, "\n".join(lines) + "\n")
 
     @classmethod
-    def load(cls, path: "str | Path", lenient: bool = False) -> "RunRecord":
-        """Load a record written by :meth:`write` (strict round-trip).
+    def load(cls, path: "str | Path") -> "RunRecord":
+        """Load a record written by :meth:`write` (strict round-trip)."""
+        return cls.from_lines(Path(path).read_text().splitlines(), path)
 
-        ``lenient=True`` tolerates a torn tail: an appending writer
-        killed mid-line leaves a final line that is not valid JSON, and
-        lenient loading stops at the first undecodable line and returns
-        the clean prefix (the loadable-prefix property
-        :class:`~repro.runtime.checkpoint.SweepCheckpoint` resumes
-        from).  A missing or wrong header is an error in both modes.
-        """
+    @classmethod
+    def from_lines(cls, lines: List[Any], source: "str | Path") -> "RunRecord":
+        """Parse JSONL record lines (``str`` or ``bytes``) strictly."""
         header: Optional[Dict[str, Any]] = None
         footer: Dict[str, Any] = {}
         events: List[TraceEvent] = []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
-            try:
-                row = json.loads(line)
-                kind = row.get("type")
-            except (json.JSONDecodeError, AttributeError):
-                if lenient:
-                    break
-                raise
+            row = json.loads(line)
+            kind = row.get("type") if isinstance(row, dict) else None
             if kind == "header":
                 header = row
             elif kind == "event":
                 events.append(TraceEvent.from_dict(row))
             elif kind == "footer":
                 footer = row
-            elif lenient:
-                break
             else:
-                raise ValueError(f"{path}:{lineno}: unknown record line {kind!r}")
+                raise ValueError(f"{source}:{lineno}: unknown record line {kind!r}")
         if header is None:
-            raise ValueError(f"{path}: no header line; not a RunRecord file")
+            raise ValueError(f"{source}: no header line; not a RunRecord file")
         declared = footer.get("num_events")
         if declared is not None and declared != len(events):
-            if not lenient:
-                raise ValueError(
-                    f"{path}: footer declares {declared} events, "
-                    f"found {len(events)}"
-                )
-            footer = {}
+            raise ValueError(
+                f"{source}: footer declares {declared} events, "
+                f"found {len(events)}"
+            )
         return cls(
             policy=header["policy"],
             policy_hash=header["policy_hash"],

@@ -18,31 +18,23 @@ arrive from engine threads while lookups run on the event loop.
 fill is also appended to a write-ahead JSONL journal keyed by the cache
 key, and a restarted server rebuilds the cache from the journal before
 accepting connections -- repeated work survives the process, not just
-the connection.  The journal follows the repo's two durability idioms
-(:class:`~repro.runtime.checkpoint.SweepCheckpoint`):
-
-* **appends are crash-tolerant, loads are torn-tail-tolerant**: a crash
-  mid-append leaves at most one undecodable trailing line, and
-  :meth:`CacheJournal.load` stops at the first undecodable line and
-  returns the clean prefix (the torn entry simply re-executes later);
-* **rewrites are atomic**: compaction writes a temp file, fsyncs, and
-  ``os.replace``\\ s it over the journal, so no observer ever sees a
-  half-compacted file.
-
-Journal order is replay order: a key journalled twice restores to its
-*latest* entry (last-write-wins), and restore trims to the cache's
-capacity keeping the most recently written keys -- exactly the state an
-uninterrupted LRU would hold.
+the connection.  Journal order is replay order: a key journalled twice
+restores to its *latest* entry (last-write-wins), and restore trims to
+the cache's capacity keeping the most recently written keys -- exactly
+the state an uninterrupted LRU would hold.  The file itself is kept by
+:mod:`repro.runtime.durable`: fsynced appends, a load that cuts a torn
+tail back to the clean prefix, and atomic compaction.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+
+from ..runtime import durable
 
 __all__ = ["CacheJournal", "ResultCache"]
 
@@ -65,10 +57,8 @@ class CacheJournal:
     tear_first_append:
         Chaos hook (``cache-torn`` in an infra fault plan): the first
         append writes only a prefix of its line and no newline --
-        exactly the on-disk state of a crash mid-``write`` -- so tests
-        can prove loads tolerate a torn tail without killing a process
-        at a precise instruction.  The next append repairs the tail
-        (truncates the fragment) before writing, like a restart would.
+        exactly the on-disk state of a crash mid-``write`` -- and the
+        next append truncates the fragment first, like a restart's load.
     """
 
     def __init__(
@@ -80,7 +70,6 @@ class CacheJournal:
         self.path = Path(path)
         self.tear_first_append = tear_first_append
         self._lock = threading.Lock()
-        self._torn_written = False
         self._repair_to: Optional[int] = None
         self.appended = 0
         self.torn_appends = 0
@@ -94,82 +83,58 @@ class CacheJournal:
             {"key": list(key), "entry": entry}, sort_keys=True
         )
 
+    @staticmethod
+    def _parse_line(line: bytes) -> Tuple[Hashable, Any]:
+        row = json.loads(line)
+        return tuple(row["key"]), row["entry"]
+
     def load(self) -> List[Tuple[Hashable, Any]]:
         """Journalled ``(key, entry)`` pairs, in append order.
 
-        Torn-tail-tolerant: parsing stops at the first undecodable line
-        and returns the clean prefix (``dropped_tail`` counts the cut).
-        A missing file is an empty journal, not an error.
+        Parsing stops at the first undecodable line and the file is
+        truncated back to the clean prefix (``dropped_tail`` counts the
+        lines cut).  A missing file is an empty journal.
         """
-        entries: List[Tuple[Hashable, Any]] = []
-        if not self.path.exists():
-            return entries
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    row = json.loads(stripped)
-                    key = tuple(row["key"])
-                    entry = row["entry"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    self.dropped_tail += 1
-                    break
-                entries.append((key, entry))
-        self.loaded = len(entries)
+        with self._lock:
+            entries, clean, dropped = durable.read_clean_prefix(self.path, self._parse_line)
+            if dropped:
+                durable.repair_to(self.path, clean)
+            self.dropped_tail += dropped
+            self.loaded = len(entries)
         return entries
 
     def append(self, key: Hashable, entry: Any) -> bool:
         """Durably append one fill; ``True`` iff the line landed whole.
 
-        Flush + fsync per line: a fill acknowledged to the cache is on
-        disk before the next request can hit it.  Under the
-        ``tear_first_append`` chaos hook the first call deliberately
+        The line is fsynced before this returns: a fill acknowledged to
+        the cache is on disk before the next request can hit it.  Under
+        the ``tear_first_append`` chaos hook the first call deliberately
         leaves a torn tail and returns ``False``.
         """
         line = self._encode_line(key, entry)
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             if self._repair_to is not None:
-                with self.path.open("r+b") as fh:
-                    fh.truncate(self._repair_to)
+                durable.repair_to(self.path, self._repair_to)
                 self._repair_to = None
-            if self.tear_first_append and not self._torn_written:
-                clean_len = (
-                    self.path.stat().st_size if self.path.exists() else 0
-                )
-                fragment = line[: max(1, len(line) // 2)]
+            if self.tear_first_append:
+                # A simulated crash needs no durability: plain append.
+                self.tear_first_append = False
+                self._repair_to = self.path.stat().st_size if self.path.exists() else 0
                 with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(fragment)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                self._torn_written = True
-                self._repair_to = clean_len
+                    fh.write(line[: max(1, len(line) // 2)])
                 self.torn_appends += 1
                 return False
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            durable.append_line(self.path, line)
             self.appended += 1
             return True
 
     def compact(self, entries: List[Tuple[Hashable, Any]]) -> None:
-        """Atomically rewrite the journal to exactly ``entries``.
-
-        Temp file + fsync + ``os.replace``: the journal is always either
-        the old file or the new one, never a prefix of the new one.
-        """
-        tmp = self.path.with_name(self.path.name + ".tmp")
+        """Atomically rewrite the journal to exactly ``entries``."""
+        text = "".join(self._encode_line(k, e) + "\n" for k, e in entries)
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with tmp.open("w", encoding="utf-8") as fh:
-                for key, entry in entries:
-                    fh.write(self._encode_line(key, entry) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            durable.atomic_write(self.path, text)
             self._repair_to = None
             self.compactions += 1
 
@@ -235,7 +200,7 @@ class ResultCache:
                 self._entries.popitem(last=False)
         self.restored = len(self._entries)
         # Rewrite the pruned state so the next restart loads exactly the
-        # live entries (and any torn tail is gone from disk).
+        # live entries.
         self.journal.compact(self._encoded_entries())
 
     def _encoded_entries(self) -> List[Tuple[Hashable, Any]]:

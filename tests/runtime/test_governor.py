@@ -6,6 +6,8 @@ import networkx as nx
 import pytest
 
 import json
+import os
+import threading
 
 from repro.congest import Algorithm, Message, broadcast
 from repro.runtime import (
@@ -173,6 +175,57 @@ class TestStatePersistence:
         data = json.loads(path.read_text())
         assert set(data) == {"h1", "h2"}
         assert not list(tmp_path.glob(".*tmp*")), "temp file left behind"
+
+    def test_failed_save_keeps_old_sidecar_and_leaves_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "gov.json"
+        store = GovernorStateStore(path)
+        store.save("h", PeakHoldGovernor(budget=10))
+        before = path.read_text()
+
+        def _crash(fd):
+            raise OSError("simulated crash mid-write")
+
+        monkeypatch.setattr(os, "fsync", _crash)
+        gov = PeakHoldGovernor(budget=10)
+        gov.observe(7.0)
+        with pytest.raises(OSError, match="simulated crash"):
+            store.save("h", gov)
+        monkeypatch.undo()
+
+        assert path.read_text() == before
+        assert list(tmp_path.glob(".gov.json.tmp.*")) == []
+
+    def test_threads_saving_at_once_do_not_collide(self, tmp_path, monkeypatch):
+        # Both savers have written their temp file before either renames:
+        # with one temp name per process the second rename found nothing.
+        store = GovernorStateStore(tmp_path / "gov.json")
+        both_written = threading.Barrier(2, timeout=10)
+        real_replace = os.replace
+
+        def _replace(src, dst):
+            both_written.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", _replace)
+        errors = []
+
+        def _save(policy_hash):
+            try:
+                store.save(policy_hash, PeakHoldGovernor(budget=10))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=_save, args=(h,)) for h in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert json.loads((tmp_path / "gov.json").read_text())
+        assert list(tmp_path.glob(".gov.json.tmp.*")) == []
 
     def test_corrupt_sidecar_reads_as_empty(self, tmp_path):
         path = tmp_path / "gov.json"

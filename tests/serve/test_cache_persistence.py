@@ -1,6 +1,6 @@
 """Crash-safe cache persistence: the write-ahead journal, in isolation.
 
-The journal's two durability claims -- torn-tail-tolerant loads and
+The journal's two durability claims -- torn-tail-repairing loads and
 atomic compaction -- are pinned here as plain file manipulations; the
 server-level restart story (journal-warm hits after a kill) lives in
 ``test_chaos.py`` and the SIGKILL subprocess test.
@@ -58,8 +58,23 @@ class TestJournalBasics:
             j.append(("k", i), {"v": i})
         j.compact([(("k", 4), {"v": 4})])
         assert _journal(tmp_path).load() == [(("k", 4), {"v": 4})]
-        assert not j.path.with_name(j.path.name + ".tmp").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
         assert j.compactions == 1
+
+    def test_append_after_torn_load_survives_reload(self, tmp_path):
+        # Regression: a load that dropped a torn tail used to leave it on
+        # disk, so every later append sat behind an undecodable line and
+        # was lost on the next load, though append() returned True.
+        _journal(tmp_path).append(("a",), {"v": 1})
+        with (tmp_path / "cache.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"key": ["x"], "ent')
+        j = _journal(tmp_path)
+        assert j.load() == [(("a",), {"v": 1})]
+        assert j.dropped_tail == 1
+        assert j.append(("b",), {"v": 2}) is True
+        assert _journal(tmp_path).load() == [
+            (("a",), {"v": 1}), (("b",), {"v": 2}),
+        ]
 
 
 class TestJournalBackedCache:
