@@ -18,12 +18,13 @@ the input graph with it before running.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "canonical_assignment",
+    "identifier_order",
     "random_assignment",
     "partitioned_namespace",
     "adversarial_assignment",
@@ -33,6 +34,21 @@ __all__ = [
 def canonical_assignment(vertices: Sequence[Hashable]) -> Dict[Hashable, int]:
     """Assign IDs ``0..n-1`` in iteration order (unique, deterministic)."""
     return {v: i for i, v in enumerate(vertices)}
+
+
+def identifier_order(vertices: Iterable[Hashable]) -> List[Hashable]:
+    """The vertex order a default network numbers ``0..n-1``.
+
+    Sorted when the vertices are mutually comparable, else iteration
+    (insertion) order -- so for unsortable vertex sets the identifiers
+    depend on how the graph was built.  Anything keyed by "the same
+    network" (the amplification network token) must use this order too.
+    """
+    ordered = list(vertices)
+    try:
+        return sorted(ordered)
+    except TypeError:
+        return ordered
 
 
 def random_assignment(

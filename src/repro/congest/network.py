@@ -73,7 +73,7 @@ import networkx as nx
 import numpy as np
 
 from .algorithm import Algorithm, Decision, NodeContext
-from .identifiers import canonical_assignment
+from .identifiers import canonical_assignment, identifier_order
 from .message import BandwidthExceeded, Message
 from .metrics import METRIC_MODES, CommMetrics
 
@@ -154,11 +154,7 @@ class CongestNetwork:
         if graph.number_of_nodes() == 0:
             raise ValueError("cannot simulate an empty network")
         if assignment is None:
-            try:
-                ordered = sorted(graph.nodes())
-            except TypeError:
-                ordered = list(graph.nodes())
-            assignment = canonical_assignment(ordered)
+            assignment = canonical_assignment(identifier_order(graph.nodes()))
         ids = list(assignment.values())
         if len(set(ids)) != len(ids):
             raise ValueError("identifier assignment must be injective")

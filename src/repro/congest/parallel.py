@@ -20,10 +20,16 @@ seeds* and a *deterministic merge*:
 The executor is **persistent**: pools are created once per worker count,
 kept in a module-level registry, and reused by every later
 :func:`run_amplified` call (shut down at interpreter exit, or explicitly
-via :func:`shutdown_pools`).  Workers additionally keep a small LRU cache
-of constructed networks keyed by a content token of (graph, bandwidth,
-network kwargs), so repeated amplification over the same instance skips
-both process spawn *and* network construction.
+via :func:`shutdown_pools`).  The parent and every worker additionally
+keep a small LRU cache of constructed networks keyed by a content token
+of (graph, bandwidth, network kwargs), so repeated amplification over
+the same instance skips both process spawn *and* network construction.
+The graph half of the token is computed once per graph object and
+reused only while the graph still has exactly the nodes, node order and
+neighbour sets it was computed from, so an in-place mutation can never
+serve a stale network.  A shared-memory export (see
+:mod:`repro.congest.shm`) is unlinked when its network leaves the
+parent's LRU, or when the last call still shipping it finishes.
 
 Adaptive early stopping: amplification exists to drive the one-sided
 miss probability of a single low-success iteration down to a target, and
@@ -70,19 +76,24 @@ with ``__call__`` -- see ``_EvenCycleFactory`` in
 from __future__ import annotations
 
 import atexit
+import contextlib
 import hashlib
+import operator
+import os
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import networkx as nx
 
 from .algorithm import Algorithm, Decision
+from .identifiers import identifier_order
 from .network import CongestNetwork, ExecutionResult
 from .sanitizer import check_pool_crossing
 
@@ -164,40 +175,189 @@ def shutdown_pools() -> None:
 
 atexit.register(shutdown_pools)
 
-# -- worker-side network cache -------------------------------------------
+# -- network cache (parent and workers) ----------------------------------
 
 _NET_CACHE: "OrderedDict[str, CongestNetwork]" = OrderedDict()
 _NET_CACHE_MAX = 8
 
+#: Parent side: per token, the ``run_amplified`` calls currently shipping
+#: its shared-memory handle to workers.  An export evicted from the LRU
+#: while shipped is unlinked by the last of those calls instead.
+_SHIPPING: Dict[str, int] = {}
+
+#: Guards ``_NET_CACHE``, ``_SHIPPING`` and ``_DIGESTS`` against
+#: concurrent engine threads.  Recreated in a forked child (see
+#: ``_reset_after_fork``): a worker forked while a parent thread held it
+#: would otherwise deadlock on its first cache insert.
+_NET_LOCK = threading.Lock()
+
+
+def _cached_network(token: str, build: Callable[[], CongestNetwork]) -> CongestNetwork:
+    """The LRU's one lookup-or-insert path, used by parent and workers.
+
+    Hits move to the back; a miss calls ``build`` (outside the lock) and
+    inserts, evicting from the front past ``_NET_CACHE_MAX`` entries and
+    releasing whatever shared memory backed each evicted network.
+    """
+    # The LRU is *intentionally* process-local: each pool process keeps
+    # its own cache of constructed networks, nothing is merged back, and
+    # a hit only skips reconstruction of an immutable input -- so the L8
+    # "global read in a pooled function" finding is a false alarm here.
+    with _NET_LOCK:
+        net = _NET_CACHE.get(token)  # repro: noqa[L8]
+        if net is not None:
+            _NET_CACHE.move_to_end(token)  # repro: noqa[L8]
+            return net
+    net = build()
+    with _NET_LOCK:
+        _NET_CACHE[token] = net  # repro: noqa[L8]
+        while len(_NET_CACHE) > _NET_CACHE_MAX:  # repro: noqa[L8]
+            evicted, stale = _NET_CACHE.popitem(last=False)  # repro: noqa[L8]
+            del stale  # drop the array views before closing the segment
+            _release_evicted(evicted)
+    return net
+
 
 def _release_evicted(token: str) -> None:
-    """Close any shared-memory attachment backing an evicted cache entry.
+    """Release the shared memory behind an evicted cache entry.
 
-    No-op for networks built from pickled graphs; for shm-attached
-    networks the eviction just dropped the cache's reference to the
-    mapped arrays, so this process's attachment can close with it.
+    Called with ``_NET_LOCK`` held.  A worker closes its attachment (the
+    eviction dropped the cache's reference to the mapped arrays); the
+    parent unlinks its export unless a running call still ships the
+    handle, in which case that call's ``_shipping`` exit does it.  No-op
+    for networks built from pickled graphs.
     """
-    from .shm import release_attachment
+    from .shm import release_attachment, release_export
 
     release_attachment(token)
+    # Worker-local copy starts empty (reset at fork); parent-side it is
+    # the in-flight count kept by ``_shipping``.
+    if not _SHIPPING.get(token):  # repro: noqa[L8]
+        release_export(token)
+
+
+@contextlib.contextmanager
+def _shipping(token: str) -> Iterator[None]:
+    """Hold ``token``'s shared-memory export open while a call ships it.
+
+    On the last exit, unlink the export if the LRU already evicted its
+    network.
+    """
+    # Parent-only bookkeeping (workers never ship handles); the L8 pass
+    # sees it only because ``run_amplified`` itself is in the pool closure.
+    with _NET_LOCK:
+        _SHIPPING[token] = _SHIPPING.get(token, 0) + 1  # repro: noqa[L8]
+    try:
+        yield
+    finally:
+        with _NET_LOCK:
+            left = _SHIPPING.pop(token) - 1  # repro: noqa[L8]
+            if left:
+                _SHIPPING[token] = left  # repro: noqa[L8]
+            elif token not in _NET_CACHE:  # repro: noqa[L8]
+                from .shm import release_export
+
+                release_export(token)
+
+
+def _reset_after_fork() -> None:
+    # A forked child ships nothing and must not inherit a held lock.
+    global _NET_LOCK
+    _NET_LOCK = threading.Lock()
+    _SHIPPING.clear()
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
+
+# -- network token ---------------------------------------------------------
+
+#: Node insertion order and each node's neighbour key set, in that order.
+_Snapshot = Tuple[List[Hashable], List[frozenset]]
+
+#: graph -> (digest, the snapshot it was computed from).  A hit is served
+#: only while the graph still matches its snapshot exactly (see
+#: ``_graph_digest``).
+_DIGESTS: "weakref.WeakKeyDictionary[Any, Tuple[bytes, _Snapshot]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+_keys = operator.methodcaller("keys")
 
 
 def _net_token(
     graph: nx.Graph, bandwidth: Optional[int], network_kwargs: Dict[str, Any]
 ) -> str:
-    """Content token for the worker-side network cache.
+    """Content token for the parent- and worker-side network cache.
 
-    Built from reprs, so it assumes node objects have faithful reprs --
-    true for every graph family in this repo (ints, strings, tuples).
+    Two calls get the same token exactly when they would build the same
+    network: same bandwidth, same kwargs, same graph digest.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(repr(bandwidth).encode())
     h.update(repr(sorted(network_kwargs.items())).encode())
-    h.update(repr(sorted((repr(v) for v in graph.nodes()))).encode())
-    h.update(
-        repr(sorted(sorted((repr(u), repr(v))) for u, v in graph.edges())).encode()
-    )
+    h.update(_graph_digest(graph))
     return h.hexdigest()
+
+
+def _graph_digest(graph: nx.Graph) -> bytes:
+    """Digest of the network-relevant structure of ``graph``, memoized.
+
+    The digest is computed once per graph object and served from
+    ``_DIGESTS`` on later calls -- but only after an exact recheck: the
+    graph's node order must be the stored one, node for node by
+    identity, and every node's neighbour key set must equal the stored
+    set.  Any node or edge added or removed, through any API, and any
+    remove-and-re-add that reorders the nodes, fails the check and
+    recomputes.  Only keys are compared, never attribute values (which
+    may be arrays whose ``==`` does not return a bool).  Graphs without
+    ``_adj`` or that cannot be weakly referenced are hashed directly.
+    """
+    adj = getattr(graph, "_adj", None)
+    if adj is None:
+        return _structure_digest(*_snapshot(graph.adj))
+    try:
+        with _NET_LOCK:
+            memo = _DIGESTS.get(graph)
+    except TypeError:  # not weakly referenceable
+        return _structure_digest(*_snapshot(adj))
+    if memo is not None:
+        digest, (order, nbrs) = memo
+        if (
+            len(adj) == len(order)
+            and all(map(operator.is_, adj, order))
+            and all(map(operator.eq, map(_keys, adj.values()), nbrs))
+        ):
+            return digest
+    snapshot = _snapshot(adj)
+    digest = _structure_digest(*snapshot)
+    with _NET_LOCK:
+        _DIGESTS[graph] = (digest, snapshot)
+    return digest
+
+
+def _snapshot(adj: Any) -> _Snapshot:
+    return list(adj), [frozenset(d) for d in adj.values()]
+
+
+def _structure_digest(order: List[Hashable], nbrs: List[frozenset]) -> bytes:
+    """Hash a snapshot as the network sees it.
+
+    Nodes are hashed in :func:`identifier_order`, the order
+    :class:`CongestNetwork` numbers them, so two graphs whose unsortable
+    nodes were inserted in different orders get different digests; edges
+    are hashed as sorted neighbour-identifier rows.  Built from reprs, so
+    it assumes node objects have faithful reprs -- true for every graph
+    family in this repo (ints, strings, tuples).
+    """
+    ids = identifier_order(order)
+    index = {v: i for i, v in enumerate(ids)}
+    rows: List[Any] = [None] * len(ids)
+    for v, s in zip(order, nbrs):
+        rows[index[v]] = sorted(map(index.__getitem__, s))
+    h = hashlib.blake2b(digest_size=16)
+    h.update(repr(list(map(repr, ids))).encode())
+    h.update(repr(rows).encode())
+    return h.digest()
 
 
 @dataclass(frozen=True)
@@ -289,13 +449,7 @@ def _run_chunk(spec: Dict[str, Any]) -> List[IterationOutcome]:
     is constructed once per (graph, bandwidth, kwargs) per worker and
     reused across chunks and across :func:`run_amplified` calls.
     """
-    # The LRU is *intentionally* worker-local: each pool process keeps its
-    # own cache of constructed networks, nothing is merged back, and cache
-    # hits only skip reconstruction of immutable inputs -- so the L8
-    # "global mutated in a pooled function" finding is a false alarm here.
-    token = spec.get("net_token")
-    net = _NET_CACHE.get(token) if token is not None else None  # repro: noqa[L8]
-    if net is None:
+    def build() -> CongestNetwork:
         handle = spec.get("shm_graph")
         if handle is not None:
             # Shared-graph spec: attach to the parent's exported CSR
@@ -303,19 +457,13 @@ def _run_chunk(spec: Dict[str, Any]) -> List[IterationOutcome]:
             # graph (namespace_size / knows_n travel in the handle).
             from .shm import attach_network
 
-            net = attach_network(handle, bandwidth=spec["bandwidth"])
-        else:
-            net = CongestNetwork(
-                spec["graph"], bandwidth=spec["bandwidth"], **spec["network_kwargs"]
-            )
-        if token is not None:
-            _NET_CACHE[token] = net  # repro: noqa[L8]
-            while len(_NET_CACHE) > _NET_CACHE_MAX:  # repro: noqa[L8]
-                evicted, stale = _NET_CACHE.popitem(last=False)  # repro: noqa[L8]
-                del stale  # drop the array views before closing the segment
-                _release_evicted(evicted)
-    else:
-        _NET_CACHE.move_to_end(token)  # repro: noqa[L8]
+            return attach_network(handle, bandwidth=spec["bandwidth"])
+        return CongestNetwork(
+            spec["graph"], bandwidth=spec["bandwidth"], **spec["network_kwargs"]
+        )
+
+    token = spec.get("net_token")
+    net = build() if token is None else _cached_network(token, build)
     factory: Callable[[int], Algorithm] = spec["algo_factory"]
     out: List[IterationOutcome] = []
     for t in range(spec["start"], spec["stop"]):
@@ -601,79 +749,75 @@ def run_amplified(
         return _finish(ordered, point)
 
     jobs = min(jobs, cap)
-    if share_graph and jobs > 1:
-        # Build (or reuse) the network parent-side, export its CSR arrays
-        # once, and swap the pickled graph out of the specs for a small
-        # handle.  The parent-side LRU entry means the inline fallback
-        # paths (_salvage, serial degradation) hit the cache -- and
-        # attach_network reuses the export mapping in-process anyway.
-        from .shm import export_network
+    sharing = bool(share_graph) and jobs > 1
+    token = spec_base["net_token"]
+    with _shipping(token) if sharing else contextlib.nullcontext():
+        if sharing:
+            # Build (or reuse) the network parent-side, export its CSR
+            # arrays once, and swap the pickled graph out of the specs for
+            # a small handle.  The parent-side LRU entry means the inline
+            # fallback paths (_salvage, serial degradation) hit the cache
+            # -- and attach_network reuses the export mapping in-process
+            # anyway.  ``_shipping`` keeps the export linked until this
+            # call is done with it, even if the LRU evicts the network.
+            from .shm import export_network
 
-        token = spec_base["net_token"]
-        net = _NET_CACHE.get(token)  # repro: noqa[L8]
-        if net is None:
-            net = CongestNetwork(graph, bandwidth=bandwidth, **network_kwargs)
-            _NET_CACHE[token] = net  # repro: noqa[L8]
-            while len(_NET_CACHE) > _NET_CACHE_MAX:  # repro: noqa[L8]
-                evicted, stale = _NET_CACHE.popitem(last=False)  # repro: noqa[L8]
-                del stale  # drop the array views before closing the segment
-                _release_evicted(evicted)
-        else:
-            _NET_CACHE.move_to_end(token)  # repro: noqa[L8]
-        spec_base = {
-            k: v for k, v in spec_base.items() if k != "graph"
-        }
-        spec_base["shm_graph"] = export_network(net, token)
-    adaptive = (
-        target is not None or batch_seeds is not None or governor is not None
-    )
-    want = batch_seeds or (jobs * max(1, chunks_per_job) if adaptive else cap)
-
-    ordered = []
-    state: Dict[str, Any] = {"attempt": 0, "serial": False}
-    next_seed = 0
-    point = None
-    while point is None and next_seed < cap:
-        size = min(want, cap - next_seed)
-        eff_jobs = jobs
-        if governor is not None:
-            eff_jobs = governor.allowed(jobs)
-            if eff_jobs < jobs:
-                size = min(size, eff_jobs * max(1, chunks_per_job))
-                _notify(
-                    on_govern,
-                    requested_jobs=jobs,
-                    granted_jobs=eff_jobs,
-                    batch=size,
-                    **governor.snapshot(),
-                )
-        # Unthrottled, a batch fans out jobs * chunks_per_job chunks
-        # (small chunks keep the stop-on-detect cut tight); a throttled
-        # batch submits exactly eff_jobs chunks so at most that many run
-        # concurrently.
-        n_chunks = min(size, eff_jobs if eff_jobs < jobs else jobs * max(
-            1, chunks_per_job
-        ))
-        bounds = [
-            next_seed + (size * i) // n_chunks for i in range(n_chunks + 1)
-        ]
-        specs = [
-            {**spec_base, "start": lo, "stop": hi}
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        chunks = _resilient_chunks(
-            jobs, specs, stop_on_detect, worker_timeout,
-            pool_retries, backoff_base, on_degrade, state,
+            net = _cached_network(
+                token,
+                lambda: CongestNetwork(graph, bandwidth=bandwidth, **network_kwargs),
+            )
+            spec_base = {k: v for k, v in spec_base.items() if k != "graph"}
+            spec_base["shm_graph"] = export_network(net, token)
+        adaptive = (
+            target is not None or batch_seeds is not None or governor is not None
         )
-        flat = [o for chunk in chunks for o in chunk]
-        if governor is not None:
-            for o in flat:
-                governor.observe(o.rounds * o.total_bits)
-        ordered.extend(flat)
-        next_seed += size
-        point = _stopping_point(ordered, cap, target, stop_on_detect)
-    assert point is not None
-    return _finish(ordered, point)
+        want = batch_seeds or (jobs * max(1, chunks_per_job) if adaptive else cap)
+
+        ordered = []
+        state: Dict[str, Any] = {"attempt": 0, "serial": False}
+        next_seed = 0
+        point = None
+        while point is None and next_seed < cap:
+            size = min(want, cap - next_seed)
+            eff_jobs = jobs
+            if governor is not None:
+                eff_jobs = governor.allowed(jobs)
+                if eff_jobs < jobs:
+                    size = min(size, eff_jobs * max(1, chunks_per_job))
+                    _notify(
+                        on_govern,
+                        requested_jobs=jobs,
+                        granted_jobs=eff_jobs,
+                        batch=size,
+                        **governor.snapshot(),
+                    )
+            # Unthrottled, a batch fans out jobs * chunks_per_job chunks
+            # (small chunks keep the stop-on-detect cut tight); a throttled
+            # batch submits exactly eff_jobs chunks so at most that many run
+            # concurrently.
+            n_chunks = min(size, eff_jobs if eff_jobs < jobs else jobs * max(
+                1, chunks_per_job
+            ))
+            bounds = [
+                next_seed + (size * i) // n_chunks for i in range(n_chunks + 1)
+            ]
+            specs = [
+                {**spec_base, "start": lo, "stop": hi}
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            chunks = _resilient_chunks(
+                jobs, specs, stop_on_detect, worker_timeout,
+                pool_retries, backoff_base, on_degrade, state,
+            )
+            flat = [o for chunk in chunks for o in chunk]
+            if governor is not None:
+                for o in flat:
+                    governor.observe(o.rounds * o.total_bits)
+            ordered.extend(flat)
+            next_seed += size
+            point = _stopping_point(ordered, cap, target, stop_on_detect)
+        assert point is not None
+        return _finish(ordered, point)
 
 
 def _notify(

@@ -13,9 +13,12 @@ every core works the same physical arrays.
 
 Ownership protocol (fork-safe):
 
-* The exporting process owns the segment: :func:`release_shared_graphs`
-  (called by ``shutdown_pools()`` and at interpreter exit) closes *and
-  unlinks* segments whose recorded owner pid matches the current process.
+* The exporting process owns the segment.  :func:`release_export` closes
+  it and, when the recorded owner pid matches the current process,
+  unlinks it; ``run_amplified`` calls it when the network leaves the
+  parent's LRU and no running call still ships the handle, and
+  :func:`release_shared_graphs` (called by ``shutdown_pools()`` and at
+  interpreter exit) calls it for every export left.
 * Attachers -- pool workers, or forked children that inherited the
   parent's export registry -- only ever close.  A forked worker's atexit
   pass must never unlink the parent's live segment, hence the pid check.
@@ -46,6 +49,7 @@ __all__ = [
     "attach_network",
     "export_network",
     "release_attachment",
+    "release_export",
     "release_shared_graphs",
     "shared_export_names",
 ]
@@ -210,25 +214,40 @@ def release_shared_graphs() -> int:
         release_attachment(token)
         released += 1
     for token in list(_EXPORTS):
-        # pop with a default: a signal handler re-entering this loop (or
-        # a concurrent teardown) may have released the token already.
-        entry = _EXPORTS.pop(token, None)
-        if entry is None:
-            continue
-        shm, _handle, owner = entry
-        try:
-            shm.close()
-        except (BufferError, OSError):
-            pass
-        if owner == os.getpid():
-            try:
-                shm.unlink()
-            except OSError:
-                # Already unlinked (FileNotFoundError) or torn down by a
-                # concurrent/reentrant teardown -- the goal state anyway.
-                pass
-        released += 1
+        released += release_export(token)
     return released
+
+
+def release_export(token: str) -> bool:
+    """Close this process's export for ``token``; unlink it if we made it.
+
+    Returns whether an export was released.  Called by the parent when
+    the network behind ``token`` leaves its LRU (and no running call still
+    ships the handle), and by :func:`release_shared_graphs`.  Workers
+    already attached keep a valid mapping; a later export of the same
+    token creates a fresh segment.
+    """
+    # Per-process registry (see export_network).  pop with a default: a
+    # signal handler re-entering a teardown loop (or a concurrent
+    # teardown) may have released the token already.
+    entry = _EXPORTS.pop(token, None)  # repro: noqa[L8]
+    if entry is None:
+        return False
+    shm, _handle, owner = entry
+    try:
+        shm.close()
+    except (BufferError, OSError):
+        # A live EdgeIndex still views the buffer; the mapping goes with
+        # the last view, and the unlink below still frees the name.
+        pass
+    if owner == os.getpid():
+        try:
+            shm.unlink()
+        except OSError:
+            # Already unlinked (FileNotFoundError) or torn down by a
+            # concurrent/reentrant teardown -- the goal state anyway.
+            pass
+    return True
 
 
 def shared_export_names() -> Tuple[str, ...]:
