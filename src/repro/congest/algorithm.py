@@ -118,20 +118,16 @@ class Algorithm(abc.ABC):
     simulations and many nodes).
 
     Two optional engine hooks let the round loop do less work without
-    changing any outcome:
+    changing any outcome; :mod:`repro.congest.schedule` states when the
+    engine consults them and what it does with the answer:
 
-    * ``is_quiescent(node) -> bool`` affirms that a node is idle for good,
-      so an all-silent round can end the run (see
-      :mod:`repro.congest.network`).
+    * ``is_quiescent(node) -> bool`` affirms that a node is idle for good.
     * ``wake_round(node, r) -> int`` returns the earliest round ``>= r``
       in which ``node`` could send, change its ``state`` or decision, or
-      halt, *assuming it receives nothing*.  After a round that sent
-      nothing the engine jumps straight to the minimum wake round over
-      the non-halted nodes and bills the skipped rounds as executed
-      silent rounds.  Returning ``r`` is always safe; return
-      :data:`WAKE_NEVER` for a node that would do nothing for the rest
-      of the run.  The hook must not mutate ``node``.  Leave it ``None``
-      (the default) and every round runs.
+      halt, *assuming it receives nothing*.  Returning ``r`` is always
+      safe; return :data:`WAKE_NEVER` for a node that would do nothing
+      for the rest of the run.  The hook must not mutate ``node``.
+      Leave it ``None`` (the default) and every round runs.
     """
 
     #: Human-readable name used in benchmark tables.

@@ -22,7 +22,7 @@ that much of cycle detection is broadcast-friendly.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 import networkx as nx
 import numpy as np
@@ -47,36 +47,13 @@ class BroadcastViolation(RuntimeError):
 class BroadcastNetwork(CongestNetwork):
     """CONGEST with the broadcast restriction enforced per round."""
 
-    def run(
-        self,
-        algorithm: Algorithm,
-        max_rounds: int,
-        seed: Optional[int] = 0,
-        stop_on_reject: bool = False,
-        metrics: str = "full",
-        sanitize: bool = False,
-        faults: Any = None,
-        profile: Any = None,
-    ) -> ExecutionResult:
-        checked: Algorithm | VectorizedAlgorithm
+    def run(self, algorithm: Any, *args: Any, **kwargs: Any) -> ExecutionResult:
+        """:meth:`CongestNetwork.run` with every outbox checked.  The
+        vectorized wrapper is itself a :class:`VectorizedAlgorithm`, so the
+        engine's lane dispatch keeps routing it to the batched executor."""
         if isinstance(algorithm, VectorizedAlgorithm):
-            # The vectorized wrapper must itself be a VectorizedAlgorithm
-            # so the engine's lane dispatch keeps routing to the batched
-            # executor; it validates the broadcast restriction per round
-            # exactly like the object-lane wrapper.
-            checked = _VecBroadcastChecked(algorithm)
-        else:
-            checked = _BroadcastChecked(algorithm)
-        return super().run(
-            checked,
-            max_rounds=max_rounds,
-            seed=seed,
-            stop_on_reject=stop_on_reject,
-            metrics=metrics,
-            sanitize=sanitize,
-            faults=faults,
-            profile=profile,
-        )
+            return super().run(_VecBroadcastChecked(algorithm), *args, **kwargs)
+        return super().run(_BroadcastChecked(algorithm), *args, **kwargs)
 
 
 class _BroadcastChecked(Algorithm):
@@ -85,12 +62,15 @@ class _BroadcastChecked(Algorithm):
     def __init__(self, inner: Algorithm):
         self.inner = inner
         self.name = f"broadcast({getattr(inner, 'name', 'algorithm')})"
-        # Forward the quiescence hook only if the inner algorithm has one:
-        # the engine treats a missing hook as "never assume quiescent", and
-        # the wrapper must not change that contract.
+        # Forward the quiescence and wake hooks only if the inner algorithm
+        # has them: the engine treats a missing hook as "never assume
+        # quiescent" / "run every round", and the wrapper must not change
+        # that contract.  A skipped round has no outbox to validate.
         probe = getattr(inner, "is_quiescent", None)
         if probe is not None:
             self.is_quiescent = probe
+        if inner.wake_round is not None:
+            self.wake_round = inner.wake_round
 
     def init(self, node: NodeContext) -> None:
         self.inner.init(node)
@@ -129,6 +109,9 @@ class _VecBroadcastChecked(VectorizedAlgorithm):
         self.inner = inner
         self.name = f"broadcast({getattr(inner, 'name', 'vectorized-algorithm')})"
         self.message_dtype = getattr(inner, "message_dtype", None)
+        # As in _BroadcastChecked: a skipped round has no outbox to check.
+        if inner.wake_round is not None:
+            self.wake_round = inner.wake_round
 
     def init_state(self, run: VecRun) -> Dict[str, Any]:
         return self.inner.init_state(run)

@@ -23,35 +23,12 @@ Faithfulness notes
 
 Termination and round accounting
 --------------------------------
-The round loop ends when (a) ``max_rounds`` is reached, (b) every node has
-halted, (c) ``stop_on_reject`` is set and some node rejected, or (d) a round
-carries no traffic **and** the algorithm's optional ``is_quiescent`` hook
-affirms every non-halted node is idle.  An algorithm *without* the hook is
-never assumed quiescent: schedule-driven algorithms (peeling phases, round
-deadlines) have legitimately silent rounds mid-schedule and must run to
-completion or halt explicitly.
-
-``ExecutionResult.rounds`` bills every executed round *except* the terminal
-all-silent round that merely confirms quiescence (case (d)): nothing was
-sent in it and nothing was pending, so it is a probe, not a communication
-round.  For message-driven algorithms that fall silent only when done, this
-makes ``ExecutionResult.rounds == CommMetrics.rounds`` exactly.
-
-Schedule-driven algorithms may implement the optional ``wake_round(node,
-r)`` hook (``wake_round(run, state, r)`` in the vectorized lane): the
-earliest round ``>= r`` in which the node could send, change its state or
-decision, or halt, assuming it receives nothing.  After a round that sent
-nothing and did not end the run, the engine jumps to the minimum wake
-round over the non-halted nodes (capped at ``max_rounds``).  The skipped
-rounds are billed exactly as executed silent rounds: ``rounds``, the
-metrics ledger and every live context's final ``round`` are what running
-them would have produced.  The skip is off when an observer (the
-sanitizer) or a fault plan is attached; under the sanitizer every round
-runs and the hook's promises are audited instead
-(:meth:`~repro.congest.sanitizer.TrafficDigest.wake_promises`).  An
-algorithm without the hook runs every round.  Skipped rounds never
-consult ``is_quiescent``, so an algorithm with both hooks must make the
-probe a function of node state, not of ``node.round``.
+The round schedule -- when a run ends, the unbilled quiescence probe, the
+``wake_round`` skip and its billing, crash-stop semantics -- is stated
+once, in :mod:`repro.congest.schedule`, whose driver runs both lanes.
+This module supplies the object lane: one ``round`` callback per live
+node per round and one :class:`~repro.congest.message.Message` per sent
+edge.
 
 Fast path
 ---------
@@ -67,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -76,6 +53,7 @@ from .algorithm import Algorithm, Decision, NodeContext
 from .identifiers import canonical_assignment, identifier_order
 from .message import BandwidthExceeded, Message
 from .metrics import METRIC_MODES, CommMetrics
+from .schedule import run_schedule
 
 __all__ = ["CongestNetwork", "ExecutionResult", "run_congest"]
 
@@ -89,8 +67,8 @@ class ExecutionResult:
 
     ``decision`` follows Definition 1: REJECT iff some node rejected,
     otherwise ACCEPT.  ``rounds`` counts billable communication rounds (all
-    executed rounds except a terminal silent quiescence probe -- see the
-    module docstring).  ``metrics`` holds the exact bit accounting.
+    executed rounds except a terminal silent quiescence probe -- see
+    :mod:`repro.congest.schedule`).  ``metrics`` holds the exact bit accounting.
 
     ``contexts`` maps each identifier to its final :class:`NodeContext`,
     in ``node_decisions`` order.  The object lane returns its live dict;
@@ -287,10 +265,7 @@ class CongestNetwork:
     ) -> ExecutionResult:
         """Execute ``algorithm`` for up to ``max_rounds`` rounds.
 
-        The run ends early when every node has halted, when (if
-        ``stop_on_reject``) some node rejects at a round boundary, or when a
-        silent round is confirmed quiescent by the algorithm's
-        ``is_quiescent`` hook (never assumed when the hook is absent).
+        The run may end early (see :mod:`repro.congest.schedule`).
         ``seed=None`` gives nodes no randomness (deterministic algorithms).
         ``metrics`` selects the accounting mode: ``"full"`` (exact per-edge
         ledger, required by lower-bound harnesses) or ``"lite"`` (aggregate
@@ -326,45 +301,28 @@ class CongestNetwork:
         from .vectorized import VectorizedAlgorithm, execute_vectorized
 
         injector = _build_injector(faults, seed)
-        if isinstance(algorithm, VectorizedAlgorithm):
-            if not sanitize:
+        vectorized = isinstance(algorithm, VectorizedAlgorithm)
+
+        def execute(observer: Any, profile: Any) -> ExecutionResult:
+            if vectorized:
                 return execute_vectorized(
                     self, algorithm, max_rounds, seed, stop_on_reject, metrics,
-                    injector=injector, profile=profile,
+                    observer=observer, injector=injector, profile=profile,
                 )
-            from .sanitizer import AliasGuard, VecTrafficDigest, verify_replay
-
-            vguard = AliasGuard(algorithm)
-            vfirst = VecTrafficDigest(guard=vguard)
-            result = execute_vectorized(
-                self, algorithm, max_rounds, seed, stop_on_reject, metrics,
-                observer=vfirst, injector=injector, profile=profile,
-            )
-            vreplay = VecTrafficDigest()
-            execute_vectorized(
-                self, algorithm, max_rounds, seed, stop_on_reject, metrics,
-                observer=vreplay, injector=injector,
-            )
-            verify_replay(vfirst, vreplay)
-            return result
-        if not sanitize:
             return self._execute(
                 algorithm, max_rounds, seed, stop_on_reject, metrics,
-                observer=None, injector=injector,
+                observer=observer, injector=injector,
             )
-        from .sanitizer import AliasGuard, TrafficDigest, verify_replay
 
-        guard = AliasGuard(algorithm)
-        first = TrafficDigest(guard=guard)
-        result = self._execute(
-            algorithm, max_rounds, seed, stop_on_reject, metrics,
-            observer=first, injector=injector,
-        )
-        replay = TrafficDigest()
-        self._execute(
-            algorithm, max_rounds, seed, stop_on_reject, metrics,
-            observer=replay, injector=injector,
-        )
+        if not sanitize:
+            return execute(None, profile)
+        from .sanitizer import AliasGuard, TrafficDigest, VecTrafficDigest, verify_replay
+
+        digest = VecTrafficDigest if vectorized else TrafficDigest
+        first = digest(guard=AliasGuard(algorithm))
+        result = execute(first, profile)
+        replay = digest()
+        execute(replay, None)
         verify_replay(first, replay)
         return result
 
@@ -378,202 +336,154 @@ class CongestNetwork:
         observer: Optional[Any],
         injector: Optional[Any] = None,
     ) -> ExecutionResult:
-        """One pass of the round loop; ``observer`` (when set) receives
-        ``after_init`` / ``wake_promises`` / ``on_message`` /
-        ``after_round`` / ``after_finish`` callbacks -- the sanitizer's
-        attachment points -- and turns the ``wake_round`` skip into an
-        audit.  ``observer=None`` keeps the hot loop free of per-message
-        indirection.
-
-        ``injector`` (a :class:`~repro.faults.inject.FaultInjector`, when
-        set) applies the fault plan: crash-stopped nodes are force-halted
-        at their scheduled round with their decision frozen at its
-        pre-crash value, and every send is billed normally but may be
-        dropped, stalled, throttled, or corrupted at delivery."""
+        """One object-lane run on the shared round schedule
+        (:func:`~repro.congest.schedule.run_schedule`).  ``observer`` (the
+        sanitizer) also gets ``on_message`` per sent message;
+        ``observer=None`` keeps the hot loop free of that indirection.
+        ``injector`` (a :class:`~repro.faults.inject.FaultInjector`) may
+        drop, stall, throttle or corrupt each billed send on the wire."""
         if metrics not in METRIC_MODES:
             raise ValueError(f"metrics must be one of {METRIC_MODES}, got {metrics!r}")
-        comm = CommMetrics(mode=metrics)
+        lane = _ObjectLane(self, algorithm, seed, metrics, observer, injector)
+        return run_schedule(lane, max_rounds, stop_on_reject, observer, injector)
+
+
+class _ObjectLane:
+    """The object lane as the schedule driver sees it: one ``round``
+    callback per live node and one :class:`Message` per sent edge."""
+
+    def __init__(self, net, algorithm, seed, metrics, observer, injector) -> None:
         master = np.random.default_rng(seed) if seed is not None else None
-
-        contexts: Dict[int, NodeContext] = {}
-        for u in self._node_ids:
-            rng = (
-                np.random.default_rng(master.integers(0, 2**63))
-                if master is not None
-                else None
-            )
-            contexts[u] = NodeContext(
+        self.contexts: Dict[int, NodeContext] = {}
+        for u in net._node_ids:
+            self.contexts[u] = NodeContext(
                 id=u,
-                neighbors=self._neighbor_tuples[u],
-                n=self.n if self.knows_n else None,
-                namespace_size=self.namespace_size,
-                bandwidth=self.bandwidth,
-                input=self.inputs.get(u),
-                rng=rng,
+                neighbors=net._neighbor_tuples[u],
+                n=net.n if net.knows_n else None,
+                namespace_size=net.namespace_size,
+                bandwidth=net.bandwidth,
+                input=net.inputs.get(u),
+                rng=(
+                    np.random.default_rng(master.integers(0, 2**63))
+                    if master is not None
+                    else None
+                ),
             )
-        for ctx in contexts.values():
+        for ctx in self.contexts.values():
             algorithm.init(ctx)
-        if observer is not None:
-            observer.after_init(contexts)
+        self.algorithm = algorithm
+        self.comm = CommMetrics(mode=metrics)
+        self.wake = algorithm.wake_round
+        self._probe = getattr(algorithm, "is_quiescent", None)
+        self._net = net
+        self._items = tuple(self.contexts.items())
+        self._values = tuple(self.contexts.values())
+        self._on_message = observer.on_message if observer is not None else None
+        self._injector = injector if injector and injector.affects_delivery else None
+        self._inboxes: Dict[int, Dict[int, Message]] = {}
 
-        # Hoisted hot-loop state.
-        on_message = observer.on_message if observer is not None else None
-        probe = getattr(algorithm, "is_quiescent", None)
-        # Faults act on scheduled rounds (crashes), so a faulty run neither
-        # skips nor audits; under an observer every round runs and the
-        # observer audits the wake promises instead of trusting them.
-        wake = algorithm.wake_round if injector is None else None
-        lite = metrics == "lite"
-        adj = self._adj
-        bandwidth = self.bandwidth
-        ctx_items = tuple(contexts.items())
-        ctx_values = tuple(contexts.values())
-        record = comm.record
-        round_fn = algorithm.round
+    def crash(self, ids: List[int]) -> List[Decision]:
+        for u in ids:
+            self.contexts[u]._halted = True
+        return [self.contexts[u].decision for u in ids]
 
-        # Fault state: pending crash schedule (nodes present in this
-        # graph only) and the frozen decisions of activated crashes.
-        apply_delivery = injector is not None and injector.affects_delivery
-        crash_pending: Dict[int, int] = {}
-        if injector is not None:
-            crash_pending = {
-                u: cr
-                for u, cr in injector.crash_round_of.items()
-                if u in contexts
-            }
-        crashed_frozen: Dict[int, Decision] = {}
+    def pin(self, frozen: Mapping[int, Decision]) -> None:
+        for u, decision in frozen.items():
+            self.contexts[u].decision = decision
+            self.contexts[u]._halted = True
 
-        inboxes: Dict[int, Dict[int, Message]] = {}
-        rounds_run = 0
-        any_traffic = True
-        r = 0
-        while r < max_rounds:
-            if crash_pending:
-                # Crash-stop activation: from its scheduled round on, a
-                # crashed node is a forced halt -- it executes nothing and
-                # sends nothing -- and its decision freezes at the value it
-                # had when the crash round began.
-                for u, cr in tuple(crash_pending.items()):
-                    if r >= cr:
-                        ctx = contexts[u]
-                        crashed_frozen[u] = ctx.decision
-                        ctx._halted = True
-                        del crash_pending[u]
-            if all(ctx._halted for ctx in ctx_values):
-                break
-            if stop_on_reject and any(
-                ctx.decision is Decision.REJECT for ctx in ctx_values
-            ):
-                break
-            if not any_traffic and wake is not None:
-                # Round r - 1 sent nothing, so every inbox is empty: ask
-                # each live node when it next acts on its own.
-                wakes = {u: wake(ctx, r) for u, ctx in ctx_items if not ctx._halted}
-                nxt = min(min(wakes.values()), max_rounds)
-                if observer is not None:
-                    observer.wake_promises(r, contexts, wakes)
-                elif nxt > r:
-                    # Rounds r .. nxt-1 are provably silent and change no
-                    # state: bill them as executed and leave each live
-                    # context's round where running them would have.
-                    for ctx in ctx_values:
-                        if not ctx._halted:
-                            ctx.round = nxt - 1
-                    r = rounds_run = nxt
-                    if r >= max_rounds:
-                        break
-            next_inboxes: Dict[int, Dict[int, Message]] = {}
-            any_traffic = False
-            round_total = 0
-            round_msgs = 0
-            round_max = 0
-            for u, ctx in ctx_items:
-                if ctx._halted:
-                    continue
-                ctx.round = r
-                outbox = round_fn(ctx, inboxes.get(u, _EMPTY_INBOX))
-                if not outbox:
-                    continue
-                u_adj = adj[u]
-                for v, msg in outbox.items():
-                    if not isinstance(msg, Message):
-                        raise TypeError(
-                            f"node {u} tried to send a non-Message: {msg!r}"
-                        )
-                    if v not in u_adj:
-                        raise ValueError(
-                            f"node {u} tried to send to non-neighbor {v}"
-                        )
-                    size = msg.size_bits
-                    if bandwidth is not None and size > bandwidth:
-                        raise BandwidthExceeded(
-                            f"node {u} -> {v}: message of {size} bits "
-                            f"exceeds B={bandwidth}"
-                        )
-                    if lite:
-                        round_total += size
-                        round_msgs += 1
-                        if size > round_max:
-                            round_max = size
-                    else:
-                        record(r, u, v, size)
-                    if on_message is not None:
-                        on_message(r, u, v, msg)
-                    any_traffic = True
-                    if apply_delivery:
-                        # The send is billed (and observed) above; faults
-                        # act on the wire, between send and inbox.
-                        delivered, corrupted = injector.delivery(r, u, v, size)
-                        if not delivered:
-                            continue
-                        if corrupted:
-                            msg = injector.corrupted_message(msg)
-                    box = next_inboxes.get(v)
-                    if box is None:
-                        box = next_inboxes[v] = {}
-                    box[u] = msg
-            if lite and round_msgs:
-                comm.add_round(r, round_total, round_msgs, round_max)
-            inboxes = next_inboxes
-            rounds_run = r + 1
-            if observer is not None:
-                observer.after_round(r, contexts)
-            if not any_traffic and (
-                probe is not None
-                and all(ctx._halted or probe(ctx) for ctx in ctx_values)
-            ):
-                # Nothing was sent, nothing is pending, and the algorithm
-                # affirms every node is idle: the network is quiescent.  The
-                # just-executed silent round was only a probe, so it is not
-                # billable -- roll it back so ExecutionResult.rounds agrees
-                # with CommMetrics.rounds for message-driven algorithms.
-                rounds_run = r
-                break
-            r += 1
+    def all_halted(self) -> bool:
+        return all(ctx._halted for ctx in self._values)
 
-        for ctx in contexts.values():
-            algorithm.finish(ctx)
-        if crashed_frozen:
-            # A crashed node never reaches finish: restore its frozen
-            # decision over whatever finish computed from its dead state.
-            for u, frozen in crashed_frozen.items():
-                contexts[u].decision = frozen
-                contexts[u]._halted = True
-        if observer is not None:
-            observer.after_finish(contexts)
+    def any_reject(self) -> bool:
+        return any(ctx.decision is Decision.REJECT for ctx in self._values)
 
-        decisions = {u: ctx.decision for u, ctx in contexts.items()}
-        if any(d is Decision.REJECT for d in decisions.values()):
-            global_decision = Decision.REJECT
-        else:
-            global_decision = Decision.ACCEPT
-        return ExecutionResult(
-            decision=global_decision,
-            rounds=rounds_run,
-            metrics=comm,
-            node_decisions=decisions,
-            contexts=contexts,
+    def earliest_wake(self, r: int) -> Tuple[int, Dict[int, int]]:
+        wakes = {u: self.wake(ctx, r) for u, ctx in self._items if not ctx._halted}
+        return min(wakes.values()), wakes
+
+    def skip_to(self, r: int) -> None:
+        for ctx in self._values:
+            if not ctx._halted:
+                ctx.round = r - 1
+
+    def quiescent(self) -> bool:
+        probe = self._probe
+        return probe is not None and all(
+            ctx._halted or probe(ctx) for ctx in self._values
         )
+
+    def step(self, r: int) -> bool:
+        comm = self.comm
+        lite = comm.mode == "lite"
+        record = comm.record
+        adj = self._net._adj
+        bandwidth = self._net.bandwidth
+        on_message = self._on_message
+        injector = self._injector
+        round_fn = self.algorithm.round
+        inboxes = self._inboxes
+        next_inboxes: Dict[int, Dict[int, Message]] = {}
+        any_traffic = False
+        round_total = 0
+        round_msgs = 0
+        round_max = 0
+        for u, ctx in self._items:
+            if ctx._halted:
+                continue
+            ctx.round = r
+            outbox = round_fn(ctx, inboxes.get(u, _EMPTY_INBOX))
+            if not outbox:
+                continue
+            u_adj = adj[u]
+            for v, msg in outbox.items():
+                if not isinstance(msg, Message):
+                    raise TypeError(
+                        f"node {u} tried to send a non-Message: {msg!r}"
+                    )
+                if v not in u_adj:
+                    raise ValueError(
+                        f"node {u} tried to send to non-neighbor {v}"
+                    )
+                size = msg.size_bits
+                if bandwidth is not None and size > bandwidth:
+                    raise BandwidthExceeded(
+                        f"node {u} -> {v}: message of {size} bits "
+                        f"exceeds B={bandwidth}"
+                    )
+                if lite:
+                    round_total += size
+                    round_msgs += 1
+                    if size > round_max:
+                        round_max = size
+                else:
+                    record(r, u, v, size)
+                if on_message is not None:
+                    on_message(r, u, v, msg)
+                any_traffic = True
+                if injector is not None:
+                    # The send is billed (and observed) above; faults
+                    # act on the wire, between send and inbox.
+                    delivered, corrupted = injector.delivery(r, u, v, size)
+                    if not delivered:
+                        continue
+                    if corrupted:
+                        msg = injector.corrupted_message(msg)
+                box = next_inboxes.get(v)
+                if box is None:
+                    box = next_inboxes[v] = {}
+                box[u] = msg
+        if lite and round_msgs:
+            comm.add_round(r, round_total, round_msgs, round_max)
+        self._inboxes = next_inboxes
+        return any_traffic
+
+    def finish(self, rounds: int) -> None:
+        for ctx in self._values:
+            self.algorithm.finish(ctx)
+
+    def decisions(self) -> Dict[int, Decision]:
+        return {u: ctx.decision for u, ctx in self._items}
 
 
 def _build_injector(faults: Any, seed: Optional[int]) -> Optional[Any]:

@@ -41,8 +41,9 @@ worker: a worker mutating its copy diverges silently from the parent.
 ``wake_round`` hook lets the engine skip rounds it promises are idle, so a
 hook that lies changes results only in fast runs -- exactly where nobody
 looks.  Sanitized runs never skip; instead the first pass records every
-promise the engine would have acted on (:meth:`TrafficDigest.wake_promises`,
-:meth:`VecTrafficDigest.vec_wake_promise`) and raises
+promise the engine would have acted on (the ``wake_promise`` hook of
+:mod:`repro.congest.schedule`: per node in :class:`TrafficDigest`, for
+the whole network in :class:`VecTrafficDigest`) and raises
 ``SanitizerViolation("L3", ...)`` if a node promised idle for a round
 sends in it or changes its decision, halt flag or state digest.  A
 message delivered to a node voids its promise (the hook assumes an empty
@@ -254,13 +255,12 @@ class AliasGuard:
                     )
 
 
-class TrafficDigest:
-    """Observer that folds a run's observable behavior into a digest.
-
-    Plugged into the engine's ``_execute`` observer slot.  With a
-    ``guard``, it also drives :class:`AliasGuard` checks at every hook
-    (first pass); without one it only digests (replay pass).
-    """
+class _Digest:
+    """What both lanes' digests share: the running hash, the per-round
+    snapshots :func:`verify_replay` compares, and the ``after_init`` /
+    ``after_finish`` schedule hooks (see :mod:`repro.congest.schedule`).
+    With a ``guard`` the digest also drives :class:`AliasGuard` checks at
+    every hook (first pass); without one it only digests (replay pass)."""
 
     def __init__(self, guard: Optional[AliasGuard] = None):
         self.guard = guard
@@ -268,24 +268,38 @@ class TrafficDigest:
         #: running digest snapshot at the end of each round, in order.
         self.round_digests: List[str] = []
         self.final_digest: Optional[str] = None
+
+    def after_init(self, lane: Any) -> None:
+        if self.guard is not None:
+            self.guard.check(lane.contexts, "init")
+
+    def after_finish(self, lane: Any) -> None:
+        contexts = lane.contexts
+        for u in sorted(contexts):
+            self._h.update(f"D|{u}|{contexts[u].decision}".encode("utf-8"))
+        self.final_digest = self._h.hexdigest()
+        if self.guard is not None:
+            self.guard.check(contexts, "finish")
+
+
+class TrafficDigest(_Digest):
+    """Observer for the object lane: folds every message and the final
+    decisions into the digest and audits per-node wake promises."""
+
+    def __init__(self, guard: Optional[AliasGuard] = None):
+        super().__init__(guard)
         #: node -> (promised wake round, (decision, halted, state digest)).
         self._promises: Dict[int, Tuple[int, Tuple[Any, bool, str]]] = {}
         #: promised nodes that were sent a message this round.
         self._voided: Set[int] = set()
 
-    # -- engine hooks --------------------------------------------------
-    def after_init(self, contexts: Dict[int, NodeContext]) -> None:
-        if self.guard is not None:
-            self.guard.check(contexts, "init")
-
-    def wake_promises(
-        self, r: int, contexts: Dict[int, NodeContext], wakes: Dict[int, int]
-    ) -> None:
+    def wake_promise(self, r: int, lane: Any, wakes: Dict[int, int]) -> None:
         """Record the nodes ``wake_round`` calls idle from round ``r`` on
         (first pass only).  A node already holding an unexpired promise
         keeps its snapshot: it must not have changed since."""
         if self.guard is None:
             return
+        contexts = lane.contexts
         for u, w in wakes.items():
             if w <= r:
                 continue
@@ -318,12 +332,12 @@ class TrafficDigest:
         rec = f"{r}|{u}|{v}|{msg.kind}|{msg.size_bits}|{msg.payload!r}"
         self._h.update(rec.encode("utf-8", "backslashreplace"))
 
-    def after_round(self, r: int, contexts: Dict[int, NodeContext]) -> None:
+    def after_round(self, r: int, lane: Any) -> None:
         self.round_digests.append(self._h.hexdigest())
         if self._promises:
-            self._audit_promises(r, contexts)
+            self._audit_promises(r, lane.contexts)
         if self.guard is not None:
-            self.guard.check(contexts, f"round {r}")
+            self.guard.check(lane.contexts, f"round {r}")
 
     def _audit_promises(self, r: int, contexts: Dict[int, NodeContext]) -> None:
         for u, (until, (decision, halted, digest)) in list(self._promises.items()):
@@ -338,15 +352,8 @@ class TrafficDigest:
                 del self._promises[u]
         self._voided.clear()
 
-    def after_finish(self, contexts: Dict[int, NodeContext]) -> None:
-        for u in sorted(contexts):
-            self._h.update(f"D|{u}|{contexts[u].decision}".encode("utf-8"))
-        self.final_digest = self._h.hexdigest()
-        if self.guard is not None:
-            self.guard.check(contexts, "finish")
 
-
-class VecTrafficDigest:
+class VecTrafficDigest(_Digest):
     """Observer for the vectorized lane (``execute_vectorized``).
 
     Same contract as :class:`TrafficDigest` -- ``round_digests`` /
@@ -364,23 +371,16 @@ class VecTrafficDigest:
     """
 
     def __init__(self, guard: Optional[AliasGuard] = None):
-        self.guard = guard
-        self._h = hashlib.blake2b(digest_size=16)
-        self.round_digests: List[str] = []
-        self.final_digest: Optional[str] = None
+        super().__init__(guard)
         #: (promised wake round, run state, (decision, halted, state digest))
         self._promise: Optional[Tuple[int, Any, Tuple[bytes, bytes, str]]] = None
 
-    # -- vectorized-engine hooks ---------------------------------------
-    def vec_after_init(self, run: Any) -> None:
-        if self.guard is not None:
-            self.guard.check({}, "init")
-
-    def vec_wake_promise(self, r: int, run: Any, state: Any, until: int) -> None:
+    def wake_promise(self, r: int, lane: Any, until: int) -> None:
         """Record that ``wake_round`` calls the whole network idle from
         round ``r`` until ``until`` (first pass only)."""
         if self.guard is None or until <= r:
             return
+        run, state = lane.run, lane.state
         held = self._promise
         if held is not None and held[0] > r:
             self._promise = (max(until, held[0]), held[1], held[2])
@@ -403,7 +403,8 @@ class VecTrafficDigest:
         if payload is not None:
             self._h.update(np.ascontiguousarray(payload).tobytes())
 
-    def vec_after_round(self, r: int, run: Any) -> None:
+    def after_round(self, r: int, lane: Any) -> None:
+        run = lane.run
         if self._promise is not None:
             until, state, (decision, halted, digest) = self._promise
             if run.decision.tobytes() != decision:
@@ -418,17 +419,10 @@ class VecTrafficDigest:
         self._h.update(run.halted.tobytes())
         self.round_digests.append(self._h.hexdigest())
         if self.guard is not None:
-            self.guard.check({}, f"round {r}")
-
-    def vec_after_finish(self, contexts: Mapping[int, NodeContext]) -> None:
-        for u in sorted(contexts):
-            self._h.update(f"D|{u}|{contexts[u].decision}".encode("utf-8"))
-        self.final_digest = self._h.hexdigest()
-        if self.guard is not None:
-            self.guard.check(contexts, "finish")
+            self.guard.check(lane.contexts, f"round {r}")
 
 
-def verify_replay(first: TrafficDigest, replay: TrafficDigest) -> None:
+def verify_replay(first: _Digest, replay: _Digest) -> None:
     """Raise ``SanitizerViolation("L3", ...)`` if the replay diverged."""
     if first.final_digest == replay.final_digest:
         return

@@ -60,6 +60,7 @@ import numpy as np
 from .algorithm import Decision, NodeContext
 from .kernels import KernelProfile, RoundKernel
 from .metrics import METRIC_MODES, CommMetrics
+from .schedule import run_schedule
 
 __all__ = [
     "EdgeIndex",
@@ -81,6 +82,7 @@ _DECISION_OF_CODE = {
     VEC_ACCEPT: Decision.ACCEPT,
     VEC_REJECT: Decision.REJECT,
 }
+_CODE_OF_DECISION = {d: c for c, d in _DECISION_OF_CODE.items()}
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_I64.setflags(write=False)
@@ -684,11 +686,10 @@ class VectorizedAlgorithm(abc.ABC):
 
     Optional ``wake_round(run, state, r) -> int`` hook: the earliest round
     ``>= r`` in which any non-halted node could send, change ``state``,
-    its decision or its halt flag, assuming nothing is delivered.  After a
-    silent round the engine jumps straight there and bills the skipped
-    rounds as executed silent rounds -- the object lane's
-    ``Algorithm.wake_round`` contract, batched.  ``None`` (the default)
-    runs every round.
+    its decision or its halt flag, assuming nothing is delivered -- the
+    object lane's ``Algorithm.wake_round``, batched.  ``None`` (the
+    default) runs every round.  :mod:`repro.congest.schedule` states how
+    the engine uses it and :meth:`all_quiescent`.
     """
 
     #: Human-readable name used in benchmark tables.
@@ -748,126 +749,103 @@ def execute_vectorized(
     injector: Optional[Any] = None,
     profile: Optional[KernelProfile] = None,
 ):
-    """One pass of the vectorized round loop over ``net``.
+    """One vectorized-lane run over ``net`` on the shared round schedule
+    (:func:`~repro.congest.schedule.run_schedule`), bit-identical to an
+    object-lane run of the same algorithm.
 
-    Semantics mirror :meth:`CongestNetwork._execute` exactly: round
-    boundaries, ``stop_on_reject``, the terminal silent quiescence-probe
-    rollback, the ``wake_round`` fast-forward over silent rounds, and the
-    metrics ledger are all bit-identical to an object-lane run of the
-    same algorithm.  ``observer`` (when set) receives ``vec_after_init`` /
-    ``vec_wake_promise`` / ``vec_round`` / ``vec_after_round`` /
-    ``vec_after_finish`` callbacks -- the sanitizer's attachment points.
-
-    ``injector`` (a :class:`~repro.faults.inject.FaultInjector`, when
-    set) applies the same stateless fault schedule as the object lane:
-    crash-stopped positions are force-halted with frozen decisions and
-    their sends masked out of the outbox before validation and billing;
-    delivery faults mask and zero rows of the packed inbox *after*
-    billing, so the accounting still reflects what was sent.
-
-    The per-round validate -> bill -> deliver sequence runs on a fused
-    :class:`~repro.congest.kernels.RoundKernel`.  ``profile`` (a
-    :class:`~repro.congest.kernels.KernelProfile`, opt-in) accumulates
-    per-phase wall-clock for the run; ``None`` keeps the loop timer-free.
-
-    The result's ``contexts`` is a read-only mapping that synthesizes each
-    final :class:`NodeContext` on first access; ``node_decisions`` and the
-    global decision come straight from the engine's decision array.
+    ``observer`` (the sanitizer) also gets ``vec_round`` once per round
+    with the packed traffic.  ``injector`` (a
+    :class:`~repro.faults.inject.FaultInjector`) masks and zeroes rows of
+    the packed inbox *after* billing, as the object lane does per message;
+    crashed positions' sends are masked out before validation and billing.
+    Each round's validate -> bill -> deliver pass runs on a fused
+    :class:`~repro.congest.kernels.RoundKernel`; ``profile`` (a
+    :class:`~repro.congest.kernels.KernelProfile`, opt-in) times its
+    phases.  The result's ``contexts`` synthesizes each final
+    :class:`NodeContext` on first access.
     """
-    from .network import ExecutionResult  # local import: network imports us
-
     if metrics not in METRIC_MODES:
         raise ValueError(f"metrics must be one of {METRIC_MODES}, got {metrics!r}")
-    comm = CommMetrics(mode=metrics)
-    grid = net.edge_index()
-    n = grid.n
-    if seed is not None:
-        master = np.random.default_rng(seed)
-        # One vectorized draw, same stream as n sequential draws (see
-        # _LazyRngs); generators themselves are built only on first use.
-        rngs: Any = _LazyRngs(master.integers(0, 2**63, size=n))
-    else:
-        rngs = [None] * n
-    run = VecRun(
-        grid=grid,
-        n=n,
-        namespace_size=net.namespace_size,
-        bandwidth=net.bandwidth,
-        knows_n=net.knows_n,
-        inputs=net.inputs,
-        rngs=rngs,
-    )
-    state = algorithm.init_state(run)
-    if observer is not None:
-        observer.vec_after_init(run)
+    lane = _VecLane(net, algorithm, seed, metrics, observer, injector, profile)
+    return run_schedule(lane, max_rounds, stop_on_reject, observer, injector)
 
-    full = metrics == "full"
-    kernel = RoundKernel(
-        grid,
-        net.bandwidth,
-        comm,
-        observer=observer,
-        injector=injector,
-        profile=profile,
-        track_full=full,
-    )
 
-    # Fault state: per-position crash rounds (schedule entries naming
-    # identifiers absent from this graph are ignored, as in the object
-    # lane) and the frozen decisions of activated crashes.
-    crash_round_pos: Optional[np.ndarray] = None
-    if injector is not None and injector.crash_round_of:
-        never = np.iinfo(np.int64).max
-        cr = np.full(n, never, dtype=np.int64)
-        for u, at in injector.crash_round_of.items():
-            p = int(np.searchsorted(grid.ids, u))
-            if p < n and int(grid.ids[p]) == u:
-                cr[p] = at
-        if bool((cr != never).any()):
-            crash_round_pos = cr
-    crash_halted = np.zeros(n, dtype=bool)
-    frozen_decision = np.zeros(n, dtype=run.decision.dtype)
+class _VecLane:
+    """The vectorized lane as the schedule driver sees it: one
+    :meth:`VectorizedAlgorithm.step_all` and one fused kernel pass per
+    step."""
 
-    # Same wake-round policy as the object lane: no skip and no audit
-    # under faults; under an observer every round runs and is audited.
-    wake = algorithm.wake_round if injector is None else None
-    inbox = VecInbox.empty()
-    rounds_run = 0
-    any_traffic = True
-    r = 0
-    while r < max_rounds:
-        if crash_round_pos is not None:
-            # Crash-stop activation, identical to the object lane: the
-            # node is a forced halt from its scheduled round on and its
-            # decision freezes at the value it had when that round began.
-            newly = (~crash_halted) & (crash_round_pos <= r)
-            if newly.any():
-                frozen_decision[newly] = run.decision[newly]
-                crash_halted |= newly
-                run.halted[newly] = True
-        if run.halted.all():
-            break
-        if stop_on_reject and bool((run.decision == VEC_REJECT).any()):
-            break
-        if not any_traffic and wake is not None:
-            nxt = wake(run, state, r)
-            if observer is not None:
-                observer.vec_wake_promise(r, run, state, nxt)
-            elif nxt > r:
-                # Provably silent rounds r .. nxt-1: billed as executed.
-                r = rounds_run = min(nxt, max_rounds)
-                if r >= max_rounds:
-                    break
+    def __init__(self, net, algorithm, seed, metrics, observer, injector, profile) -> None:
+        grid = net.edge_index()
+        if seed is not None:
+            # One vectorized draw, same stream as n sequential draws (see
+            # _LazyRngs); generators themselves are built only on first use.
+            seeds = np.random.default_rng(seed).integers(0, 2**63, size=grid.n)
+            rngs: Any = _LazyRngs(seeds)
+        else:
+            rngs = [None] * grid.n
+        self.run = VecRun(
+            grid=grid,
+            n=grid.n,
+            namespace_size=net.namespace_size,
+            bandwidth=net.bandwidth,
+            knows_n=net.knows_n,
+            inputs=net.inputs,
+            rngs=rngs,
+        )
+        self.state = algorithm.init_state(self.run)
+        self.comm = CommMetrics(mode=metrics)
+        self.kernel = RoundKernel(
+            grid, net.bandwidth, self.comm, observer=observer, injector=injector,
+            profile=profile, track_full=metrics == "full",
+        )
+        self.net = net
+        self.algorithm = algorithm
+        self.wake = algorithm.wake_round
+        #: Per-node contexts exist only once the run is finished.
+        self.contexts: Mapping[int, NodeContext] = {}
+        self._observer = observer
+        self._profile = profile
+        self._inbox = VecInbox.empty()
+        #: Positions force-halted by a crash (``None`` until the first).
+        self._crashed: Optional[np.ndarray] = None
+
+    def crash(self, ids: List[int]) -> List[Decision]:
+        run = self.run
+        pos = run.grid.pos_of(np.asarray(ids, dtype=np.int64))
+        if self._crashed is None:
+            self._crashed = np.zeros(run.n, dtype=bool)
+        self._crashed[pos] = run.halted[pos] = True
+        return [_DECISION_OF_CODE[c] for c in run.decision[pos].tolist()]
+
+    def pin(self, frozen: Mapping[int, Decision]) -> None:
+        pos = self.run.grid.pos_of(np.fromiter(frozen, dtype=np.int64))
+        self.run.decision[pos] = [_CODE_OF_DECISION[d] for d in frozen.values()]
+        self.run.halted[pos] = True
+
+    def all_halted(self) -> bool:
+        return bool(self.run.halted.all())
+
+    def any_reject(self) -> bool:
+        return bool((self.run.decision == VEC_REJECT).any())
+
+    def earliest_wake(self, r: int) -> Tuple[int, int]:
+        nxt = self.wake(self.run, self.state, r)
+        return nxt, nxt
+
+    def skip_to(self, r: int) -> None:
+        """Nothing to do: final contexts take their round from the run's."""
+
+    def quiescent(self) -> bool:
+        return self.algorithm.all_quiescent(self.run, self.state)
+
+    def step(self, r: int) -> bool:
+        run, profile = self.run, self._profile
         if profile is not None:
             t0 = time.perf_counter()
-        out = algorithm.step_all(run, r, state, inbox)
+        out = self.algorithm.step_all(run, r, self.state, self._inbox)
         if profile is not None:
             profile.step_s += time.perf_counter() - t0
-        if crash_round_pos is not None and crash_halted.any():
-            # Kernels may keep writing crashed positions' outputs; the
-            # engine owns crash semantics, so pin them back every round.
-            run.decision[crash_halted] = frozen_decision[crash_halted]
-            run.halted |= crash_halted
         any_traffic = out is not None and out.edges.shape[0] > 0
         if any_traffic:
             edges = np.asarray(out.edges, dtype=np.int64)
@@ -884,11 +862,10 @@ def execute_vectorized(
                     f"round {r}: size_bits array length ({sizes.shape[0]}) != "
                     f"edges ({edges.shape[0]})"
                 )
-            if crash_round_pos is not None and crash_halted.any():
+            if self._crashed is not None:
                 # A crashed node sends nothing: mask its edges out before
-                # validation and billing, exactly as the object lane's
-                # forced halt keeps its round callback from running.
-                alive = ~crash_halted[grid.src[edges]]
+                # validation and billing.
+                alive = ~self._crashed[run.grid.src[edges]]
                 if not alive.all():
                     edges = edges[alive]
                     payload = payload[alive]
@@ -897,46 +874,22 @@ def execute_vectorized(
                     any_traffic = edges.shape[0] > 0
         if any_traffic:
             # Fused validate -> bill -> deliver pass (see kernels.py).
-            inbox = kernel.process(r, edges, payload, sizes, per_message)
+            self._inbox = self.kernel.process(r, edges, payload, sizes, per_message)
         else:
-            inbox = VecInbox.empty()
-            if observer is not None:
-                observer.vec_round(r, _EMPTY_I64, 0, None)
-        rounds_run = r + 1
-        if observer is not None:
-            observer.vec_after_round(r, run)
-        if not any_traffic and algorithm.all_quiescent(run, state):
-            # Terminal silent quiescence probe: not billable (see the
-            # engine module docstring).  Identical rollback to the object
-            # lane.
-            rounds_run = r
-            break
-        r += 1
+            self._inbox = VecInbox.empty()
+            if self._observer is not None:
+                self._observer.vec_round(r, _EMPTY_I64, 0, None)
+        return any_traffic
 
-    algorithm.finish_all(run, state)
-    if crash_round_pos is not None and crash_halted.any():
-        # A crashed node never reaches finish: restore its frozen
-        # decision over whatever finish_all computed from its dead state.
-        run.decision[crash_halted] = frozen_decision[crash_halted]
-        run.halted |= crash_halted
+    def finish(self, rounds: int) -> None:
+        self.algorithm.finish_all(self.run, self.state)
+        # Lazy full-mode expansion: the kernel's flat accumulators become
+        # the per-edge / per-node dictionaries only now, once.
+        self.kernel.expand_full_ledger()
+        self.contexts = _FinalContexts(
+            self.net, self.algorithm, self.run, self.state, max(rounds - 1, 0)
+        )
 
-    contexts = _FinalContexts(net, algorithm, run, state, max(rounds_run - 1, 0))
-    if observer is not None:
-        observer.vec_after_finish(contexts)
-
-    # Lazy full-mode expansion: the kernel's flat accumulators become the
-    # per-edge / per-node dictionaries only now, once, instead of 2m dict
-    # updates per round.  No-op under lite metrics.
-    kernel.expand_full_ledger()
-
-    decisions = dict(
-        zip(grid.ids.tolist(), map(_DECISION_OF_CODE.__getitem__, run.decision.tolist()))
-    )
-    rejected = bool((run.decision == VEC_REJECT).any())
-    return ExecutionResult(
-        decision=Decision.REJECT if rejected else Decision.ACCEPT,
-        rounds=rounds_run,
-        metrics=comm,
-        node_decisions=decisions,
-        contexts=contexts,
-    )
+    def decisions(self) -> Dict[int, Decision]:
+        codes = self.run.decision.tolist()
+        return dict(zip(self.run.grid.ids.tolist(), map(_DECISION_OF_CODE.__getitem__, codes)))

@@ -128,8 +128,6 @@ class FaultInjector:
         "_stall",
         "_drop_thr",
         "_corrupt_thr",
-        "_crash_ids",
-        "_crash_rounds",
     )
 
     def __init__(self, plan: FaultPlan, master_seed: Optional[int]) -> None:
@@ -150,14 +148,6 @@ class FaultInjector:
         self._stall = frozenset(plan.stall)
         self._drop_thr = _threshold(plan.drop)
         self._corrupt_thr = _threshold(plan.corrupt)
-        if plan.crash:
-            self._crash_ids = np.asarray([u for u, _ in plan.crash], dtype=np.int64)
-            self._crash_rounds = np.asarray(
-                [r for _, r in plan.crash], dtype=np.int64
-            )
-        else:
-            self._crash_ids = None
-            self._crash_rounds = None
 
     # -- shared predicates ---------------------------------------------
     @property
@@ -168,11 +158,6 @@ class FaultInjector:
             self._drop_thr or self._corrupt_thr or self._stall
             or self.throttle is not None
         )
-
-    def crashed(self, node_id: int, r: int) -> bool:
-        """True once ``node_id`` has crash-stopped at round ``r``."""
-        at = self.crash_round_of.get(node_id)
-        return at is not None and r >= at
 
     # -- object lane ---------------------------------------------------
     def _decide(self, stream: int, r: int, u: int, v: int, thr: int) -> bool:
@@ -212,19 +197,6 @@ class FaultInjector:
         )
 
     # -- vectorized lane -----------------------------------------------
-    def crash_keep_mask(self, r: int, src_ids: np.ndarray) -> Optional[np.ndarray]:
-        """Boolean mask of sends whose sender has *not* crashed by round
-        ``r``, or ``None`` when no sender in ``src_ids`` has."""
-        if self._crash_ids is None:
-            return None
-        idx = np.searchsorted(self._crash_ids, src_ids)
-        idx_c = np.clip(idx, 0, self._crash_ids.shape[0] - 1)
-        hit = self._crash_ids[idx_c] == src_ids
-        crashed = hit & (self._crash_rounds[idx_c] <= r)
-        if not crashed.any():
-            return None
-        return ~crashed
-
     def delivery_mask(
         self,
         r: int,
