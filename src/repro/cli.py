@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="peak-hold decay factor in (0, 1]")
     p.add_argument("--chaos", default=None, metavar="SPEC",
                    help="deterministic infra fault plan, e.g. "
-                        "'conn-drop:0.1|worker-kill:0@3|seed:7' (see "
+                        "'conn-drop:0.1|req-stall:0.05|seed:7' (see "
                         "docs/robustness.md for the grammar)")
     p.add_argument("--deadline-ms", type=int, default=None,
                    help="default per-request deadline in milliseconds "
@@ -207,16 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--governor-state", default=None, metavar="PATH",
                    help="governor sidecar restored on start and saved "
                         "on stop (same format as REPRO_GOVERNOR_STATE)")
-    p.add_argument("--breaker-threshold", type=int, default=3,
-                   help="consecutive pool breaks before the engine "
-                        "circuit opens")
-    p.add_argument("--breaker-backoff-base", type=float, default=0.05,
-                   help="circuit-breaker backoff base (seconds)")
-    p.add_argument("--breaker-backoff-cap", type=float, default=2.0,
-                   help="circuit-breaker backoff cap (seconds)")
-    p.add_argument("--submit-retries", type=int, default=2,
-                   help="leader re-submissions after a pool break before "
-                        "answering 'worker-death'")
 
     p = sub.add_parser(
         "policy", help="inspect an execution-policy spec"
@@ -566,10 +556,6 @@ def _cmd_serve(args) -> int:
             default_deadline_ms=args.deadline_ms,
             cache_journal=args.cache_journal,
             governor_state=args.governor_state,
-            breaker_threshold=args.breaker_threshold,
-            breaker_backoff_base=args.breaker_backoff_base,
-            breaker_backoff_cap=args.breaker_backoff_cap,
-            submit_retries=args.submit_retries,
         )
         await srv.start()
         # Handlers before the banner: a supervisor may signal the moment

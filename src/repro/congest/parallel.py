@@ -80,6 +80,7 @@ import contextlib
 import hashlib
 import operator
 import os
+import sys
 import threading
 import time
 import weakref
@@ -107,6 +108,50 @@ __all__ = [
 
 # -- persistent pool registry (parent process) ---------------------------
 
+if sys.version_info >= (3, 12):
+    _Pool = ProcessPoolExecutor
+else:
+    from concurrent.futures import InvalidStateError
+    from concurrent.futures import process as _cf_process
+
+    class _ManagerThread(_cf_process._ExecutorManagerThread):
+        """The CPython 3.12 fix for a worker death, backported.
+
+        When a worker dies, the stock ``terminate_broken`` fails every
+        pending future.  Before 3.12 it raises ``InvalidStateError`` on
+        one a caller already cancelled (``stop_on_detect`` cancels the
+        chunks past a rejection) and the thread dies: the pool's other
+        futures, other callers' included, never resolve and its
+        surviving workers are never terminated.
+        """
+
+        def terminate_broken(self, cause: Any) -> None:
+            bpe = BrokenProcessPool(
+                "A process in the process pool was terminated abruptly "
+                "while the future was running or pending."
+            )
+            for item in self.pending_work_items.values():
+                try:
+                    item.future.set_exception(bpe)
+                except InvalidStateError:
+                    pass  # cancelled: nobody waits on it
+            self.pending_work_items.clear()
+            super().terminate_broken(cause)
+
+    class _Pool(ProcessPoolExecutor):
+        """A ``ProcessPoolExecutor`` managed by :class:`_ManagerThread`
+        (the stock method body, with the manager class swapped)."""
+
+        def _start_executor_manager_thread(self) -> None:
+            if self._executor_manager_thread is None:
+                if not self._safe_to_dynamically_spawn_children:  # fork
+                    self._launch_processes()
+                self._executor_manager_thread = _ManagerThread(self)
+                self._executor_manager_thread.start()
+                _cf_process._threads_wakeups[
+                    self._executor_manager_thread
+                ] = self._executor_manager_thread_wakeup
+
 _POOLS: Dict[int, ProcessPoolExecutor] = {}
 
 #: Serializes registry access across engine threads and signal handlers.
@@ -123,14 +168,25 @@ def _get_pool(jobs: int) -> ProcessPoolExecutor:
     with _POOL_LOCK:
         pool = _POOLS.get(jobs)  # repro: noqa[L8]
         if pool is None:
-            pool = ProcessPoolExecutor(max_workers=jobs)
+            pool = _Pool(max_workers=jobs)
             _POOLS[jobs] = pool  # repro: noqa[L8]
         return pool
 
 
-def _discard_pool(jobs: int, wait: bool = False) -> None:
+def _discard_pool(
+    jobs: int, wait: bool = False, pool: Optional[ProcessPoolExecutor] = None
+) -> None:
+    """Pop the registry's ``jobs`` pool and shut it down.
+
+    With ``pool`` given, only if the registry still holds that pool: a
+    concurrent caller may already have discarded it and registered a
+    healthy rebuild, which must not be torn down under its users.
+    """
     with _POOL_LOCK:
-        pool = _POOLS.pop(jobs, None)  # repro: noqa[L8]
+        if pool is None or _POOLS.get(jobs) is pool:  # repro: noqa[L8]
+            pool = _POOLS.pop(jobs, None)  # repro: noqa[L8]
+        else:
+            pool = None
     if pool is not None:
         try:
             pool.shutdown(wait=wait, cancel_futures=True)
@@ -853,9 +909,9 @@ def _resilient_chunks(
             jobs, specs, results, stop_on_detect, timeout
         )
         if timed_out:
-            # A worker blew its deadline and may hang forever; a shared
-            # pool with a wedged worker would stall every later caller.
-            _discard_pool(jobs)
+            # A worker blew its deadline and may hang forever; the pool
+            # was discarded (a wedged worker would stall every later
+            # caller), and the holes are recomputed inline.
             salvaged = _salvage(results, specs, stop_on_detect)
             _notify(
                 on_degrade,
@@ -869,10 +925,9 @@ def _resilient_chunks(
         if not broken:
             return _salvage(results, specs, stop_on_detect)
         # A worker died (OOM-killed, signalled, ...).  The pool is
-        # unusable; discard it, back off, rebuild, retry -- and after
-        # pool_retries rebuilds give up on parallelism entirely: the
-        # serial path is bit-identical, just slower.
-        _discard_pool(jobs)
+        # unusable and already discarded; back off, rebuild, retry --
+        # and after pool_retries rebuilds give up on parallelism
+        # entirely: the serial path is bit-identical, just slower.
         state["attempt"] += 1
         if state["attempt"] > pool_retries:
             state["serial"] = True
@@ -930,8 +985,10 @@ def _submit_and_gather(
     resolved by a previous attempt are kept -- and holes past the first
     known rejecting chunk are skipped entirely (the merge never needs
     them).  On a timeout or a broken pool, finished-but-uncollected
-    futures are harvested before returning, so a failure costs only the
-    work that was genuinely lost.
+    futures are harvested and the pool is discarded before returning,
+    so a failure costs only the work that was genuinely lost.  Only the
+    pool this call used is discarded: concurrent callers share it, and
+    a sibling may already have registered a healthy rebuild.
     """
     holes = [i for i, r in enumerate(results) if r is None]
     if stop_on_detect:
@@ -945,6 +1002,7 @@ def _submit_and_gather(
     try:
         futures = {i: pool.submit(_run_chunk, specs[i]) for i in holes}
     except BrokenProcessPool:
+        _discard_pool(jobs, pool=pool)
         return False, True
     timed_out = broken = False
     try:
@@ -967,11 +1025,12 @@ def _submit_and_gather(
         # the pool down without waiting on what has, propagate.
         for fut in futures.values():
             fut.cancel()
-        _discard_pool(jobs)
+        _discard_pool(jobs, pool=pool)
         raise
     finally:
         if timed_out or broken:
             _harvest_done(futures, results)
+            _discard_pool(jobs, pool=pool)
         for fut in futures.values():
             fut.cancel()
     return timed_out, broken

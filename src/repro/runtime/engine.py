@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import atexit
 import threading
-from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Dict, Optional
 
 import networkx as nx
@@ -53,18 +53,9 @@ from .policy import ExecutionPolicy
 
 __all__ = [
     "ExecutionEngine",
-    "POOL_BREAK_EXCEPTIONS",
     "default_engine",
     "shutdown_default_engine",
 ]
-
-#: Failure classes that mean "the execution backend broke", not "the
-#: request was wrong": a broken process/thread pool underneath a
-#: submission.  The serving layer's circuit breaker
-#: (:class:`repro.serve.chaos.CircuitBreaker`) opens on these (plus the
-#: chaos-injected :class:`~repro.serve.chaos.InjectedWorkerDeath`),
-#: while ordinary exceptions pass through as per-request errors.
-POOL_BREAK_EXCEPTIONS: tuple = (BrokenExecutor,)
 
 #: Kernel failures the vectorized->object degradation rung catches: hard
 #: numpy faults (array allocation failure, trapped floating-point error).

@@ -27,15 +27,16 @@ one-shot CLI invocations.  This package re-layers it for requests:
     parameters exactly so served responses diff clean against direct runs.
 :mod:`~repro.serve.chaos`
     Deterministic infrastructure fault injection (torn connections,
-    stalled requests, worker kills, torn journals, slow engines) on a
-    replayable SplitMix64 schedule, plus the circuit breaker guarding
-    engine submission; ``--chaos`` on the CLI.
+    stalled requests, torn journals, slow engines) on a replayable
+    SplitMix64 schedule; ``--chaos`` on the CLI.  Pool-worker deaths are
+    not injected here: :func:`~repro.congest.parallel.run_amplified`'s
+    ladder is their one owner.
 :mod:`~repro.serve.server`
     The asyncio server tying the layers together, streaming
     :class:`~repro.runtime.record.RunRecord` JSONL per request plus a
     ``stats`` snapshot endpoint; ``repro serve`` on the CLI.  Deadlines,
-    retry/backoff, leader re-election, and journal-backed cache recovery
-    live here (see ``docs/serving.md`` for the guarantees table).
+    leader re-election, and journal-backed cache recovery live here
+    (see ``docs/serving.md`` for the guarantees table).
 
 Design rule, enforced by deep-lint rule L8: modules in this package hold
 **no mutable module-level state**.  Every counter, cache, queue, and
@@ -46,14 +47,7 @@ stale copy.
 
 from .admission import AdmissionController
 from .cache import CacheJournal, ResultCache
-from .chaos import (
-    CircuitBreaker,
-    CircuitOpenError,
-    InfraFaultInjector,
-    InfraFaultPlan,
-    InfraFaultSpecError,
-    InjectedWorkerDeath,
-)
+from .chaos import InfraFaultInjector, InfraFaultPlan, InfraFaultSpecError
 from .coalesce import BatchCoalescer, LeaderDied
 from .executor import (
     ServeResult,
@@ -74,29 +68,24 @@ from .server import (
     DetectionServer,
     OverloadError,
     ServerStats,
-    WorkerDeathError,
 )
 
 __all__ = [
     "AdmissionController",
     "BatchCoalescer",
     "CacheJournal",
-    "CircuitBreaker",
-    "CircuitOpenError",
     "DeadlineExceeded",
     "DetectRequest",
     "DetectionServer",
     "InfraFaultInjector",
     "InfraFaultPlan",
     "InfraFaultSpecError",
-    "InjectedWorkerDeath",
     "LeaderDied",
     "OverloadError",
     "ProtocolError",
     "ResultCache",
     "ServeResult",
     "ServerStats",
-    "WorkerDeathError",
     "build_graph",
     "construction_fingerprint",
     "decode_result",

@@ -3,28 +3,22 @@
 PR 5's :class:`~repro.faults.plan.FaultPlan` made *algorithm* failures --
 dropped messages, crashed nodes, stalled rounds -- a replayable
 experiment dimension.  This module does the same for *infrastructure*
-failures: torn client connections, stalled requests, dying engine
-workers, torn cache journals, and slow engines.  The two compose: a
-server can run an :class:`InfraFaultPlan` (``DetectionServer(chaos=...)``
-/ ``repro serve --chaos``) while its base policy carries an
-algorithm-level fault plan, and every decision on both levels is a pure
-SplitMix64 hash, so a chaos run replays bit-identically.
+failures: torn client connections, stalled requests, torn cache
+journals, and slow engines.  The two compose: a server can run an
+:class:`InfraFaultPlan` (``DetectionServer(chaos=...)`` / ``repro serve
+--chaos``) while its base policy carries an algorithm-level fault plan,
+and every decision on both levels is a pure SplitMix64 hash, so a chaos
+run replays bit-identically.
 
 Spec grammar (``|``-separated, like the fault grammar)::
 
-    conn-drop:P | req-stall:R | worker-kill:ID@K | cache-torn
-        | engine-slow:MS | seed:S
+    conn-drop:P | req-stall:R | cache-torn | engine-slow:MS | seed:S
 
 * ``conn-drop:P`` -- probability the connection is severed instead of a
   response being written (the client sees EOF mid-stream);
 * ``req-stall:R`` -- probability a request stalls inside the server: it
   holds its slot until its deadline fires (deterministic
   ``deadline-exceeded``) or the server drains it at shutdown;
-* ``worker-kill:ID@K+ID@K`` -- engine worker ``ID`` dies on the ``K``-th
-  engine submission (0-based): the submission raises
-  :class:`InjectedWorkerDeath`, which the server treats exactly like a
-  real broken pool (retry with backoff, circuit breaker, leader
-  re-election);
 * ``cache-torn`` -- the result-cache journal's first append is torn
   mid-line (a simulated crash mid-write; the restart-time load must
   drop the torn tail);
@@ -39,32 +33,28 @@ replayed request sequence sees the identical fault schedule, which is
 what makes the kill->restart->replay matrix in
 ``tests/serve/test_chaos.py`` provable rather than flaky.
 
-The module also houses :class:`CircuitBreaker`: the serving-side guard
-around :meth:`~repro.runtime.engine.ExecutionEngine.submit` that opens
-after consecutive pool breaks and half-opens with capped exponential
-backoff (the PR 5 backoff discipline, lifted to the request plane).
+Pool-worker deaths are not simulated here.  They are real process
+faults with one owner, :func:`repro.congest.parallel.run_amplified`'s
+ladder, and ``tests/serve/test_chaos.py`` exercises that ladder by
+``SIGKILL``-ing live pool workers.
 
-Everything stateful here is either a frozen plan (deep-lint L8 bans
-non-frozen dataclasses in this module: plans are journaled by their spec
-and must not drift from it) or instance-scoped with explicit locking.
+Everything stateful here is a frozen plan (deep-lint L8 bans non-frozen
+dataclasses in this module: plans are journaled by their spec and must
+not drift from it) or an instance-scoped injector.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from ..faults.inject import mix64
 
 __all__ = [
-    "CircuitBreaker",
-    "CircuitOpenError",
     "InfraFaultPlan",
     "InfraFaultSpecError",
     "InfraFaultInjector",
-    "InjectedWorkerDeath",
     "chaos_execute",
 ]
 
@@ -84,23 +74,6 @@ class InfraFaultSpecError(ValueError):
     """An invalid infra-fault spec string or plan field."""
 
 
-class InjectedWorkerDeath(RuntimeError):
-    """A chaos-scheduled engine-worker death (stands in for a broken pool).
-
-    Raised by :func:`chaos_execute` before any work runs, so a killed
-    submission performs no partial execution -- exactly the crash-stop
-    discipline the algorithm-level fault plan uses for nodes.
-    """
-
-    def __init__(self, worker_id: int, submission: int) -> None:
-        super().__init__(
-            f"injected death of engine worker {worker_id} "
-            f"on submission {submission}"
-        )
-        self.worker_id = worker_id
-        self.submission = submission
-
-
 @dataclass(frozen=True)
 class InfraFaultPlan:
     """A validated, immutable description of serving-infrastructure faults.
@@ -113,7 +86,6 @@ class InfraFaultPlan:
 
     conn_drop: float = 0.0
     req_stall: float = 0.0
-    worker_kill: Tuple[Tuple[int, int], ...] = ()
     cache_torn: bool = False
     engine_slow_ms: int = 0
     seed: Optional[int] = None
@@ -130,19 +102,6 @@ class InfraFaultPlan:
                     f"{name}: probability {p} outside [0, 1]"
                 )
             object.__setattr__(self, name, float(p))
-        kills = tuple(sorted((int(w), int(k)) for w, k in self.worker_kill))
-        seen: set = set()
-        for w, k in kills:
-            if k < 0:
-                raise InfraFaultSpecError(
-                    f"worker-kill: negative submission in {w}@{k}"
-                )
-            if k in seen:
-                raise InfraFaultSpecError(
-                    f"worker-kill: submission {k} scheduled twice"
-                )
-            seen.add(k)
-        object.__setattr__(self, "worker_kill", kills)
         if not isinstance(self.cache_torn, bool):
             raise InfraFaultSpecError(
                 f"cache-torn: expected a flag, got {self.cache_torn!r}"
@@ -169,7 +128,6 @@ class InfraFaultPlan:
         return (
             self.conn_drop == 0.0
             and self.req_stall == 0.0
-            and not self.worker_kill
             and not self.cache_torn
             and self.engine_slow_ms == 0
         )
@@ -187,11 +145,6 @@ class InfraFaultPlan:
             parts.append(f"conn-drop:{float(self.conn_drop)!r}")
         if self.req_stall:
             parts.append(f"req-stall:{float(self.req_stall)!r}")
-        if self.worker_kill:
-            parts.append(
-                "worker-kill:"
-                + "+".join(f"{w}@{k}" for w, k in self.worker_kill)
-            )
         if self.cache_torn:
             parts.append("cache-torn")
         if self.engine_slow_ms:
@@ -204,7 +157,6 @@ class InfraFaultPlan:
         return {
             "conn_drop": self.conn_drop,
             "req_stall": self.req_stall,
-            "worker_kill": [list(e) for e in self.worker_kill],
             "cache_torn": self.cache_torn,
             "engine_slow_ms": self.engine_slow_ms,
             "seed": self.seed,
@@ -242,14 +194,13 @@ class InfraFaultPlan:
             attr = {
                 "conn-drop": "conn_drop",
                 "req-stall": "req_stall",
-                "worker-kill": "worker_kill",
                 "engine-slow": "engine_slow_ms",
                 "seed": "seed",
             }.get(key)
             if attr is None:
                 raise InfraFaultSpecError(
                     f"unknown chaos field {key!r}; known: conn-drop, "
-                    "req-stall, worker-kill, cache-torn, engine-slow, seed"
+                    "req-stall, cache-torn, engine-slow, seed"
                 )
             if attr in fields:
                 raise InfraFaultSpecError(f"duplicate chaos field {key!r}")
@@ -260,22 +211,6 @@ class InfraFaultPlan:
                     raise InfraFaultSpecError(
                         f"{key}: expected a probability, got {raw!r}"
                     ) from None
-            elif attr == "worker_kill":
-                entries = []
-                for item in raw.split("+"):
-                    worker, at, sub = item.partition("@")
-                    if not at:
-                        raise InfraFaultSpecError(
-                            f"worker-kill: expected id@submission, got {item!r}"
-                        )
-                    try:
-                        entries.append((int(worker), int(sub)))
-                    except ValueError:
-                        raise InfraFaultSpecError(
-                            f"worker-kill: expected id@submission ints, "
-                            f"got {item!r}"
-                        ) from None
-                fields[attr] = tuple(entries)
             else:  # engine_slow_ms, seed
                 try:
                     fields[attr] = int(raw)
@@ -296,15 +231,13 @@ class InfraFaultInjector:
     same decisions -- including a server restarted after a kill.
     """
 
-    __slots__ = ("plan", "_seed_mix", "_drop_threshold", "_stall_threshold",
-                 "_kill_at")
+    __slots__ = ("plan", "_seed_mix", "_drop_threshold", "_stall_threshold")
 
     def __init__(self, plan: InfraFaultPlan) -> None:
         self.plan = plan
         self._seed_mix = mix64(plan.seed if plan.seed is not None else 0)
         self._drop_threshold = _threshold(plan.conn_drop)
         self._stall_threshold = _threshold(plan.req_stall)
-        self._kill_at = {k: w for w, k in plan.worker_kill}
 
     def _coin(self, stream: int, seq: int) -> int:
         x = (
@@ -322,10 +255,6 @@ class InfraFaultInjector:
         """Stall request ``seq`` until its deadline (or server drain)?"""
         return self._coin(_STREAM_REQ_STALL, seq) < self._stall_threshold
 
-    def kill_worker(self, submission: int) -> Optional[int]:
-        """The worker id scheduled to die on ``submission``, or ``None``."""
-        return self._kill_at.get(submission)
-
     def engine_delay_s(self) -> float:
         """Injected per-execution engine latency, in seconds."""
         return self.plan.engine_slow_ms / 1000.0
@@ -341,7 +270,6 @@ def _threshold(p: float) -> int:
 
 
 def chaos_execute(
-    kill: Optional[Tuple[int, int]],
     delay_s: float,
     fn: Callable[..., Any],
     /,
@@ -350,139 +278,9 @@ def chaos_execute(
 ) -> Any:
     """Engine-thread shim applying scheduled chaos around one execution.
 
-    ``kill`` is ``(worker_id, submission)`` when this submission is
-    scheduled to die -- the death fires *before* any work, crash-stop
-    style.  ``delay_s`` injects engine latency.  With neither, this is
-    a transparent call of ``fn``.
+    ``delay_s`` injects engine latency; without it this is a
+    transparent call of ``fn``.
     """
-    if kill is not None:
-        raise InjectedWorkerDeath(kill[0], kill[1])
     if delay_s > 0.0:
         time.sleep(delay_s)
     return fn(*args, **kwargs)
-
-
-class CircuitOpenError(Exception):
-    """Submission refused: the engine circuit is open (fail fast).
-
-    Carries ``retry_after``: how long (seconds) until the breaker
-    half-opens, which the server surfaces as ``retry_after_hint``.
-    """
-
-    def __init__(self, retry_after: float) -> None:
-        super().__init__(
-            f"engine circuit open; retry after {retry_after:.3f}s"
-        )
-        self.retry_after = retry_after
-
-
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker with capped exponential backoff.
-
-    Closed (the normal state) counts consecutive pool-break failures;
-    reaching ``threshold`` opens the circuit for ``backoff_base *
-    2**(openings-1)`` seconds, capped at ``backoff_cap`` -- the same
-    deterministic backoff ladder :func:`repro.congest.parallel.run_amplified`
-    applies to pool rebuilds.  An open circuit fails submissions fast
-    (no engine work, no queue growth); once the backoff elapses it
-    half-opens and admits exactly one probe: a probe success closes the
-    circuit and resets the ladder, a probe failure re-opens it one rung
-    higher.
-
-    Thread-safe; the clock is injectable so tests drive the ladder
-    without sleeping.
-    """
-
-    def __init__(
-        self,
-        threshold: int = 3,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        if backoff_base <= 0 or backoff_cap < backoff_base:
-            raise ValueError(
-                f"need 0 < backoff_base <= backoff_cap, got "
-                f"{backoff_base!r}/{backoff_cap!r}"
-            )
-        self.threshold = threshold
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self._clock = clock
-        self._lock = threading.Lock()
-        self.state = "closed"
-        self.consecutive_failures = 0
-        self.openings = 0
-        self._open_until = 0.0
-        self._probe_inflight = False
-
-    def allow(self) -> bool:
-        """May a submission proceed right now?
-
-        Open -> ``False`` until the backoff elapses; the first ``allow``
-        after that half-opens the circuit and is the probe.
-        """
-        with self._lock:
-            if self.state == "closed":
-                return True
-            if self.state == "open":
-                if self._clock() < self._open_until:
-                    return False
-                self.state = "half-open"
-                self._probe_inflight = True
-                return True
-            # half-open: one probe at a time.
-            if self._probe_inflight:
-                return False
-            self._probe_inflight = True
-            return True
-
-    def record_success(self) -> None:
-        """A submission completed: close the circuit, reset the ladder."""
-        with self._lock:
-            self.state = "closed"
-            self.consecutive_failures = 0
-            self.openings = 0
-            self._probe_inflight = False
-
-    def record_failure(self) -> None:
-        """A submission died on a pool break: count it; maybe open."""
-        with self._lock:
-            self.consecutive_failures += 1
-            was_probe = self.state == "half-open"
-            if was_probe or self.consecutive_failures >= self.threshold:
-                self.openings += 1
-                backoff = min(
-                    self.backoff_cap,
-                    self.backoff_base * (2 ** (self.openings - 1)),
-                )
-                self.state = "open"
-                self._open_until = self._clock() + backoff
-                self.consecutive_failures = 0
-                self._probe_inflight = False
-
-    def retry_after(self) -> float:
-        """Seconds until the circuit half-opens (0 when not open)."""
-        with self._lock:
-            if self.state != "open":
-                return 0.0
-            return max(0.0, self._open_until - self._clock())
-
-    def snapshot(self) -> Dict[str, Any]:
-        """State for the stats endpoint."""
-        with self._lock:
-            return {
-                "state": self.state,
-                "threshold": self.threshold,
-                "consecutive_failures": self.consecutive_failures,
-                "openings": self.openings,
-                "backoff_base": self.backoff_base,
-                "backoff_cap": self.backoff_cap,
-                "retry_after": (
-                    max(0.0, self._open_until - self._clock())
-                    if self.state == "open"
-                    else 0.0
-                ),
-            }

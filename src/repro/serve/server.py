@@ -25,9 +25,11 @@ Request lifecycle (the layer ordering is the design):
    estimate, and a deterministic ``retry_after_hint``.
 5. **execute** -- the leader's work runs on the shared
    :class:`~repro.runtime.engine.ExecutionEngine` via submit/await
-   (``asyncio.wrap_future``), off the event loop, guarded by a
-   :class:`~repro.serve.chaos.CircuitBreaker` and retried with capped
-   exponential backoff on pool breaks.
+   (``asyncio.wrap_future``), off the event loop.  The leader submits
+   once: a dying pool worker is absorbed below the server by
+   :func:`~repro.congest.parallel.run_amplified`'s ladder (pool
+   rebuild, serial fallback, chunk salvage), which keeps the answer
+   bit-identical and records each step as a ``degradation`` note.
 6. **respond + fill** -- result cached (journalled), group resolved,
    waiters woken.
 
@@ -41,9 +43,9 @@ deadline exceeded    deterministic terminal ``deadline-exceeded`` error
 leader death         followers re-elect: the next one back leads a
                      fresh group; the re-run batch is bit-identical
                      (pure stopping rule over the same seed sequence)
-pool break / worker  leader retries with capped exponential backoff;
-death                consecutive breaks open the circuit breaker, which
-                     fails submissions fast until its backoff elapses
+pool break / worker  absorbed by ``run_amplified``'s ladder, its one
+death                owner: the answer is the direct run's, plus
+                     ``degradation`` notes ahead of ``amplified``
 overload / shutdown  surfaced error rows with ``retry_after_hint`` so
                      clients back off deterministically
 process kill         the journalled cache restores at the next start;
@@ -59,7 +61,7 @@ included), and release the engine pools + shared-memory segments
 
 Deterministic infrastructure chaos (:mod:`.chaos`) threads through the
 same path: ``DetectionServer(chaos=...)`` severs connections, stalls
-requests, kills engine submissions, and tears the cache journal on a
+requests, slows the engine, and tears the cache journal on a
 replayable SplitMix64 schedule keyed by the request sequence number.
 
 All mutable serving state lives on :class:`DetectionServer` (deep-lint
@@ -75,23 +77,12 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Optional, Union
 
 from ..graphs.cache import cache_stats
-from ..runtime.engine import (
-    POOL_BREAK_EXCEPTIONS,
-    ExecutionEngine,
-    default_engine,
-)
+from ..runtime.engine import ExecutionEngine, default_engine
 from ..runtime.governor import GovernorStateStore, PeakHoldGovernor
 from ..runtime.policy import ExecutionPolicy, PolicyError
 from .admission import AdmissionController
 from .cache import CacheJournal, ResultCache
-from .chaos import (
-    CircuitBreaker,
-    CircuitOpenError,
-    InfraFaultInjector,
-    InfraFaultPlan,
-    InjectedWorkerDeath,
-    chaos_execute,
-)
+from .chaos import InfraFaultInjector, InfraFaultPlan, chaos_execute
 from .coalesce import BatchCoalescer, LeaderDied
 from .executor import (
     RecordStamp,
@@ -108,14 +99,7 @@ __all__ = [
     "DetectionServer",
     "OverloadError",
     "ServerStats",
-    "WorkerDeathError",
 ]
-
-#: Exceptions meaning "the execution backend broke under this leader":
-#: real pool breaks plus the chaos-injected stand-in.  These drive the
-#: retry loop and the circuit breaker; anything else is a per-request
-#: error.
-_LEADER_RETRYABLE = POOL_BREAK_EXCEPTIONS + (InjectedWorkerDeath,)
 
 
 class OverloadError(Exception):
@@ -143,17 +127,6 @@ class DeadlineExceeded(Exception):
     def __init__(self, deadline_ms: int) -> None:
         super().__init__(f"deadline of {deadline_ms}ms exceeded")
         self.deadline_ms = deadline_ms
-
-
-class WorkerDeathError(Exception):
-    """A leader exhausted its submission retries against a breaking pool."""
-
-    def __init__(self, attempts: int, cause: BaseException) -> None:
-        super().__init__(
-            f"execution failed after {attempts} attempt(s): {cause!r}"
-        )
-        self.attempts = attempts
-        self.cause = cause
 
 
 class _DetachedExit(Exception):
@@ -184,8 +157,6 @@ class ServerStats:
     deadline_exceeded: int = 0
     stalled: int = 0
     promotions: int = 0
-    worker_deaths: int = 0
-    circuit_open: int = 0
     conn_dropped: int = 0
     drained: int = 0
     detached: int = 0
@@ -229,13 +200,6 @@ class DetectionServer:
         Path of a :class:`GovernorStateStore` sidecar: the governor's
         peak estimate is restored at :meth:`start` and saved at
         :meth:`stop`, so a restarted server begins throttled.
-    breaker_threshold, breaker_backoff_base, breaker_backoff_cap:
-        Circuit-breaker knobs around engine submission (see
-        :class:`CircuitBreaker`).
-    submit_retries:
-        How many times a leader re-submits after a pool break before
-        answering ``worker-death`` (the retry backoff reuses the breaker
-        ladder constants).
     """
 
     def __init__(
@@ -254,10 +218,6 @@ class DetectionServer:
         default_deadline_ms: Optional[int] = None,
         cache_journal: Optional[Any] = None,
         governor_state: Optional[Any] = None,
-        breaker_threshold: int = 3,
-        breaker_backoff_base: float = 0.05,
-        breaker_backoff_cap: float = 2.0,
-        submit_retries: int = 2,
     ) -> None:
         self.host = host
         self.port = port
@@ -286,12 +246,6 @@ class DetectionServer:
             decode=decode_result,
         )
         self.coalescer = BatchCoalescer()
-        self.breaker = CircuitBreaker(
-            threshold=breaker_threshold,
-            backoff_base=breaker_backoff_base,
-            backoff_cap=breaker_backoff_cap,
-        )
-        self.submit_retries = submit_retries
         self.default_deadline_ms = default_deadline_ms
         self._governor_store: Optional[GovernorStateStore] = None
         if governor_state is not None:
@@ -303,7 +257,6 @@ class DetectionServer:
         self._stopping = asyncio.Event()
         self._policies: Dict[str, ExecutionPolicy] = {}
         self._seq = 0
-        self._submissions = 0
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -484,19 +437,6 @@ class DetectionServer:
                       "message": f"deadline of {exc.deadline_ms}ms exceeded",
                       "deadline_ms": exc.deadline_ms,
                       "retry_after_hint": self.admission.retry_after_hint()}]
-        except CircuitOpenError as exc:
-            self.stats.circuit_open += 1
-            lines = [{"id": req.req_id, "type": "error",
-                      "code": "circuit-open",
-                      "message": "engine circuit open: failing fast",
-                      "retry_after_hint": round(exc.retry_after, 3)}]
-        except WorkerDeathError as exc:
-            self.stats.errors += 1
-            lines = [{"id": req.req_id, "type": "error",
-                      "code": "worker-death",
-                      "message": str(exc),
-                      "attempts": exc.attempts,
-                      "retry_after_hint": self.admission.retry_after_hint()}]
         except asyncio.CancelledError:
             if not self._stopping.is_set():
                 # The client disconnected: nobody is left to answer.
@@ -602,8 +542,6 @@ class DetectionServer:
         deadline_ms: Optional[int],
         remaining: Callable[[], Optional[float]],
     ) -> Any:
-        if not self.breaker.allow():
-            raise CircuitOpenError(self.breaker.retry_after())
         decision = self.admission.admit()
         if decision == "reject":
             raise OverloadError(self.admission.reject_context())
@@ -663,7 +601,7 @@ class DetectionServer:
         deadline_ms: Optional[int],
         remaining: Callable[[], Optional[float]],
     ) -> Any:
-        """Submit (and re-submit, on pool breaks) the leader's execution.
+        """Submit the leader's execution once and await it.
 
         If the awaiting handler stops first (deadline fired / client
         vanished), the in-flight work is handed to a completion callback
@@ -672,71 +610,42 @@ class DetectionServer:
         and :class:`_DetachedExit` tells the caller to skip its own
         cleanup.
         """
-        attempts = 0
-        while True:
-            attempts += 1
-            submission = self._submissions
-            self._submissions += 1
-            worker = self._injector.kill_worker(submission)
-            kill = (worker, submission) if worker is not None else None
-            fut = asyncio.ensure_future(
-                asyncio.wrap_future(
-                    self.engine.submit(
-                        chaos_execute,
-                        kill,
-                        self._injector.engine_delay_s(),
-                        execute_request,
-                        req,
-                        policy,
-                        engine=self.engine,
-                        governor=self.governor,
-                        stamp=self.stamp,
-                    )
+        fut = asyncio.ensure_future(
+            asyncio.wrap_future(
+                self.engine.submit(
+                    chaos_execute,
+                    self._injector.engine_delay_s(),
+                    execute_request,
+                    req,
+                    policy,
+                    engine=self.engine,
+                    governor=self.governor,
+                    stamp=self.stamp,
                 )
             )
-            try:
-                result: ServeResult = await _wait(
-                    asyncio.shield(fut), remaining()
-                )
-            except asyncio.TimeoutError:
-                self._detach(fut, group, ckey)
-                raise _DetachedExit(DeadlineExceeded(deadline_ms)) from None  # type: ignore[arg-type]
-            except asyncio.CancelledError:
-                self._detach(fut, group, ckey)
-                raise _DetachedExit(None) from None
-            except _LEADER_RETRYABLE as exc:
-                self.stats.worker_deaths += 1
-                self.breaker.record_failure()
-                if attempts > self.submit_retries:
-                    raise WorkerDeathError(attempts, exc) from exc
-                # The PR 5 backoff discipline, at the submission plane.
-                await asyncio.sleep(
-                    min(
-                        self.breaker.backoff_cap,
-                        self.breaker.backoff_base * (2 ** (attempts - 1)),
-                    )
-                )
-                continue
-            self.breaker.record_success()
-            return result
+        )
+        try:
+            return await _wait(asyncio.shield(fut), remaining())
+        except asyncio.TimeoutError:
+            self._detach(fut, group, ckey)
+            raise _DetachedExit(DeadlineExceeded(deadline_ms)) from None  # type: ignore[arg-type]
+        except asyncio.CancelledError:
+            self._detach(fut, group, ckey)
+            raise _DetachedExit(None) from None
 
     def _detach(self, fut: "asyncio.Future[Any]", group: Any, ckey: Any) -> None:
         """Hand an in-flight leader execution to a completion callback.
 
         The handler is unwinding (deadline fired / client vanished) but
         the engine work keeps running; when it lands, the callback does
-        everything the handler would have: breaker bookkeeping, group
-        resolution (``LeaderDied`` on pool breaks so followers
-        re-elect), cache fill, admission release.
+        everything the handler would have: group resolution, cache fill,
+        admission release.
         """
         self.stats.detached += 1
 
         def _done(f: "asyncio.Future[Any]") -> None:
             try:
                 result = f.result()
-            except _LEADER_RETRYABLE as exc:
-                self.breaker.record_failure()
-                self.coalescer.resolve(group, error=LeaderDied(exc))
             except asyncio.CancelledError:
                 self.coalescer.resolve(
                     group, error=LeaderDied(asyncio.CancelledError())
@@ -744,7 +653,6 @@ class DetectionServer:
             except BaseException as exc:
                 self.coalescer.resolve(group, error=exc)
             else:
-                self.breaker.record_success()
                 self.coalescer.resolve(group, result)
                 self.cache.put(ckey, result)
                 self.stats.executed += 1
@@ -788,7 +696,6 @@ class DetectionServer:
             "result_cache": self.cache.stats(),
             "coalescer": self.coalescer.snapshot(),
             "construction_cache": cache_stats(),
-            "breaker": self.breaker.snapshot(),
         }
         if not self.chaos.is_null:
             row["chaos"] = {"spec": self.chaos.spec(), **self.chaos.as_dict()}

@@ -10,6 +10,8 @@ the ladder trades wall-clock, never results.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -277,3 +279,44 @@ class TestHarvestRegression:
         salvage = [s for s in steps if s["step"] == "timeout-salvage"]
         assert len(salvage) == 1 and salvage[0]["chunks_salvaged"] == 1
         _same_outcome(out, _reference())
+
+
+class TestSharedPoolBreaks:
+    """Concurrent callers share one pool per ``jobs``: one caller's
+    ladder must not tear down another's rebuilt pool, and a worker death
+    must fail every pending future, whatever else was cancelled."""
+
+    def test_a_stale_discard_leaves_the_rebuilt_pool_alone(self):
+        from repro.congest import parallel as par
+
+        shutdown_pools()
+        broken = par._get_pool(2)
+        par._discard_pool(2, pool=broken)  # the first caller's discard
+        rebuilt = par._get_pool(2)
+        par._discard_pool(2, pool=broken)  # a second caller, late
+        try:
+            assert _POOLS[2] is rebuilt
+            assert rebuilt.submit(abs, -3).result(timeout=30) == 3
+        finally:
+            shutdown_pools()
+
+    def test_a_cancelled_future_does_not_strand_a_dying_pool(self):
+        # One worker runs a long task, two more fill the call queue, and
+        # the rest stay pending in the pool's manager thread.  A cancelled
+        # pending future ahead of a live one, then the worker's death:
+        # the live one must fail with BrokenProcessPool, not hang.
+        from repro.congest import parallel as par
+
+        pool = par._Pool(max_workers=1)
+        try:
+            pid = pool.submit(os.getpid).result(timeout=30)
+            busy = [pool.submit(time.sleep, 30) for _ in range(3)]
+            cancelled = pool.submit(time.sleep, 30)
+            live = pool.submit(time.sleep, 30)
+            assert cancelled.cancel()
+            os.kill(pid, signal.SIGKILL)
+            for fut in busy + [live]:
+                with pytest.raises(BrokenProcessPool):
+                    fut.result(timeout=10)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)

@@ -1,13 +1,14 @@
 """The chaos harness: infra fault plans, recovery semantics, and the
 kill -> restart -> replay matrix.
 
-Three layers of proof:
+Layers of proof:
 
-* **unit** -- the plan grammar, the SplitMix64 injector's replayability,
-  the circuit breaker's backoff ladder (driven by a fake clock);
+* **unit** -- the plan grammar and the SplitMix64 injector's
+  replayability;
 * **scenario** -- a live server under each fault class answers the
   deterministic terminal row the recovery table in ``docs/serving.md``
-  promises (deadline-exceeded, worker-death, circuit-open, shutdown),
+  promises (deadline-exceeded, shutdown), a SIGKILLed pool worker is
+  absorbed by the amplification ladder with no leader resubmission,
   followers are promoted when leaders die, and dropped connections
   never wedge a coalescing group;
 * **matrix** -- the acceptance gate: a chaos run's surviving responses
@@ -23,18 +24,16 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import multiprocessing
+import os
+import signal
 from collections import Counter
 
 import pytest
 
-from repro.runtime import diff_records
-from repro.serve import (
-    CircuitBreaker,
-    InfraFaultInjector,
-    InfraFaultPlan,
-    InfraFaultSpecError,
-    InjectedWorkerDeath,
-)
+from repro.congest.parallel import shutdown_pools
+from repro.runtime import ExecutionEngine, diff_records
+from repro.serve import InfraFaultInjector, InfraFaultPlan, InfraFaultSpecError
 from repro.serve.chaos import chaos_execute
 from tests.serve.test_server import (
     GRAPH,
@@ -47,12 +46,10 @@ from tests.serve.test_server import (
 
 class TestPlanGrammar:
     def test_spec_round_trips_canonically(self):
-        spec = "conn-drop:0.25|req-stall:0.1|worker-kill:0@2+1@5" \
-               "|cache-torn|engine-slow:30|seed:7"
+        spec = "conn-drop:0.25|req-stall:0.1|cache-torn|engine-slow:30|seed:7"
         plan = InfraFaultPlan.from_spec(spec)
         assert InfraFaultPlan.from_spec(plan.spec()) == plan
         assert plan.conn_drop == 0.25 and plan.req_stall == 0.1
-        assert plan.worker_kill == ((0, 2), (1, 5))
         assert plan.cache_torn and plan.engine_slow_ms == 30
         assert plan.seed == 7
 
@@ -65,8 +62,9 @@ class TestPlanGrammar:
         "conn-drop:1.5",          # probability out of range
         "conn-drop:maybe",        # not a number
         "cache-torn:1",           # flag takes no value
-        "worker-kill:3",          # missing @submission
-        "worker-kill:0@2+1@2",    # same submission twice
+        "worker-kill:3",          # removed field: real kills only
+        "worker-kill:0@2+1@2",    # removed field: real kills only
+        "worker-kill:0@3",        # removed field: real kills only
         "engine-slow:-5",         # negative delay
         "frobnicate:1",           # unknown field
         "conn-drop:0.1|conn-drop:0.2",  # duplicate field
@@ -101,69 +99,10 @@ class TestInjectorReplayability:
         assert all(always.drop_connection(s) for s in range(32))
         assert not any(never.drop_connection(s) for s in range(32))
 
-    def test_worker_kill_schedule_keys_on_submission(self):
-        inj = InfraFaultInjector(
-            InfraFaultPlan(worker_kill=((0, 2), (1, 5))))
-        assert inj.kill_worker(2) == 0
-        assert inj.kill_worker(5) == 1
-        assert inj.kill_worker(0) is None
-
 
 class TestChaosExecute:
-    def test_kill_fires_before_any_work(self):
-        ran = []
-        with pytest.raises(InjectedWorkerDeath) as err:
-            chaos_execute((3, 7), 0.0, lambda: ran.append(1))
-        assert err.value.worker_id == 3 and err.value.submission == 7
-        assert not ran  # crash-stop: no partial execution
-
     def test_transparent_without_faults(self):
-        assert chaos_execute(None, 0.0, lambda x: x + 1, 41) == 42
-
-
-class TestCircuitBreaker:
-    def _breaker(self, **kwargs):
-        clock = {"now": 0.0}
-        br = CircuitBreaker(clock=lambda: clock["now"], **kwargs)
-        return br, clock
-
-    def test_opens_at_threshold_and_fails_fast(self):
-        br, clock = self._breaker(threshold=3, backoff_base=0.1)
-        for _ in range(2):
-            br.record_failure()
-        assert br.state == "closed" and br.allow()
-        br.record_failure()
-        assert br.state == "open"
-        assert not br.allow()
-        assert br.retry_after() == pytest.approx(0.1)
-
-    def test_half_open_probe_success_resets_the_ladder(self):
-        br, clock = self._breaker(threshold=1, backoff_base=0.1)
-        br.record_failure()
-        clock["now"] = 0.2
-        assert br.allow()  # the probe
-        assert br.state == "half-open"
-        assert not br.allow()  # one probe at a time
-        br.record_success()
-        assert br.state == "closed" and br.openings == 0
-        assert br.allow()
-
-    def test_probe_failure_climbs_the_capped_ladder(self):
-        br, clock = self._breaker(
-            threshold=1, backoff_base=0.1, backoff_cap=0.35)
-        backoffs = []
-        for _ in range(4):
-            clock["now"] += 100.0
-            assert br.allow()
-            br.record_failure()
-            backoffs.append(br.retry_after())
-        assert backoffs == pytest.approx([0.1, 0.2, 0.35, 0.35])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(backoff_base=0.5, backoff_cap=0.1)
+        assert chaos_execute(0.0, lambda x: x + 1, 41) == 42
 
 
 async def _drain_detached(srv, want_executed, tries=200):
@@ -256,72 +195,100 @@ class TestStallDraining:
         assert drained == 1
 
 
-class TestWorkerDeath:
-    REQ = {"pattern": "c4", "graph": GRAPH, "seed": 53, "iterations": 6}
+def _is_degradation(row):
+    return row.get("kind") == "note" and row.get("label") == "degradation"
 
-    def test_killed_submission_retries_to_a_bit_identical_answer(self):
+
+def _stripped_record(rows):
+    """The served record minus the pool ladder's ``degradation`` notes."""
+    return record_from_rows([r for r in rows if not _is_degradation(r)])
+
+
+async def _kill_pool_workers(times, stop):
+    """SIGKILL ``times`` live pool workers until ``stop`` is set.
+
+    Each kill targets a worker that was not alive at any earlier kill,
+    so the second kill lands on a pool the ladder rebuilt, not on a
+    sibling of the first victim.  Returns the killed pids.
+    """
+    seen, killed = set(), []
+    while len(killed) < times and not stop.is_set():
+        live = [p.pid for p in multiprocessing.active_children()]
+        fresh = [pid for pid in live if pid not in seen]
+        if fresh:
+            seen.update(live)
+            try:
+                os.kill(fresh[0], signal.SIGKILL)
+                killed.append(fresh[0])
+            except ProcessLookupError:
+                pass  # exited on its own (a discarded pool's sibling)
+        await asyncio.sleep(0.005)
+    return killed
+
+
+class _CountingEngine(ExecutionEngine):
+    """An engine that counts :meth:`submit` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.submits = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submits += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestRealWorkerKill:
+    """A SIGKILLed pool worker is absorbed by ``run_amplified``'s ladder.
+
+    The server submits the leader once; the pool ladder rebuilds the
+    pool (or falls back to serial) and the answer is the direct run's,
+    plus the ladder's ``degradation`` notes ahead of the ``amplified``
+    event.  A later cache hit replays the same rows.
+    """
+
+    REQ = {"pattern": "odd-c5", "graph": {"kind": "grid", "rows": 20,
+                                          "cols": 20},
+           "seed": 3, "iterations": 40, "policy": "jobs=2"}
+
+    def test_killed_worker_costs_no_resubmission_and_no_bits(self):
+        engine = _CountingEngine()
+
         async def scenario(srv):
             client = await Client.connect(srv.bound_port)
-            await client.send({"id": "w", **self.REQ})
+            stop = asyncio.Event()
+            killer = asyncio.ensure_future(_kill_pool_workers(1, stop))
+            await client.send({"id": "k", **self.REQ})
             got = await client.collect(1)
+            stop.set()
+            killed = await killer
+            submits = engine.submits
+            await client.send({"id": "hit", **self.REQ})
+            got.update(await client.collect(1))
             await client.close()
-            return got, srv.stats.worker_deaths, srv.breaker.state
+            return got, killed, submits
 
-        got, deaths, state = asyncio.run(_with_server(
-            scenario, chaos="worker-kill:0@0", submit_retries=2))
-        assert got["w"]["terminal"]["type"] == "result"
-        assert deaths == 1 and state == "closed"
-        served = record_from_rows(got["w"]["records"])
+        # A fresh pool registry: every worker that appears is the one
+        # this request's jobs=2 pool starts.
+        shutdown_pools()
+        try:
+            got, killed, submits = asyncio.run(_with_server(
+                scenario, engine=engine))
+        finally:
+            engine.shutdown()
+        assert len(killed) == 1
+        assert got["k"]["terminal"]["type"] == "result"
+        assert submits == 1  # the leader was never resubmitted
+        rows = got["k"]["records"]
+        steps = [r["extra"]["step"] for r in rows if _is_degradation(r)]
+        assert steps and set(steps) <= {"pool-rebuild", "serial-fallback"}
+        kinds = [r.get("kind") for r in rows[1:-1]]
+        assert kinds.index("amplified") > kinds.index("note")
         baseline = direct_record({"id": "b", **self.REQ})
-        assert diff_records(baseline, served)["identical"]
-
-    def test_exhausted_retries_surface_worker_death_and_open_the_circuit(self):
-        other = dict(self.REQ, seed=54)
-
-        async def scenario(srv):
-            client = await Client.connect(srv.bound_port)
-            await client.send({"id": "doomed", **self.REQ})
-            got = await client.collect(1)
-            await client.send({"id": "fast-fail", **other})
-            got.update(await client.collect(1))
-            await client.close()
-            return got
-
-        # submit_retries=0: the first death is terminal; threshold=1:
-        # one failure opens the circuit, and the long backoff keeps it
-        # open for the second request's fast-fail.
-        got = asyncio.run(_with_server(
-            scenario, chaos="worker-kill:0@0", submit_retries=0,
-            breaker_threshold=1, breaker_backoff_base=30.0,
-            breaker_backoff_cap=60.0))
-        doomed = got["doomed"]["terminal"]
-        assert doomed["code"] == "worker-death"
-        assert doomed["attempts"] == 1
-        assert doomed["retry_after_hint"] > 0
-        fast = got["fast-fail"]["terminal"]
-        assert fast["code"] == "circuit-open"
-        assert fast["retry_after_hint"] > 0
-
-    def test_circuit_recovers_through_a_successful_probe(self):
-        other = dict(self.REQ, seed=55)
-
-        async def scenario(srv):
-            client = await Client.connect(srv.bound_port)
-            await client.send({"id": "doomed", **self.REQ})
-            got = await client.collect(1)
-            await asyncio.sleep(0.05)  # let the tiny backoff elapse
-            await client.send({"id": "probe", **other})
-            got.update(await client.collect(1))
-            await client.close()
-            return got, srv.breaker.state
-
-        got, state = asyncio.run(_with_server(
-            scenario, chaos="worker-kill:0@0", submit_retries=0,
-            breaker_threshold=1, breaker_backoff_base=0.01,
-            breaker_backoff_cap=0.02))
-        assert got["doomed"]["terminal"]["code"] == "worker-death"
-        assert got["probe"]["terminal"]["type"] == "result"
-        assert state == "closed"
+        assert diff_records(baseline, _stripped_record(rows))["identical"]
+        # The cache replays the degraded rows verbatim.
+        assert got["hit"]["terminal"]["cache"] == "hit"
+        assert got["hit"]["records"] == rows
 
 
 class TestConnectionChaos:
@@ -425,12 +392,13 @@ class TestKillRestartReplayMatrix:
         {"id": "m4", "pattern": "k4", "graph": {"kind": "clique", "s": 5}},
     ]
 
-    async def _drive(self, srv):
-        """Send the matrix sequentially (deterministic submission order)."""
+    async def _drive(self, srv, extra=None):
+        """Send the matrix sequentially (deterministic submission order);
+        ``extra`` maps a request id to fields merged into its body."""
         client = await Client.connect(srv.bound_port)
         got = {}
         for obj in self.REQS:
-            await client.send(obj)
+            await client.send({**obj, **(extra or {}).get(obj["id"], {})})
             got.update(await client.collect(1))
         await client.close()
         return got
@@ -441,18 +409,21 @@ class TestKillRestartReplayMatrix:
             obj["id"]: direct_record(obj) for obj in self.REQS
         }
 
-        # -- phase 1: chaos run.  Submission 1 (m1) dies with no
-        # retries; the journal's first append (m0's fill) is torn.
+        # -- phase 1: chaos run.  Seed 7 stalls request 1 (m1) alone;
+        # its deadline ends the stall before anything executes or fills
+        # the cache.  The journal's first append (m0's fill) is torn.
+        async def chaos_run(srv):
+            return await self._drive(srv, {"m1": {"deadline_ms": 100}})
+
         got1 = asyncio.run(_with_server(
-            self._drive, cache_journal=journal,
-            chaos="worker-kill:0@1|cache-torn|seed:9", submit_retries=0,
-            breaker_threshold=3))
+            chaos_run, cache_journal=journal,
+            chaos="req-stall:0.2|cache-torn|seed:7"))
         completed1 = {
             rid for rid, b in got1.items()
             if b["terminal"]["type"] == "result"
         }
         assert completed1 == {"m0", "m2", "m3", "m4"}
-        assert got1["m1"]["terminal"]["code"] == "worker-death"
+        assert got1["m1"]["terminal"]["code"] == "deadline-exceeded"
         # Every completed chaos response is bit-identical to fault-free.
         for rid in completed1:
             served = record_from_rows(got1[rid]["records"])
@@ -522,7 +493,8 @@ class TestAvailabilityMatrix:
     """A fault wave and a repeat wave of the same bodies under each plan.
 
     Chaos may cost availability and latency, never bit-identity, and no
-    request may end in an unclassified ``execution`` error.
+    request may end in an unclassified ``execution`` error.  Bit-identity
+    is judged with the pool ladder's ``degradation`` notes stripped.
     """
 
     PROFILES = [
@@ -538,17 +510,21 @@ class TestAvailabilityMatrix:
     PLANS = {
         "baseline": ("", {}),
         "conn_drop": ("conn-drop:0.15|seed:7", {}),
-        "worker_kill": ("worker-kill:0@3+1@7|seed:7", {"submit_retries": 2}),
+        # No chaos spec: the fault is real.  See ``KILLS``.
+        "worker_kill": ("", {}),
         # Every leader holds a slot, so every profile's work starts,
         # detaches at its deadline and lands before the repeat wave.
         "slow_deadline": ("engine-slow:150|seed:7",
                           {"default_deadline_ms": 75, "max_inflight": 10}),
         "composite": (
-            "conn-drop:0.1|req-stall:0.05|worker-kill:0@5|engine-slow:20"
-            "|seed:7",
-            {"submit_retries": 2, "default_deadline_ms": 500},
+            "conn-drop:0.1|req-stall:0.05|engine-slow:20|seed:7",
+            {"default_deadline_ms": 500},
         ),
     }
+
+    #: Plans whose profiles run at jobs=2 while a test-side coroutine
+    #: SIGKILLs this many live pool workers during the fault wave.
+    KILLS = {"worker_kill": 2}
 
     def _summary(self, outcomes):
         answered = [t for t, _ in outcomes if t is not None]
@@ -563,27 +539,39 @@ class TestAvailabilityMatrix:
 
     def _run(self, plan):
         spec, kwargs = self.PLANS[plan]
+        kills = self.KILLS.get(plan, 0)
+        profiles = [
+            dict(p, policy="jobs=2") if kills else p for p in self.PROFILES
+        ]
 
         def wave(prefix):
             return [
-                {"id": f"{prefix}-{i}", **self.PROFILES[i % len(self.PROFILES)]}
+                {"id": f"{prefix}-{i}", **profiles[i % len(profiles)]}
                 for i in range(self.WAVE)
             ]
 
         async def scenario(srv):
             sem = asyncio.Semaphore(8)
+            stop = asyncio.Event()
+            killer = asyncio.ensure_future(_kill_pool_workers(kills, stop))
             fault = await asyncio.gather(*(
                 _issue(srv.bound_port, obj, sem) for obj in wave("f")
             ))
+            stop.set()
+            killed = await killer
             await _settle(srv)
             repeat = await asyncio.gather(*(
                 _issue(srv.bound_port, obj, sem) for obj in wave("r")
             ))
-            return fault, repeat, srv.stats
+            return fault, repeat, killed
 
+        # A fresh pool registry: every worker that appears belongs to
+        # this wave's jobs=2 pool.
+        shutdown_pools()
         server_kwargs = {"max_inflight": 4, "max_queue": self.WAVE, **kwargs}
-        fault, repeat, stats = asyncio.run(_with_server(
+        fault, repeat, killed = asyncio.run(_with_server(
             scenario, chaos=spec or None, **server_kwargs))
+        assert len(killed) == kills, plan
 
         # Bit-identity on the first three answered results.
         samples = [
@@ -592,15 +580,20 @@ class TestAvailabilityMatrix:
         ][:3]
         assert len(samples) == 3, plan
         for terminal, rows in samples:
-            idx = int(terminal["id"].split("-")[1]) % len(self.PROFILES)
-            baseline = direct_record({"id": "b", **self.PROFILES[idx]})
-            diff = diff_records(baseline, record_from_rows(rows))
+            idx = int(terminal["id"].split("-")[1]) % len(profiles)
+            baseline = direct_record({"id": "b", **profiles[idx]})
+            diff = diff_records(baseline, _stripped_record(rows))
             assert diff["identical"], (plan, terminal["id"], diff)
 
         summaries = self._summary(fault), self._summary(repeat)
         for summary in summaries:
             assert "execution" not in summary["errors"], (plan, summary)
-        return summaries + (stats,)
+        degraded = sum(
+            any(_is_degradation(r) for r in rows)
+            for terminal, rows in fault
+            if terminal is not None and terminal.get("cache") == "miss"
+        )
+        return summaries + (degraded,)
 
     def test_baseline_answers_everything(self):
         fault, repeat, _ = self._run("baseline")
@@ -608,9 +601,10 @@ class TestAvailabilityMatrix:
         assert repeat["availability"] == 1.0
 
     def test_worker_kills_are_absorbed_by_retries(self):
-        fault, _, stats = self._run("worker_kill")
+        # The retries are the pool ladder's rebuilds, below the server.
+        fault, _, degraded = self._run("worker_kill")
         assert fault["availability"] == 1.0
-        assert stats.worker_deaths >= 2
+        assert degraded >= 2
 
     def test_deadlines_fire_then_repeats_hit_the_filled_cache(self):
         fault, repeat, _ = self._run("slow_deadline")

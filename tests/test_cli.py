@@ -100,6 +100,17 @@ class TestCLICommands:
         with pytest.raises(SystemExit):
             main(["detect", "--pattern", "c5", "--graph", "cycle"])
 
+    @pytest.mark.parametrize("flag", [
+        "--submit-retries", "--breaker-threshold",
+        "--breaker-backoff-base", "--breaker-backoff-cap",
+    ])
+    def test_removed_serve_flags_exit_2(self, flag):
+        # Pool failures have one ladder, in run_amplified; the server's
+        # own retry knobs are gone and must fail loudly.
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--port", "0", flag, "1"])
+        assert err.value.code == 2
+
     def test_construct_hk(self, capsys, tmp_path):
         out_file = tmp_path / "hk.edges"
         rc = main(["construct", "--which", "hk", "--k", "2", "--out", str(out_file)])
