@@ -28,9 +28,9 @@ python -m repro lint src/ --deep || fail=1
 if python -c "import ruff" >/dev/null 2>&1 || command -v ruff >/dev/null 2>&1; then
     step "ruff (permissive baseline)"
     if command -v ruff >/dev/null 2>&1; then
-        ruff check src tests benchmarks || fail=1
+        ruff check src tests || fail=1
     else
-        python -m ruff check src tests benchmarks || fail=1
+        python -m ruff check src tests || fail=1
     fi
 else
     step "ruff: SKIP (not installed)"

@@ -180,8 +180,10 @@ def _discard_pool(
 
     With ``pool`` given, only if the registry still holds that pool: a
     concurrent caller may already have discarded it and registered a
-    healthy rebuild, which must not be torn down under its users.
+    healthy rebuild, which must not be torn down under its users.  Only
+    :func:`shutdown_pools` cancels queued chunks; a caller cancels its own.
     """
+    cancel = pool is None
     with _POOL_LOCK:
         if pool is None or _POOLS.get(jobs) is pool:  # repro: noqa[L8]
             pool = _POOLS.pop(jobs, None)  # repro: noqa[L8]
@@ -189,7 +191,7 @@ def _discard_pool(
             pool = None
     if pool is not None:
         try:
-            pool.shutdown(wait=wait, cancel_futures=True)
+            pool.shutdown(wait=wait, cancel_futures=cancel)
         except Exception:
             # A pool broken by worker death (or half-torn-down by a
             # concurrent shutdown) must not abort the teardown sweep.

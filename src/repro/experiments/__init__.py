@@ -7,10 +7,10 @@ Usage::
     for name in experiments.available():
         print(experiments.run(name).format_report())
 
-Each runner mirrors one benchmark in ``benchmarks/`` (DESIGN.md's index)
-but is a plain library call with sweepable parameters and a typed
+Each runner regenerates one experiment of DESIGN.md's index as a plain
+library call with sweepable parameters and a typed
 :class:`~repro.experiments.common.ExperimentReport` result -- the API a
-downstream user scripts against, without pytest.
+downstream user scripts against, and what tier-1's shape tests assert on.
 """
 
 from typing import Any, Callable, Dict, List

@@ -4,8 +4,8 @@ Each module in :mod:`repro.experiments` regenerates one experiment from the
 paper (see DESIGN.md's index) as a *library call*: ``run(...)`` returns a
 typed result with the measured series, fitted exponents, and a ``verdict``
 comparing against the paper's claim; ``format_report`` renders it for
-humans.  The pytest benchmarks assert the same shapes; these runners exist
-so users can sweep their own parameter ranges without pytest.
+humans.  Tier-1's paper-shape tests assert on these reports at the
+documented parameters; users sweep their own ranges the same way.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ Implements exactly the quantities Section 2 ("Information theory") defines:
   including the paper's abuse of notation ``I(X;Y | Z=z)`` (condition the
   joint on the event first, then take MI).
 
-All functions take a :class:`~repro.infotheory.distributions.JointDistribution`
+Most functions take a :class:`~repro.infotheory.distributions.JointDistribution`
 and variable *names*, so expressions read like the paper:
 ``mutual_information(mu, ["X_bc"], ["M_ba", "M_ca"], given=["N_a"])``.
 """
@@ -19,12 +19,15 @@ from __future__ import annotations
 import math
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
 from .distributions import JointDistribution
 
 __all__ = [
     "entropy",
     "conditional_entropy",
     "mutual_information",
+    "independent_pair_mutual_information",
     "conditional_mutual_information",
     "binary_entropy",
     "kl_divergence",
@@ -33,6 +36,7 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+_BLOCK_CELLS = 1 << 20  # 8 MB of float64 per H(B, C) block
 
 
 def binary_entropy(p: float) -> float:
@@ -77,6 +81,23 @@ def mutual_information(
     else:
         val = entropy(dist, x) - conditional_entropy(dist, x, y)
     return max(0.0, val)
+
+
+def independent_pair_mutual_information(cond_b: Any, cond_c: Any) -> float:
+    """``I(X; B, C) = H(B, C) - H(B | X) - H(C | X)`` for uniform ``X`` and
+    ``B``, ``C`` independent given ``X``, from ``cond_b[x, b] = p(b | x)``
+    and ``cond_c[x, c]``.  ``H(B, C)`` is summed in blocks of ``_BLOCK_CELLS``
+    cells, so the product joint :func:`mutual_information` needs is never built.
+    """
+
+    def h(p: np.ndarray) -> float:
+        p = p[p > _EPS]
+        return float(-np.sum(p * np.log2(p)))
+
+    cond_b, cond_c = np.asarray(cond_b, float), np.asarray(cond_c, float)
+    w, step = 1.0 / len(cond_b), max(1, _BLOCK_CELLS // cond_c.shape[1])
+    h_bc = sum(h(w * cond_b[:, i:i + step].T @ cond_c) for i in range(0, cond_b.shape[1], step))
+    return max(0.0, h_bc - w * (h(cond_b) + h(cond_c)))
 
 
 def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:

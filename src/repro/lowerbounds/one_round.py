@@ -34,7 +34,6 @@ the two curves cross.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -42,8 +41,7 @@ import numpy as np
 
 from ..core.triangle import OneRoundProtocol, run_one_round_protocol
 from ..graphs.template_graph import sample_input
-from ..infotheory.distributions import JointDistribution
-from ..infotheory.entropy import binary_entropy, mutual_information
+from ..infotheory.entropy import binary_entropy, independent_pair_mutual_information
 
 __all__ = [
     "decision_information",
@@ -219,36 +217,23 @@ def pinned_world_mi(
         if sample.has_duplicate_ids():
             continue
         worlds += 1
-        inp_b = sample.inputs["b"]
-        inp_c = sample.inputs["c"]
-        dist_b = _message_distribution(
-            protocol,
-            inp_b.ids,
-            inp_b.own_id,
-            pinned={inp_b.partner_index["a"]: 1},
-            x_bc_index=inp_b.partner_index["c"],
-            n_free_max=n_free_max,
-            rng=rng,
-        )
-        dist_c = _message_distribution(
-            protocol,
-            inp_c.ids,
-            inp_c.own_id,
-            pinned={inp_c.partner_index["a"]: 1},
-            x_bc_index=inp_c.partner_index["b"],
-            n_free_max=n_free_max,
-            rng=rng,
-        )
-        # Joint: X_bc uniform; M_ba, M_ca independent given X_bc.
-        pmf: Dict[Tuple, float] = {}
-        for b in (0, 1):
-            for mb, pb in dist_b[b].items():
-                for mc, pc in dist_c[b].items():
-                    key = (b, mb, mc)
-                    pmf[key] = pmf.get(key, 0.0) + 0.5 * pb * pc
-                    max_bits = max(max_bits, len(mb), len(mc))
-        joint = JointDistribution(("x_bc", "m_ba", "m_ca"), pmf)
-        mis.append(mutual_information(joint, ["x_bc"], ["m_ba", "m_ca"]))
+        # X_bc uniform; M_ba, M_ca independent given X_bc.
+        tables = []
+        for sender, other in (("b", "c"), ("c", "b")):
+            inp = sample.inputs[sender]
+            dist = _message_distribution(
+                protocol,
+                inp.ids,
+                inp.own_id,
+                pinned={inp.partner_index["a"]: 1},
+                x_bc_index=inp.partner_index[other],
+                n_free_max=n_free_max,
+                rng=rng,
+            )
+            msgs = sorted(dist[0].keys() | dist[1].keys())
+            max_bits = max(max_bits, *map(len, msgs))
+            tables.append([[dist[b].get(m, 0.0) for m in msgs] for b in (0, 1)])
+        mis.append(independent_pair_mutual_information(*tables))
     if not mis:
         raise RuntimeError("no duplicate-free worlds sampled; enlarge id_space")
     return PinnedWorldMI(

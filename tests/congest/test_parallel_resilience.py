@@ -12,6 +12,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -297,6 +298,36 @@ class TestSharedPoolBreaks:
         try:
             assert _POOLS[2] is rebuilt
             assert rebuilt.submit(abs, -3).result(timeout=30) == 3
+        finally:
+            shutdown_pools()
+
+    def test_a_timed_out_sibling_does_not_cancel_queued_chunks(self):
+        # A's hung worker times out and A discards the shared pool while
+        # B's chunks still wait in its queue: they must run to a result,
+        # not surface as CancelledError.
+        shutdown_pools()
+        kw = dict(KW, iterations=400)
+        outcomes = {}
+
+        def call(name, factory, **extra):
+            try:
+                outcomes[name] = run_amplified(GRAPH, factory, jobs=2, **extra)
+            except BaseException as exc:  # surfaced by the assertion below
+                outcomes[name] = exc
+
+        a = threading.Thread(target=call, args=("a", _sleep_factory),
+                             kwargs=dict(KW, worker_timeout=0.3))
+        b = threading.Thread(target=call, args=("b", _factory), kwargs=kw)
+        try:
+            a.start()
+            time.sleep(0.05)
+            b.start()
+            a.join(60)
+            b.join(60)
+            for name in "ab":
+                assert not isinstance(outcomes[name], BaseException), outcomes[name]
+            _same_outcome(outcomes["a"], _reference())
+            _same_outcome(outcomes["b"], run_amplified(GRAPH, _factory, jobs=1, **kw))
         finally:
             shutdown_pools()
 

@@ -113,3 +113,30 @@ class TestDispatch:
             out = detect(g, pat, seed=seed, max_iterations=50)
             if out.detected:
                 assert contains_subgraph(pat, g)
+
+
+class TestLandscape:
+    """OV: the paper's complexity landscape through the one-call
+    dispatcher -- every pattern class routed on one 48-node host."""
+
+    def test_landscape_is_one_sided_and_exact_where_deterministic(self):
+        host = gen.erdos_renyi(48, 0.12, np.random.default_rng(3))
+        patterns = {
+            "P_4 (tree)": gen.path(4),
+            "K_1,3 (star)": nx.star_graph(3),
+            "K_3 (triangle)": gen.clique(3),
+            "K_4 (clique)": gen.clique(4),
+            "C_4 (even cycle)": gen.cycle(4),
+            "C_6 (even cycle)": gen.cycle(6),
+            "C_5 (odd cycle)": gen.cycle(5),
+            "theta(2,2,2) (general)": gen.theta_graph([2, 2, 2]),
+        }
+        for name, pat in patterns.items():
+            out = detect(host, pat, seed=5, max_iterations=500)
+            truth = contains_subgraph(pat, host)
+            # One-sidedness: a positive is always real.
+            if out.detected:
+                assert truth, name
+            # Deterministic routes must equal the truth outright.
+            if out.pattern_class in ("triangle", "clique", "general"):
+                assert out.detected == truth, name

@@ -1,5 +1,6 @@
 """Tests for the Theorem 1.1 even-cycle detection algorithm."""
 
+import functools
 import math
 
 import networkx as nx
@@ -178,3 +179,101 @@ class TestReportFields:
                 bandwidth=2,
                 color_source=planted_oracle(g, verts, 2),
             )
+
+
+# -- A1: ablations of the Theorem 1.1 design choices (DESIGN.md §4) ------
+# Each removes one load-bearing part of the Section 6 algorithm and shows
+# the failure the paper's analysis predicts.  Cached: EXPERIMENTS.md quotes
+# these measurements (tests/test_paper_shapes.py checks them).
+
+
+@functools.cache
+def phase1_ablation():
+    """(detected with Phase I, without) on a C_6 whose vertices all have
+    degree >= sqrt(|V|), the k=3 threshold: Phase II deletes such nodes."""
+    g = nx.cycle_graph(6)
+    for v in range(6):
+        g.add_edges_from((v, 6 + 12 * v + i) for i in range(12))  # 12 leaves each
+    assert all(g.degree(v) >= math.ceil(g.number_of_nodes() ** 0.5) for v in range(6))
+    src = OracleColorSource(3, proper_coloring_for_cycle(list(range(6)), 3), default=5)
+    return tuple(
+        detect_even_cycle(g, 3, iterations=1, color_source=src, enable_phase1=p1).detected
+        for p1 in (True, False)
+    )
+
+
+@functools.cache
+def layer_filter_traffic():
+    """``{layer_filter: (prefixes enqueued, peak queue)}`` over 3 iterations.
+    The filter bites only when the decomposition has several layers: a
+    dense core on a sparse fringe, with a lean budget putting τ below the
+    core degrees."""
+    rng = np.random.default_rng(5)
+    core = gen.erdos_renyi(60, 0.25, rng)
+    fringe = gen.erdos_renyi(120, 0.02, np.random.default_rng(7))
+    g = nx.disjoint_union(
+        nx.convert_node_labels_to_integers(core), nx.convert_node_labels_to_integers(fringe)
+    )
+    for i in range(60, 180, 3):
+        g.add_edge(i, int(rng.integers(0, 60)))
+    traffic = {}
+    for layer_filter in (True, False):
+        rep = detect_even_cycle(g, 2, iterations=3, seed=9, layer_filter=layer_filter,
+                                stop_on_detect=False, keep_results=True, edge_constant=0.3)
+        states = [ctx.state for res in rep.results for ctx in res.contexts.values()]
+        traffic[layer_filter] = (sum(st.get("pfx_enqueued", 0) for st in states),
+                                 max(st.get("max_pfx_queue", 0) for st in states))
+    return traffic
+
+
+@functools.cache
+def budget_constant_sweep():
+    """``(constant, M, |E|, schedule rounds, detected)`` per edge-budget
+    constant on the C_4-free PG(2,3) incidence graph."""
+    from repro.graphs.extremal import projective_plane_incidence
+
+    g = projective_plane_incidence(3)
+    rows = []
+    for c in (0.2, 1.0, 4.0, 16.0):
+        sched = IterationSchedule.build(g.number_of_nodes(), 2, c)
+        rep = detect_even_cycle(g, 2, iterations=10, seed=1, edge_constant=c)
+        rows.append((c, sched.edge_budget, g.number_of_edges(), sched.total_rounds, rep.detected))
+    return tuple(rows)
+
+
+@functools.cache
+def starved_budget_run():
+    """K_30 (which has C_4s) under a starved edge budget."""
+    return detect_even_cycle(gen.clique(30), 2, iterations=3, seed=0, edge_constant=0.2)
+
+
+class TestAblations:
+    def test_phase1_required_for_high_degree_cycles(self):
+        assert phase1_ablation() == (True, False)  # Corollary 6.2's case is Phase I's
+
+    def test_layer_filter_caps_queue_growth(self):
+        """Without the ℓ(u0) >= ℓ(v) filter more prefixes flow: a node's
+        load is no longer capped by its up-degree, the quantity behind the
+        Phase II round bound ``d * n^{δ(k-2)}``."""
+        (on_total, on_peak), (off_total, off_peak) = (layer_filter_traffic()[f] for f in (1, 0))
+        assert off_total > on_total and off_peak >= on_peak
+
+    def test_detection_survives_without_filter(self):
+        """The filter buys the round bound, not completeness."""
+        g, verts = gen.planted_cycle_graph(40, 4, 0.02, np.random.default_rng(2))
+        src = planted_oracle(g, verts, 2)
+        assert detect_even_cycle(g, 2, iterations=1, color_source=src, layer_filter=False).detected
+
+    def test_budget_constant_latency_trade(self):
+        """Every phase budget scales with M, so the schedule grows with the
+        assumed Turán constant; and no constant may falsely reject the
+        C_4-free PG(2,3) (a rejection certifies a cycle or |E| > M)."""
+        rows = budget_constant_sweep()
+        assert all(r[4] is False for r in rows)
+        scheds = [r[3] for r in rows]
+        assert scheds == sorted(scheds) and scheds[-1] > 5 * scheds[0]
+
+    def test_budget_escape_hatch_fires_on_real_overload(self):
+        """On a graph really too dense for the budget the escape hatch
+        (queue overflow / unassigned layer) fires, soundly: K_30 has C_4s."""
+        assert starved_budget_run().detected

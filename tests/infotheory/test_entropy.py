@@ -2,6 +2,7 @@
 identities the Section 5 proof manipulates."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from repro.infotheory import (
     entropy,
     mutual_information,
 )
+from repro.infotheory.entropy import independent_pair_mutual_information
 
 
 def random_joint(rng, n_vars=3, support=2):
@@ -126,6 +128,42 @@ class TestMutualInformation:
         rng = np.random.default_rng(11)
         d = random_joint(rng, n_vars=2, support=4)  # v1 plays a 2-bit message
         assert mutual_information(d, ["v0"], ["v1"]) <= 2.0 + 1e-9
+
+
+def _conditional_table(draw, width):
+    """Two rows (X = 0, 1) of ``width`` cells, each row summing to 1;
+    zero cells allowed, all-zero rows not."""
+    rows = []
+    for _ in range(2):
+        w = draw(st.lists(st.integers(0, 4), min_size=width, max_size=width)
+                 .filter(any))
+        rows.append([v / sum(w) for v in w])
+    return rows
+
+
+class TestIndependentPairMutualInformation:
+    """The product-free path Lemma 5.4's pinned worlds use, pinned to the
+    dict reference on the product joint it never builds."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_product_joint_reference(self, data):
+        cond_b = _conditional_table(data.draw, data.draw(st.integers(1, 6)))
+        cond_c = _conditional_table(data.draw, data.draw(st.integers(1, 6)))
+        pmf = {}
+        for x in (0, 1):
+            for b, pb in enumerate(cond_b[x]):
+                for c, pc in enumerate(cond_c[x]):
+                    if pb * pc > 0:
+                        pmf[(x, b, c)] = 0.5 * pb * pc
+        ref = mutual_information(
+            JointDistribution(("x", "mb", "mc"), pmf), ["x"], ["mb", "mc"]
+        )
+        # Small blocks exercise the blocked H(M_b, M_c) sum.
+        block = data.draw(st.sampled_from([1, 2, 5, 1 << 20]))
+        with mock.patch("repro.infotheory.entropy._BLOCK_CELLS", block):
+            got = independent_pair_mutual_information(cond_b, cond_c)
+        assert abs(got - ref) <= 1e-12
 
 
 class TestConditionalEvents:

@@ -22,7 +22,7 @@ class TestRegistry:
 
 class TestRunnersReproduce:
     """Every runner, at reduced parameters, must still report 'reproduced'.
-    (Full-size parameter sweeps are the benchmarks' job.)"""
+    (The full-size sweeps are tests/test_paper_shapes.py.)"""
 
     def test_e1(self):
         rep = experiments.run("e1", k=2, ns=[2**i for i in range(7, 13)])
