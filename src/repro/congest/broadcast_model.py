@@ -17,7 +17,13 @@ Of the algorithms in this repo, the color-coded BFS detectors are
 *naturally* broadcast algorithms (they send the same token to every
 neighbor), so Theorem 1.1 and the linear baseline run unchanged in the
 weaker model -- a fact worth a test, since it mirrors [18]'s observation
-that much of cycle detection is broadcast-friendly.
+that much of cycle detection is broadcast-friendly.  Under a
+``model="broadcast"`` policy the check holds on every amplified seed:
+the detectors have one amplification path
+(:meth:`repro.runtime.session.RunSession.amplify`), whose chunks build
+their network through the one model dispatch
+(:func:`repro.congest.parallel.build_network`) at any ``jobs`` and with
+the adaptive ``amplify_*`` knobs set.
 """
 
 from __future__ import annotations

@@ -56,10 +56,12 @@ before degrading to the inline serial path -- which is bit-identical to
 the parallel merge, so the degradation costs wall-clock only.  Chunks
 that finished before the break are harvested from their futures and
 never recomputed; a rebuilt attempt resubmits only the true holes.  A
-``worker_timeout`` bounds each chunk wait; on expiry the (possibly hung)
-pool is discarded, finished-but-uncollected results are harvested, and
-the remaining holes are salvaged inline, preserving the
-first-rejecting-seed merge exactly.  ``KeyboardInterrupt`` cancels
+``worker_timeout`` bounds each chunk wait; on expiry finished-but-
+uncollected results are harvested, the (possibly hung) pool is discarded
+and its workers killed -- so a concurrent caller's chunks queued behind
+the hung worker fail fast into that caller's own rebuild rung -- and the
+remaining holes are salvaged inline, preserving the first-rejecting-seed
+merge exactly.  ``KeyboardInterrupt`` cancels
 outstanding futures and tears the pool down before propagating, so Ctrl-C
 never leaks worker processes.  Fault plans ride along in the chunk specs:
 workers inject the same deterministic schedule the inline path would.
@@ -94,13 +96,17 @@ from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tupl
 import networkx as nx
 
 from .algorithm import Algorithm, Decision
+from .broadcast_model import BroadcastNetwork
+from .congested_clique import CongestedClique
 from .identifiers import identifier_order
+from .local_model import LocalNetwork
 from .network import CongestNetwork, ExecutionResult
 from .sanitizer import check_pool_crossing
 
 __all__ = [
     "IterationOutcome",
     "AmplifiedOutcome",
+    "build_network",
     "prefix_outcome",
     "run_amplified",
     "shutdown_pools",
@@ -163,18 +169,20 @@ _POOL_LOCK = threading.RLock()
 
 
 def _get_pool(jobs: int) -> ProcessPoolExecutor:
-    # The registry is parent-side state reached through the engine's
-    # *thread* pool (no fork boundary); access is serialized by the lock.
+    # Parent-side state shared by engine threads; the lock serializes it.
     with _POOL_LOCK:
-        pool = _POOLS.get(jobs)  # repro: noqa[L8]
+        pool = _POOLS.get(jobs)
         if pool is None:
             pool = _Pool(max_workers=jobs)
-            _POOLS[jobs] = pool  # repro: noqa[L8]
+            _POOLS[jobs] = pool
         return pool
 
 
 def _discard_pool(
-    jobs: int, wait: bool = False, pool: Optional[ProcessPoolExecutor] = None
+    jobs: int,
+    wait: bool = False,
+    pool: Optional[ProcessPoolExecutor] = None,
+    kill: bool = False,
 ) -> None:
     """Pop the registry's ``jobs`` pool and shut it down.
 
@@ -182,11 +190,21 @@ def _discard_pool(
     concurrent caller may already have discarded it and registered a
     healthy rebuild, which must not be torn down under its users.  Only
     :func:`shutdown_pools` cancels queued chunks; a caller cancels its own.
+
+    ``kill`` (the timeout rung) also kills ``pool``'s worker processes.
+    A hung worker never returns on its own, and a concurrent caller's
+    chunks queued behind it would wait as long; killed, the pool breaks,
+    every pending future fails with :class:`BrokenProcessPool`, and each
+    caller takes its own rebuild rung.
     """
     cancel = pool is None
+    if kill and pool is not None:
+        # The executor's worker table; None once it has been shut down.
+        for proc in list((getattr(pool, "_processes", None) or {}).values()):
+            proc.kill()
     with _POOL_LOCK:
-        if pool is None or _POOLS.get(jobs) is pool:  # repro: noqa[L8]
-            pool = _POOLS.pop(jobs, None)  # repro: noqa[L8]
+        if pool is None or _POOLS.get(jobs) is pool:
+            pool = _POOLS.pop(jobs, None)
         else:
             pool = None
     if pool is not None:
@@ -301,18 +319,17 @@ def _shipping(token: str) -> Iterator[None]:
     On the last exit, unlink the export if the LRU already evicted its
     network.
     """
-    # Parent-only bookkeeping (workers never ship handles); the L8 pass
-    # sees it only because ``run_amplified`` itself is in the pool closure.
+    # Parent-only bookkeeping: workers never ship handles.
     with _NET_LOCK:
-        _SHIPPING[token] = _SHIPPING.get(token, 0) + 1  # repro: noqa[L8]
+        _SHIPPING[token] = _SHIPPING.get(token, 0) + 1
     try:
         yield
     finally:
         with _NET_LOCK:
-            left = _SHIPPING.pop(token) - 1  # repro: noqa[L8]
+            left = _SHIPPING.pop(token) - 1
             if left:
-                _SHIPPING[token] = left  # repro: noqa[L8]
-            elif token not in _NET_CACHE:  # repro: noqa[L8]
+                _SHIPPING[token] = left
+            elif token not in _NET_CACHE:
                 from .shm import release_export
 
                 release_export(token)
@@ -342,15 +359,46 @@ _DIGESTS: "weakref.WeakKeyDictionary[Any, Tuple[bytes, _Snapshot]]" = (
 _keys = operator.methodcaller("keys")
 
 
+def build_network(
+    model: str, graph: nx.Graph, bandwidth: Optional[int], **kwargs: Any
+) -> CongestNetwork:
+    """The one model dispatch: ``model``'s network over ``graph``.
+
+    :meth:`repro.runtime.session.RunSession.network` and every amplified
+    chunk build through it, so a policy's model holds at every ``jobs``.
+    Extra kwargs (assignment, namespace_size, inputs, ...) pass through
+    to the network class.  LOCAL ignores ``bandwidth`` by construction;
+    the congested clique requires one (its classical ``B = Θ(log n)``).
+    """
+    if model == "congest":
+        return CongestNetwork(graph, bandwidth=bandwidth, **kwargs)
+    if model == "broadcast":
+        return BroadcastNetwork(graph, bandwidth=bandwidth, **kwargs)
+    if model == "local":
+        return LocalNetwork(graph, **kwargs)
+    if model == "clique":
+        if bandwidth is None:
+            raise ValueError(
+                "the congested clique needs an explicit bandwidth "
+                "(policy.bandwidth or the bandwidth argument)"
+            )
+        return CongestedClique(graph, bandwidth=bandwidth, **kwargs)
+    raise ValueError(f"unknown model {model!r}")
+
+
 def _net_token(
-    graph: nx.Graph, bandwidth: Optional[int], network_kwargs: Dict[str, Any]
+    graph: nx.Graph,
+    bandwidth: Optional[int],
+    network_kwargs: Dict[str, Any],
+    model: str = "congest",
 ) -> str:
     """Content token for the parent- and worker-side network cache.
 
     Two calls get the same token exactly when they would build the same
-    network: same bandwidth, same kwargs, same graph digest.
+    network: same model, same bandwidth, same kwargs, same graph digest.
     """
     h = hashlib.blake2b(digest_size=16)
+    h.update(model.encode())
     h.update(repr(bandwidth).encode())
     h.update(repr(sorted(network_kwargs.items())).encode())
     h.update(_graph_digest(graph))
@@ -504,20 +552,21 @@ def _run_chunk(spec: Dict[str, Any]) -> List[IterationOutcome]:
 
     Module-level so it pickles under every multiprocessing start method.
     A ``net_token`` in the spec enables the worker-side LRU: the network
-    is constructed once per (graph, bandwidth, kwargs) per worker and
-    reused across chunks and across :func:`run_amplified` calls.
+    is constructed once per (model, graph, bandwidth, kwargs) per worker
+    and reused across chunks and across :func:`run_amplified` calls.
     """
     def build() -> CongestNetwork:
         handle = spec.get("shm_graph")
         if handle is not None:
-            # Shared-graph spec: attach to the parent's exported CSR
-            # arrays instead of rebuilding the network from a pickled
-            # graph (namespace_size / knows_n travel in the handle).
+            # Shared-graph spec (CONGEST only): attach to the parent's
+            # exported CSR arrays instead of rebuilding the network from a
+            # pickled graph (namespace_size / knows_n travel in the handle).
             from .shm import attach_network
 
             return attach_network(handle, bandwidth=spec["bandwidth"])
-        return CongestNetwork(
-            spec["graph"], bandwidth=spec["bandwidth"], **spec["network_kwargs"]
+        return build_network(
+            spec["model"], spec["graph"], spec["bandwidth"],
+            **spec["network_kwargs"],
         )
 
     token = spec.get("net_token")
@@ -530,7 +579,8 @@ def _run_chunk(spec: Dict[str, Any]) -> List[IterationOutcome]:
             max_rounds=spec["max_rounds"],
             seed=spec["seed"] + t,
             metrics=spec["metrics"],
-            faults=spec.get("faults"),
+            sanitize=spec["sanitize"],
+            faults=spec["faults"],
         )
         out.append(_summarize(t, res))
         if res.rejected and spec["stop_on_detect"]:
@@ -625,6 +675,8 @@ def run_amplified(
     bandwidth: Optional[int],
     max_rounds: int,
     metrics: str = "lite",
+    model: str = "congest",
+    sanitize: bool = False,
     stop_on_detect: bool = True,
     chunks_per_job: int = 4,
     network_kwargs: Optional[Dict[str, Any]] = None,
@@ -646,10 +698,10 @@ def run_amplified(
     Semantically equivalent -- decision, witness set, per-iteration
     aggregates -- to the sequential loop::
 
-        net = CongestNetwork(graph, bandwidth=bandwidth, **network_kwargs)
+        net = build_network(model, graph, bandwidth, **network_kwargs)
         for t in range(iterations):
             res = net.run(algo_factory(t), max_rounds, seed=seed + t,
-                          metrics=metrics, faults=faults)
+                          metrics=metrics, sanitize=sanitize, faults=faults)
             if res.rejected and stop_on_detect:
                 break
 
@@ -657,6 +709,9 @@ def run_amplified(
     process pool (reused across calls, see the module docstring); the
     first-rejecting-seed merge keeps the output independent of ``jobs``.
     ``jobs <= 1`` runs inline with no executor (the exact sequential path).
+    ``model`` and ``sanitize`` ride in every chunk spec, like ``metrics``
+    and ``faults``, so the model's restriction and the sanitizer's audit
+    hold on every seed, inline or in a worker.
 
     Resilience knobs (all on the parallel path only):
 
@@ -667,9 +722,9 @@ def run_amplified(
         bounded: the retry count caps the total wait).
     ``worker_timeout``
         Seconds to wait on each chunk future; ``None`` waits forever.
-        On expiry the pool is discarded (a hung worker poisons it) and
-        every unfinished chunk is salvaged inline, so the merged outcome
-        is still exactly the sequential one.
+        On expiry the pool is discarded and its workers are killed (a
+        hung worker poisons it) and every unfinished chunk is salvaged
+        inline, so the merged outcome is still exactly the sequential one.
     ``on_degrade``
         Optional callback invoked (parent-side) with a dict describing
         each degradation step taken -- pool rebuilds, the serial
@@ -683,11 +738,11 @@ def run_amplified(
         :mod:`repro.congest.shm`).  ``None`` (default) auto-enables for
         graphs with at least ``GRAPH_SHARE_MIN_NODES`` nodes when the
         network is built from the graph alone (plus ``namespace_size`` /
-        ``knows_n``); ``True`` forces sharing (and raises
-        :class:`ValueError` for ineligible ``network_kwargs`` -- custom
-        ``inputs`` / ``assignment`` never ride shared memory); ``False``
-        always pickles the graph.  Sharing changes wall-clock and peak
-        RSS only, never outcomes.
+        ``knows_n``) under ``model="congest"``; ``True`` forces sharing
+        (and raises :class:`ValueError` for another model or ineligible
+        ``network_kwargs`` -- custom ``inputs`` / ``assignment`` never
+        ride shared memory); ``False`` always pickles the graph.  Sharing
+        changes wall-clock and peak RSS only, never outcomes.
 
     Adaptive stopping knobs (see the module docstring):
 
@@ -724,22 +779,24 @@ def run_amplified(
         raise ValueError("batch_seeds must be >= 1")
     network_kwargs = dict(network_kwargs or {})
 
-    # Sharing eligibility: only networks fully determined by (graph,
-    # bandwidth, namespace_size, knows_n) can be rebuilt from the CSR
-    # arrays alone -- custom inputs / assignments would be silently lost.
-    shareable_kwargs = set(network_kwargs) <= {"namespace_size", "knows_n"}
-    if share_graph and not shareable_kwargs:
+    # Sharing eligibility: only CONGEST networks fully determined by
+    # (graph, bandwidth, namespace_size, knows_n) can be rebuilt from the
+    # CSR arrays alone -- another model's network class, custom inputs or
+    # assignments would be silently lost.
+    shareable = model == "congest" and set(network_kwargs) <= {
+        "namespace_size", "knows_n"
+    }
+    if share_graph and not shareable:
         raise ValueError(
-            "share_graph=True requires a network built from the graph "
-            "alone (plus namespace_size / knows_n); custom network_kwargs "
-            "cannot ride shared memory"
+            "share_graph=True requires a CONGEST network built from the "
+            "graph alone (plus namespace_size / knows_n); other models and "
+            "custom network_kwargs cannot ride shared memory"
         )
     if share_graph is None:
         from .shm import GRAPH_SHARE_MIN_NODES
 
         share_graph = (
-            shareable_kwargs
-            and graph.number_of_nodes() >= GRAPH_SHARE_MIN_NODES
+            shareable and graph.number_of_nodes() >= GRAPH_SHARE_MIN_NODES
         )
 
     cap = iterations if max_seeds is None else min(iterations, max_seeds)
@@ -766,12 +823,14 @@ def run_amplified(
         "bandwidth": bandwidth,
         "max_rounds": max_rounds,
         "metrics": metrics,
+        "model": model,
+        "sanitize": sanitize,
         "stop_on_detect": stop_on_detect,
         "network_kwargs": network_kwargs,
         "faults": faults,
         # Parent- and worker-side network LRU alike key off this token,
         # so serial and parallel paths share construction reuse.
-        "net_token": _net_token(graph, bandwidth, network_kwargs),
+        "net_token": _net_token(graph, bandwidth, network_kwargs, model),
     }
 
     def _finish(
@@ -912,8 +971,9 @@ def _resilient_chunks(
         )
         if timed_out:
             # A worker blew its deadline and may hang forever; the pool
-            # was discarded (a wedged worker would stall every later
-            # caller), and the holes are recomputed inline.
+            # was discarded and its workers killed (a wedged worker would
+            # stall every later caller), and the holes are recomputed
+            # inline.
             salvaged = _salvage(results, specs, stop_on_detect)
             _notify(
                 on_degrade,
@@ -1032,7 +1092,7 @@ def _submit_and_gather(
     finally:
         if timed_out or broken:
             _harvest_done(futures, results)
-            _discard_pool(jobs, pool=pool)
+            _discard_pool(jobs, pool=pool, kill=timed_out)
         for fut in futures.values():
             fut.cancel()
     return timed_out, broken
@@ -1083,7 +1143,7 @@ def _merge(
         raise RuntimeError(f"amplification lost iterations {missing[:5]}")
     # Parent-side merge: the outcome never crosses into a worker, and its
     # fields are deliberately settable post-merge (stop_reason, targets).
-    return AmplifiedOutcome(  # repro: noqa[L8]
+    return AmplifiedOutcome(
         rejected=first_reject is not None,
         first_reject=first_reject,
         iterations_run=iterations_run,

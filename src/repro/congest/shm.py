@@ -110,9 +110,8 @@ def export_network(net: Any, token: str) -> Dict[str, Any]:
     is a small picklable dict -- ship it in chunk specs in place of the
     graph and hand it to :func:`attach_network` worker-side.
     """
-    # Export registry is parent-side only (workers receive the handle
-    # dict); reached via the engine's thread pool, not across a fork.
-    entry = _EXPORTS.get(token)  # repro: noqa[L8]
+    # Export registry is parent-side only (workers receive the handle dict).
+    entry = _EXPORTS.get(token)
     if entry is not None:
         return dict(entry[1])
     grid = net.edge_index()
@@ -132,7 +131,7 @@ def export_network(net: Any, token: str) -> Dict[str, Any]:
         "namespace_size": net.namespace_size,
         "knows_n": net.knows_n,
     }
-    _EXPORTS[token] = (shm, handle, os.getpid())  # repro: noqa[L8]
+    _EXPORTS[token] = (shm, handle, os.getpid())
     return dict(handle)
 
 

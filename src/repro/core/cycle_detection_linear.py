@@ -18,16 +18,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import networkx as nx
 import numpy as np
 
 from ..congest.algorithm import Algorithm, Decision, NodeContext, broadcast
 from ..congest.message import Message, int_width
-from ..congest.network import CongestNetwork, ExecutionResult
-from ..congest.parallel import run_amplified
 from ..congest.vectorized import (
     VEC_ACCEPT,
     VEC_REJECT,
@@ -38,7 +36,6 @@ from ..congest.vectorized import (
     VectorizedAlgorithm,
     first_integers,
 )
-from .color_coding import ColorSource
 
 __all__ = [
     "LinearCycleIterationAlgorithm",
@@ -348,7 +345,6 @@ class LinearCycleReport:
     iterations_run: int
     rounds_per_iteration: int
     total_rounds: int
-    results: List[ExecutionResult] = field(default_factory=list)
     total_bits: int = 0
     total_messages: int = 0
     seeds_requested: int = 0
@@ -380,17 +376,15 @@ def detect_cycle_linear(
     bandwidth: Optional[int] = None,
     color_map: Optional[Mapping[int, int]] = None,
     stop_on_detect: bool = True,
-    keep_results: bool = False,
     session: Optional["RunSession"] = None,
 ) -> LinearCycleReport:
     """Amplified O(n)-baseline detection of ``C_length``.
 
-    The ``session``'s policy ``jobs`` / ``metrics`` mirror
-    :func:`repro.core.even_cycle.detect_even_cycle`: iterations fan out
-    over a process pool with a first-rejecting-seed merge, so the decision
-    is bit-identical to the sequential loop.  ``lane=vectorized`` runs
-    :class:`VectorizedLinearCycle` per iteration (same decisions,
-    witnesses, and bit totals as the object lane).
+    Like :func:`repro.core.even_cycle.detect_even_cycle`, the seeds run
+    through one ``session.amplify`` call, so the decision is bit-identical
+    at any ``jobs`` and the whole policy applies to every seed.
+    ``lane=vectorized`` runs :class:`VectorizedLinearCycle` per iteration
+    (same decisions, witnesses, and bit totals as the object lane).
     """
     from ..runtime.session import use_session
 
@@ -402,84 +396,31 @@ def detect_cycle_linear(
     # A uniform coloring assigns all `length` cycle positions correctly
     # with probability length^(-length); a fixed color_map is
     # deterministic, so one iteration suffices.
-    success_probability = (
-        1.0 if color_map is not None else float(length) ** -length
-    )
-
-    adaptive = not ses.policy.amplification().is_null
-    if ses.policy.jobs > 1 or (adaptive and not keep_results):
-        if keep_results:
-            raise ValueError(
-                "keep_results needs jobs=1: full ExecutionResults are not "
-                "shipped back from worker processes"
-            )
-        factory = _LinearCycleFactory(
+    amp = ses.amplify(
+        graph,
+        _LinearCycleFactory(
             length,
             tuple(sorted(color_map.items())) if color_map is not None else None,
             lane=ses.policy.lane,
-        )
-        amp = ses.amplify(
-            graph,
-            factory,
-            iterations,
-            seed=seed,
-            bandwidth=bandwidth,
-            max_rounds=rounds_per,
-            stop_on_detect=stop_on_detect,
-            label=f"linear-cycle-C{length}",
-            success_probability=success_probability,
-        )
-        return LinearCycleReport(
-            detected=amp.rejected,
-            iterations_run=amp.iterations_run,
-            rounds_per_iteration=rounds_per,
-            total_rounds=amp.iterations_run * rounds_per,
-            results=[],
-            total_bits=amp.total_bits,
-            total_messages=amp.total_messages,
-            seeds_requested=iterations,
-            seeds_saved=amp.seeds_saved,
-            stop_reason=amp.stop_reason,
-        )
-
-    # keep_results pins the sequential loop; of the adaptive knobs only
-    # the max_seeds cap applies here.
-    if ses.policy.amplify_max_seeds is not None:
-        iterations = min(iterations, ses.policy.amplify_max_seeds)
-    net = ses.network(graph, bandwidth=bandwidth)
-    detected = False
-    runs = 0
-    total_bits = 0
-    total_messages = 0
-    results: List[ExecutionResult] = []
-    algo_cls = ses.lane_class(LinearCycleIterationAlgorithm, VectorizedLinearCycle)
-    for t in range(iterations):
-        algo = algo_cls(length, color_map=color_map)
-        res = ses.run(
-            net,
-            algo,
-            max_rounds=rounds_per,
-            seed=seed + t,
-            label=f"linear-cycle-C{length}",
-        )
-        runs += 1
-        total_bits += res.metrics.total_bits
-        total_messages += res.metrics.total_messages
-        if keep_results:
-            results.append(res)
-        if res.rejected:
-            detected = True
-            if stop_on_detect:
-                break
+        ),
+        iterations,
+        seed=seed,
+        bandwidth=bandwidth,
+        max_rounds=rounds_per,
+        stop_on_detect=stop_on_detect,
+        label=f"linear-cycle-C{length}",
+        success_probability=(
+            1.0 if color_map is not None else float(length) ** -length
+        ),
+    )
     return LinearCycleReport(
-        detected=detected,
-        iterations_run=runs,
+        detected=amp.rejected,
+        iterations_run=amp.iterations_run,
         rounds_per_iteration=rounds_per,
-        total_rounds=runs * rounds_per,
-        results=results,
-        total_bits=total_bits,
-        total_messages=total_messages,
+        total_rounds=amp.iterations_run * rounds_per,
+        total_bits=amp.total_bits,
+        total_messages=amp.total_messages,
         seeds_requested=iterations,
-        seeds_saved=iterations - runs,
-        stop_reason="detect" if detected and stop_on_detect else "exhausted",
+        seeds_saved=amp.seeds_saved,
+        stop_reason=amp.stop_reason,
     )

@@ -27,22 +27,28 @@ the cost accounting:
   endpoint used by the deterministic detector on tiny graphs.
 
 :func:`detect_even_cycle_deterministic` runs the Theorem 1.1 algorithm over
-a family, giving a fully deterministic detector (no randomness anywhere:
-the iteration order is fixed) whose completeness on a known cycle follows
-from family coverage.
+a family (one amplification, one iteration per family member), giving a
+fully deterministic detector (no randomness anywhere: the iteration order
+is fixed) whose completeness on a known cycle follows from family
+coverage.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from ..graphs.extremal import is_prime
 from .color_coding import OracleColorSource
-from .even_cycle import DetectionReport, detect_even_cycle
+from .even_cycle import (
+    DetectionReport,
+    EvenCycleIterationAlgorithm,
+    IterationSchedule,
+    required_bandwidth,
+)
 
 __all__ = [
     "next_prime",
@@ -212,6 +218,24 @@ def splitter_family_size(n: int, k: int) -> float:
     return math.e**t * t ** math.ceil(math.log2(t)) * math.ceil(math.log2(n))
 
 
+@dataclass(frozen=True)
+class _FamilyFactory:
+    """Picklable factory: iteration ``t`` colors by the ``t``-th seed."""
+
+    k: int
+    edge_constant: float
+    family: Any
+    seeds: Tuple[Tuple[int, ...], ...]
+
+    def __call__(self, iteration: int) -> EvenCycleIterationAlgorithm:
+        src = OracleColorSource(
+            self.k, self.family.coloring(self.seeds[iteration]), default=0
+        )
+        return EvenCycleIterationAlgorithm(
+            self.k, edge_constant=self.edge_constant, color_source=src
+        )
+
+
 def detect_even_cycle_deterministic(
     graph: nx.Graph,
     k: int,
@@ -225,43 +249,35 @@ def detect_even_cycle_deterministic(
     ``seeds`` index members of ``family`` (defaults to the polynomial
     family sized for the graph).  No randomness is consumed anywhere:
     detection is reproducible bit for bit, and completeness on a cycle is
-    inherited from family coverage of that cycle's vertex set.
+    inherited from family coverage of that cycle's vertex set.  The
+    family walk runs as one amplification (iteration ``t`` colors by
+    ``seeds[t]``), stopping at the first detecting member.
     """
+    from ..runtime.session import use_session
+
     n = graph.number_of_nodes()
     if family is None:
         family = PolynomialColorFamily(n, k)
-    last: Optional[DetectionReport] = None
-    total_rounds = 0
-    iterations = 0
-    for seed in seeds:
-        coloring = family.coloring(seed)
-        src = OracleColorSource(k, coloring, default=0)
-        report = detect_even_cycle(
-            graph,
-            k,
-            iterations=1,
-            color_source=src,
-            bandwidth=bandwidth,
-            edge_constant=edge_constant,
-        )
-        iterations += 1
-        total_rounds += report.total_rounds
-        last = report
-        if report.detected:
-            return DetectionReport(
-                detected=True,
-                iterations_run=iterations,
-                rounds_per_iteration=report.rounds_per_iteration,
-                total_rounds=total_rounds,
-                schedule=report.schedule,
-                witnesses=report.witnesses,
-            )
-    assert last is not None, "empty seed family"
+    sched = IterationSchedule.build(n, k, edge_constant)
+    amp = use_session(None).amplify(
+        graph,
+        _FamilyFactory(k, edge_constant, family, tuple(map(tuple, seeds))),
+        len(seeds),
+        seed=0,
+        bandwidth=bandwidth if bandwidth is not None else required_bandwidth(n, k),
+        max_rounds=sched.total_rounds + 1,
+        label=f"even-cycle-C{2 * k}",
+    )
     return DetectionReport(
-        detected=False,
-        iterations_run=iterations,
-        rounds_per_iteration=last.rounds_per_iteration,
-        total_rounds=total_rounds,
-        schedule=last.schedule,
-        witnesses=[],
+        detected=amp.rejected,
+        iterations_run=amp.iterations_run,
+        rounds_per_iteration=sched.total_rounds,
+        total_rounds=amp.iterations_run * sched.total_rounds,
+        schedule=sched,
+        witnesses=list(amp.witnesses),
+        total_bits=amp.total_bits,
+        total_messages=amp.total_messages,
+        seeds_requested=len(seeds),
+        seeds_saved=amp.seeds_saved,
+        stop_reason=amp.stop_reason,
     )

@@ -39,15 +39,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import networkx as nx
-import numpy as np
 
 from ..congest.algorithm import Algorithm, Decision, NodeContext, broadcast
 from ..congest.message import Message, int_width
-from ..congest.network import CongestNetwork, ExecutionResult
-from ..congest.parallel import run_amplified
 from ..theory.turan import even_cycle_edge_budget
 from .color_coding import ColorSource, RandomColorSource
 from .decomposition import peel_threshold
@@ -478,7 +475,6 @@ class DetectionReport:
     total_rounds: int
     schedule: IterationSchedule
     witnesses: List[Tuple] = field(default_factory=list)
-    results: List[ExecutionResult] = field(default_factory=list)
     total_bits: int = 0
     total_messages: int = 0
     seeds_requested: int = 0
@@ -515,7 +511,6 @@ def detect_even_cycle(
     edge_constant: float = 1.0,
     color_source: Optional[ColorSource] = None,
     stop_on_detect: bool = True,
-    keep_results: bool = False,
     enable_phase1: bool = True,
     layer_filter: bool = True,
     session: Optional["RunSession"] = None,
@@ -528,13 +523,12 @@ def detect_even_cycle(
     ``enable_phase1`` / ``layer_filter`` are ablation switches (see
     :class:`EvenCycleIterationAlgorithm`).
 
-    A ``session`` whose policy has ``jobs > 1`` fans the independent
-    iterations out over a process pool
-    (:func:`repro.congest.parallel.run_amplified`); the first-rejecting-seed
-    merge keeps the decision and witness set bit-identical to the
-    sequential loop.  The policy's ``metrics`` selects the engine's
-    accounting mode (``"lite"`` skips the per-edge ledger; aggregates stay
-    exact).
+    The seeds run through one ``session.amplify`` call, so the whole
+    policy applies at any ``jobs``: ``jobs > 1`` fans the independent
+    iterations out over a process pool with a first-rejecting-seed merge
+    (bit-identical to ``jobs=1``), ``model`` / ``sanitize`` / ``faults``
+    hold on every seed, the adaptive ``amplify_*`` knobs may stop early,
+    and a recorded session gets one ``amplified`` event.
     """
     from ..runtime.session import use_session
 
@@ -546,96 +540,29 @@ def detect_even_cycle(
     # One color-coding iteration finds an existing C_2k with probability
     # at least (2k)^(-2k) (the 2k cycle vertices draw the right colors);
     # this is the success rate the adaptive sequential test amplifies.
-    success_probability = float(2 * k) ** -(2 * k)
-
-    adaptive = not ses.policy.amplification().is_null
-    if ses.policy.jobs > 1 or (adaptive and not keep_results):
-        if keep_results:
-            raise ValueError(
-                "keep_results needs jobs=1: full ExecutionResults are not "
-                "shipped back from worker processes"
-            )
-        factory = _EvenCycleFactory(
+    amp = ses.amplify(
+        graph,
+        _EvenCycleFactory(
             k, edge_constant, color_source, enable_phase1, layer_filter
-        )
-        amp = ses.amplify(
-            graph,
-            factory,
-            iterations,
-            seed=seed,
-            bandwidth=bandwidth,
-            max_rounds=sched.total_rounds + 1,
-            stop_on_detect=stop_on_detect,
-            label=f"even-cycle-C{2 * k}",
-            success_probability=success_probability,
-        )
-        return DetectionReport(
-            detected=amp.rejected,
-            iterations_run=amp.iterations_run,
-            rounds_per_iteration=sched.total_rounds,
-            total_rounds=amp.iterations_run * sched.total_rounds,
-            schedule=sched,
-            witnesses=list(amp.witnesses),
-            results=[],
-            total_bits=amp.total_bits,
-            total_messages=amp.total_messages,
-            seeds_requested=iterations,
-            seeds_saved=amp.seeds_saved,
-            stop_reason=amp.stop_reason,
-        )
-
-    # keep_results pins the sequential loop; of the adaptive knobs only
-    # the max_seeds cap applies here (the confidence stop needs the
-    # amplified path's sequential-test bookkeeping).
-    if ses.policy.amplify_max_seeds is not None:
-        iterations = min(iterations, ses.policy.amplify_max_seeds)
-    net = ses.network(graph, bandwidth=bandwidth)
-    witnesses: List[Tuple] = []
-    results: List[ExecutionResult] = []
-    detected = False
-    iterations_run = 0
-    total_bits = 0
-    total_messages = 0
-    for t in range(iterations):
-        algo = EvenCycleIterationAlgorithm(
-            k,
-            edge_constant=edge_constant,
-            color_source=color_source,
-            enable_phase1=enable_phase1,
-            layer_filter=layer_filter,
-        )
-        res = ses.run(
-            net,
-            algo,
-            max_rounds=sched.total_rounds + 1,
-            seed=seed + t,
-            label=f"even-cycle-C{2 * k}",
-        )
-        iterations_run += 1
-        total_bits += res.metrics.total_bits
-        total_messages += res.metrics.total_messages
-        if keep_results:
-            results.append(res)
-        if res.rejected:
-            detected = True
-            witnesses.extend(
-                ctx.state.get("witness")
-                for ctx in res.contexts.values()
-                if ctx.decision is Decision.REJECT
-            )
-            if stop_on_detect:
-                break
+        ),
+        iterations,
+        seed=seed,
+        bandwidth=bandwidth,
+        max_rounds=sched.total_rounds + 1,
+        stop_on_detect=stop_on_detect,
+        label=f"even-cycle-C{2 * k}",
+        success_probability=float(2 * k) ** -(2 * k),
+    )
     return DetectionReport(
-        detected=detected,
-        iterations_run=iterations_run,
+        detected=amp.rejected,
+        iterations_run=amp.iterations_run,
         rounds_per_iteration=sched.total_rounds,
-        total_rounds=iterations_run * sched.total_rounds,
+        total_rounds=amp.iterations_run * sched.total_rounds,
         schedule=sched,
-        witnesses=witnesses,
-        results=results,
-        total_bits=total_bits,
-        total_messages=total_messages,
+        witnesses=list(amp.witnesses),
+        total_bits=amp.total_bits,
+        total_messages=amp.total_messages,
         seeds_requested=iterations,
-        seeds_saved=iterations - iterations_run,
-        stop_reason="detect" if detected and stop_on_detect else "exhausted",
+        seeds_saved=amp.seeds_saved,
+        stop_reason=amp.stop_reason,
     )

@@ -31,7 +31,6 @@ import networkx as nx
 
 from ..congest.algorithm import Algorithm, Decision, NodeContext, broadcast
 from ..congest.message import Message
-from ..congest.network import CongestNetwork, ExecutionResult
 from ..graphs.properties import girth
 
 __all__ = ["RootedTree", "TreeDetectionIteration", "detect_tree", "TreeDetectionReport"]
@@ -94,24 +93,6 @@ class RootedTree:
             depth=max(depth_of.values()),
             t=n,
         )
-
-
-def _partitions_into(
-    sets: List[Set[FrozenSet[int]]], target: FrozenSet[int]
-) -> bool:
-    """Can we pick one color set per child (from its feasible family),
-    pairwise disjoint, with union exactly ``target``?  Exponential in the
-    (constant) pattern size only."""
-
-    def rec(i: int, remaining: FrozenSet[int]) -> bool:
-        if i == len(sets):
-            return not remaining
-        for s in sets[i]:
-            if s <= remaining and rec(i + 1, remaining - s):
-                return True
-        return False
-
-    return rec(0, target)
 
 
 class TreeDetectionIteration(Algorithm):
@@ -224,6 +205,23 @@ class TreeDetectionReport:
     iterations_run: int
     rounds_per_iteration: int
     total_rounds: int
+    total_bits: int = 0
+    total_messages: int = 0
+    seeds_requested: int = 0
+    seeds_saved: int = 0
+    stop_reason: str = "exhausted"
+
+
+@dataclass(frozen=True)
+class _TreeFactory:
+    """Picklable per-iteration algorithm factory for amplification."""
+
+    pattern: RootedTree
+    color_map: Optional[Tuple[Tuple[int, int], ...]]
+
+    def __call__(self, iteration: int) -> TreeDetectionIteration:
+        cmap = dict(self.color_map) if self.color_map is not None else None
+        return TreeDetectionIteration(self.pattern, color_map=cmap)
 
 
 def detect_tree(
@@ -235,28 +233,44 @@ def detect_tree(
     stop_on_detect: bool = True,
     session: Optional["RunSession"] = None,
 ) -> TreeDetectionReport:
-    """Amplified tree detection; rounds per iteration = depth(T) + 2 = O(1)."""
+    """Amplified tree detection; rounds per iteration = depth(T) + 2 = O(1).
+
+    The seeds run through one ``session.amplify`` call, like the cycle
+    detectors: ``jobs``, the adaptive ``amplify_*`` knobs, ``model``,
+    ``sanitize`` and faults all apply, and the report is identical at
+    any ``jobs``.
+    """
     from ..runtime.session import use_session
 
     ses = use_session(session)
     pat = RootedTree.from_graph(pattern_tree)
-    net = ses.network(graph, bandwidth=None)  # message size is O(1) in n
     rounds_per = pat.depth + 2
-    detected = False
-    runs = 0
-    for i in range(iterations):
-        algo = TreeDetectionIteration(pat, color_map=color_map)
-        res = ses.run(
-            net, algo, max_rounds=rounds_per + 1, seed=seed + i, label="tree-dp"
-        )
-        runs += 1
-        if res.rejected:
-            detected = True
-            if stop_on_detect:
-                break
+    # A present copy is properly colored with probability >= t^(-t) (see
+    # the module docstring); a fixed color_map is deterministic.
+    amp = ses.amplify(
+        graph,
+        _TreeFactory(
+            pat,
+            tuple(sorted(color_map.items())) if color_map is not None else None,
+        ),
+        iterations,
+        seed=seed,
+        bandwidth=None,  # message size is O(1) in n
+        max_rounds=rounds_per + 1,
+        stop_on_detect=stop_on_detect,
+        label="tree-dp",
+        success_probability=(
+            1.0 if color_map is not None else float(pat.t) ** -pat.t
+        ),
+    )
     return TreeDetectionReport(
-        detected=detected,
-        iterations_run=runs,
+        detected=amp.rejected,
+        iterations_run=amp.iterations_run,
         rounds_per_iteration=rounds_per,
-        total_rounds=runs * rounds_per,
+        total_rounds=amp.iterations_run * rounds_per,
+        total_bits=amp.total_bits,
+        total_messages=amp.total_messages,
+        seeds_requested=iterations,
+        seeds_saved=amp.seeds_saved,
+        stop_reason=amp.stop_reason,
     )

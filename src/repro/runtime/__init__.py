@@ -47,7 +47,6 @@ from .governor import GovernorStateStore, PeakHoldGovernor
 from .policy import (
     LANES,
     MODELS,
-    AmplificationPolicy,
     ExecutionPolicy,
     PolicyError,
     seeds_for_confidence,
@@ -68,7 +67,6 @@ __all__ = [
     "ExecutionEngine",
     "default_engine",
     "shutdown_default_engine",
-    "AmplificationPolicy",
     "ExecutionPolicy",
     "PeakHoldGovernor",
     "GovernorStateStore",

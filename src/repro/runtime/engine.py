@@ -1,25 +1,20 @@
 """The execution engine core: submit/await semantics over the runtime.
 
-Before this layer existed, :class:`~repro.runtime.session.RunSession`
-*was* the execution stack: its ``run``/``amplify`` methods owned the
-degradation ladder, the governor observation, and the pool lifecycle,
-and every call blocked the calling thread.  That shape works for one-shot
-CLI invocations but not for a long-lived daemon, where many requests
-must be in flight at once and the session is just one client among many.
-
-:class:`ExecutionEngine` is the extraction.  It owns
+:class:`ExecutionEngine` owns
 
 * the **blocking execution primitives** -- :meth:`execute_run` (one
   engine run under a policy, with the vectorized->object fallback rung)
-  and :meth:`execute_amplify` (the policy-driven fan-out over
-  :func:`~repro.congest.parallel.run_amplified`) -- moved verbatim from
-  the session so behavior is bit-identical;
-* a **submit/await surface**: :meth:`submit`, :meth:`submit_run`, and
-  :meth:`submit_amplify` schedule work on a bounded orchestration thread
-  pool and return :class:`concurrent.futures.Future` objects.  The
-  process-pool workers underneath are shared; the orchestration threads
-  only coordinate (build networks, gather chunk futures), so the bound
-  is about in-flight requests, not CPU;
+  and :meth:`execute_amplify`, the one amplification path: every
+  color-coding detector reaches its seeds through
+  :meth:`RunSession.amplify <repro.runtime.session.RunSession.amplify>`
+  and this method's one :func:`~repro.congest.parallel.run_amplified`
+  call, which gets every policy field that shapes a seed's run;
+* a **submit/await surface**: :meth:`submit` schedules work on a bounded
+  orchestration thread pool and returns a
+  :class:`concurrent.futures.Future`.  The process-pool workers
+  underneath are shared; the orchestration threads only coordinate
+  (build networks, gather chunk futures), so the bound is about
+  in-flight requests, not CPU;
 * the **pool lifecycle**: :meth:`release_pools` tears down the
   persistent amplification pools and shared-memory segments (what an
   owning session's ``close()`` does), and :meth:`shutdown` additionally
@@ -92,7 +87,7 @@ class ExecutionEngine:
         self._lock = threading.Lock()
         self._closed = False
 
-    # -- blocking primitives (extracted from RunSession) ---------------
+    # -- blocking primitives --------------------------------------------
     def execute_run(
         self,
         policy: ExecutionPolicy,
@@ -109,8 +104,7 @@ class ExecutionEngine:
     ) -> ExecutionResult:
         """One engine run of ``algorithm`` on ``net`` under ``policy``.
 
-        This is the execution body :meth:`RunSession.run` used to own:
-        metrics mode, sanitizer and fault plan come from the policy;
+        Metrics mode, sanitizer and fault plan come from the policy;
         ``fallback`` arms the vectorized->object degradation rung (a hard
         numpy fault retries the run on the object lane and reports the
         step through ``on_degrade``); a ``governor`` observes the run's
@@ -164,20 +158,15 @@ class ExecutionEngine:
         max_rounds: int,
         seed: int,
         stop_on_detect: bool = True,
-        chunks_per_job: int = 4,
         network_kwargs: Optional[Dict[str, Any]] = None,
-        share_graph: Optional[bool] = None,
-        pool_retries: int = 2,
-        backoff_base: float = 0.05,
-        worker_timeout: Optional[float] = None,
         success_probability: Optional[float] = None,
         governor: Any = None,
         on_degrade: Optional[Callable[[Dict[str, Any]], None]] = None,
         on_govern: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> AmplifiedOutcome:
-        """Policy-driven amplified fan-out (extracted from
-        :meth:`RunSession.amplify`); bit-identical to the sequential
-        loop regardless of ``policy.jobs``."""
+        """Policy-driven amplified fan-out: :func:`run_amplified` with
+        every policy field that shapes a seed's run; bit-identical to the
+        sequential loop regardless of ``policy.jobs``."""
         return run_amplified(
             graph,
             algo_factory,
@@ -187,14 +176,11 @@ class ExecutionEngine:
             bandwidth=bandwidth,
             max_rounds=max_rounds,
             metrics=policy.metrics,
+            model=policy.model,
+            sanitize=policy.sanitize,
             stop_on_detect=stop_on_detect,
-            chunks_per_job=chunks_per_job,
             network_kwargs=network_kwargs,
-            share_graph=share_graph,
             faults=policy.faults,
-            pool_retries=pool_retries,
-            backoff_base=backoff_base,
-            worker_timeout=worker_timeout,
             on_degrade=on_degrade,
             success_probability=success_probability,
             target_confidence=policy.amplify_confidence,
@@ -226,20 +212,6 @@ class ExecutionEngine:
         pieces are.
         """
         return self._executor().submit(fn, *args, **kwargs)
-
-    def submit_run(self, policy: ExecutionPolicy, net: CongestNetwork,
-                   algorithm: Any, **kwargs: Any) -> Future:
-        """Async variant of :meth:`execute_run` (same arguments)."""
-        return self.submit(self.execute_run, policy, net, algorithm, **kwargs)
-
-    def submit_amplify(self, policy: ExecutionPolicy, graph: nx.Graph,
-                       algo_factory: Callable[[int], Any], iterations: int,
-                       **kwargs: Any) -> Future:
-        """Async variant of :meth:`execute_amplify` (same arguments)."""
-        return self.submit(
-            self.execute_amplify, policy, graph, algo_factory, iterations,
-            **kwargs,
-        )
 
     # -- lifecycle -----------------------------------------------------
     def release_pools(self) -> None:

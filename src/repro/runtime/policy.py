@@ -15,8 +15,9 @@ The combinations rejected here are the ones the engine cannot honor:
   comparison audits the full traffic digest; the lite fast path elides
   exactly the per-message observation it needs.
 * ``jobs > 1`` + ``sanitize=True`` -- sanitized runs re-execute the
-  algorithm in-process for replay comparison; amplified worker chunks
-  never arm the sanitizer, so the combination would silently drop it.
+  algorithm in-process for replay comparison, so a sanitized policy
+  amplifies inline; there every seed of every amplified detector is
+  audited (the chunk spec carries ``sanitize``).
 * ``model="local"`` + a finite ``bandwidth`` -- the LOCAL model *is*
   the unbounded-bandwidth engine; a ``B`` here is a contradiction.
 * ``model="local"`` + ``faults`` -- the LOCAL model abstracts the
@@ -46,7 +47,6 @@ from typing import Any, Dict, Mapping, Optional
 __all__ = [
     "LANES",
     "MODELS",
-    "AmplificationPolicy",
     "ExecutionPolicy",
     "PolicyError",
     "seeds_for_confidence",
@@ -119,38 +119,6 @@ def seeds_for_confidence(confidence: float, success_probability: float) -> int:
 
 
 @dataclass(frozen=True)
-class AmplificationPolicy:
-    """The adaptive-amplification view of a policy.
-
-    ``confidence`` is the sequential-test target: once that many
-    all-accept seeds have run (given the iteration's documented success
-    probability) the amplifier stops spawning seed chunks.  ``max_seeds``
-    caps the seeds run regardless, and ``batch`` fixes the chunk-batch
-    size (defaulting to ``jobs * chunks_per_job``).  Any field may be
-    ``None``, meaning "not constrained".
-    """
-
-    confidence: Optional[float] = None
-    batch: Optional[int] = None
-    max_seeds: Optional[int] = None
-
-    @property
-    def is_null(self) -> bool:
-        return (
-            self.confidence is None
-            and self.batch is None
-            and self.max_seeds is None
-        )
-
-    def target_accepts(self, success_probability: float) -> Optional[int]:
-        """Accept threshold for the sequential test, or ``None`` when no
-        confidence target is set (run every requested seed)."""
-        if self.confidence is None:
-            return None
-        return seeds_for_confidence(self.confidence, success_probability)
-
-
-@dataclass(frozen=True)
 class ExecutionPolicy:
     """Every engine knob, validated once, carried everywhere.
 
@@ -161,16 +129,24 @@ class ExecutionPolicy:
         numpy kernels, bit-identical where a port exists).
     jobs:
         Worker processes for amplified detectors; ``1`` runs inline.
+        Every color-coding detector (even cycle, linear cycle, tree,
+        deterministic family) has one amplification path,
+        :meth:`~repro.runtime.session.RunSession.amplify`, so ``jobs``
+        changes wall-clock only: the report and the record (one
+        ``amplified`` event per detector call) are the same at any
+        ``jobs``.
     metrics:
         ``"full"`` (exact per-edge ledger) or ``"lite"`` (aggregate
         counters only; same decisions and totals).
     sanitize:
-        Arm the runtime model-soundness sanitizer (alias guard + replay).
+        Arm the runtime model-soundness sanitizer (alias guard + replay)
+        on every run, amplified seeds included.
     bandwidth:
         Per-edge per-round bit budget ``B``; ``None`` lets each detector
         pick its documented default (and means "unbounded" for LOCAL).
     model:
-        Model variant a session's :meth:`~RunSession.network` builds:
+        Model variant every network is built as -- a session's
+        :meth:`~RunSession.network` and every amplified seed alike:
         ``congest`` / ``broadcast`` / ``local`` / ``clique``.
     seed:
         Master seed for runs that don't pass one explicitly.
@@ -380,15 +356,6 @@ class ExecutionPolicy:
                 rendered = str(value)
             parts.append(f"{f.name}={rendered}")
         return ",".join(parts)
-
-    def amplification(self) -> AmplificationPolicy:
-        """The adaptive-amplification view of this policy (possibly
-        null: no confidence target, batch, or seed cap)."""
-        return AmplificationPolicy(
-            confidence=self.amplify_confidence,
-            batch=self.amplify_batch,
-            max_seeds=self.amplify_max_seeds,
-        )
 
     def fault_plan(self) -> Optional["FaultPlan"]:
         """The parsed :class:`~repro.faults.plan.FaultPlan`, or ``None``

@@ -5,13 +5,17 @@ It takes an :class:`~repro.runtime.policy.ExecutionPolicy` and
 
 * builds the right network for the policy's **model variant**
   (:meth:`network`: CONGEST / broadcast / LOCAL / congested clique);
-* applies the policy's **metrics mode** and **sanitizer** on every
-  :meth:`run`, and its **lane** when a detector asks (:meth:`lane_class`);
-* fans amplified iterations over the persistent worker pool with the
-  policy's **jobs** (:meth:`amplify`), keeping the first-rejecting-seed
-  merge's sequential equivalence;
-* optionally keeps a :class:`~repro.runtime.record.RunRecord` with one
-  trace event per run (:attr:`record`, written via :meth:`save_record`);
+* applies the policy's **metrics mode**, **sanitizer** and fault plan on
+  every :meth:`run`, and its **lane** when a detector asks
+  (:meth:`lane_class`);
+* is the **one amplification path** (:meth:`amplify`): every
+  color-coding detector runs its seeds through one call, which hands the
+  whole policy to :func:`~repro.congest.parallel.run_amplified`, so the
+  outcome is the same at any ``jobs``;
+* optionally keeps a :class:`~repro.runtime.record.RunRecord`
+  (:attr:`record`, written via :meth:`save_record`): one ``run`` event
+  per :meth:`run`, one ``amplified`` event per :meth:`amplify` at any
+  ``jobs``;
 * owns **pool lifecycle**: an explicitly-constructed session is a
   context manager whose exit shuts the amplification worker pools down
   (`shutdown_pools`), so no ``ProcessPoolExecutor`` survives it; and
@@ -25,21 +29,19 @@ or the pool-reuse performance contract (and its tests) would break.
 Explicit sessions -- the CLI, experiment drivers, tests -- own their
 pools and clean up.
 
-Since the serving refactor, the session no longer *is* the execution
-stack: the blocking primitives live in
-:class:`~repro.runtime.engine.ExecutionEngine` and the session is one
-client of it -- :meth:`run` and :meth:`amplify` delegate to the engine
-and keep only the client-side bookkeeping (trace events, degradation /
-governor notes, profiles, lifecycle).  The asyncio server
-(:mod:`repro.serve`) is the other client, driving the same engine
-through its submit/await surface.
+The session is one client of an
+:class:`~repro.runtime.engine.ExecutionEngine`: :meth:`run` and
+:meth:`amplify` delegate to the engine's blocking primitives and keep
+only the client-side bookkeeping (trace events, degradation / governor
+notes, profiles, lifecycle).  The asyncio server (:mod:`repro.serve`)
+is the other client, driving the same engine through its submit/await
+surface.
 
-Resilience (see ``docs/robustness.md``): a policy with a ``faults``
-spec threads its :class:`~repro.faults.plan.FaultPlan` into every
-:meth:`run` and :meth:`amplify`; and the session is the first rung of
-the graceful-degradation ladder -- :meth:`run` falls back from the
-vectorized lane to a caller-supplied object-lane algorithm when a numpy
-kernel faults, recording the degradation instead of dying.
+Resilience (see ``docs/robustness.md``): :meth:`run` is the first rung
+of the graceful-degradation ladder -- it falls back from the vectorized
+lane to a caller-supplied object-lane algorithm when a numpy kernel
+faults, recording the degradation instead of dying; :meth:`amplify`
+records the pool ladder's steps.
 """
 
 from __future__ import annotations
@@ -49,12 +51,9 @@ from typing import Any, Callable, Dict, Optional, Type
 
 import networkx as nx
 
-from ..congest.broadcast_model import BroadcastNetwork
-from ..congest.congested_clique import CongestedClique
-from ..congest.local_model import LocalNetwork
 from ..congest.network import CongestNetwork, ExecutionResult
-from ..congest.parallel import AmplifiedOutcome
-from .engine import _NUMPY_FAULTS, ExecutionEngine, default_engine
+from ..congest.parallel import AmplifiedOutcome, build_network
+from .engine import ExecutionEngine, default_engine
 from .governor import GovernorStateStore, PeakHoldGovernor
 from .policy import ExecutionPolicy
 from .record import (
@@ -64,9 +63,6 @@ from .record import (
 )
 
 __all__ = ["RunSession", "use_session"]
-
-# _NUMPY_FAULTS moved to the engine core with the execution primitives;
-# importing it from here keeps working (re-export, see the import above).
 
 _UNSET = object()
 
@@ -225,25 +221,11 @@ class RunSession:
 
         ``bandwidth`` defaults to the policy's; extra kwargs (assignment,
         namespace_size, inputs, ...) pass through to the network class.
-        LOCAL ignores bandwidth by construction; the congested clique
-        requires one (its classical ``B = Θ(log n)``).
+        The dispatch is :func:`~repro.congest.parallel.build_network`,
+        the same one every amplified chunk builds through.
         """
         bw = self.policy.bandwidth if bandwidth is _UNSET else bandwidth
-        model = self.policy.model
-        if model == "congest":
-            return CongestNetwork(graph, bandwidth=bw, **kwargs)
-        if model == "broadcast":
-            return BroadcastNetwork(graph, bandwidth=bw, **kwargs)
-        if model == "local":
-            return LocalNetwork(graph, **kwargs)
-        if model == "clique":
-            if bw is None:
-                raise ValueError(
-                    "the congested clique needs an explicit bandwidth "
-                    "(policy.bandwidth or the bandwidth argument)"
-                )
-            return CongestedClique(graph, bandwidth=bw, **kwargs)
-        raise AssertionError(f"unreachable model {model!r}")
+        return build_network(self.policy.model, graph, bw, **kwargs)
 
     def lane_class(self, object_cls: Type, vectorized_cls: Type) -> Type:
         """The algorithm class for the policy's execution lane.
@@ -275,9 +257,10 @@ class RunSession:
         ``fallback`` (an object-lane algorithm instance, optional) arms
         the first rung of the degradation ladder: if ``algorithm`` is a
         vectorized kernel that dies with a hard numpy fault
-        (:data:`_NUMPY_FAULTS`), the run is retried with ``fallback``
-        under the same seed and policy, and the degradation is recorded
-        as a ``degradation`` note event and in :attr:`degradations`.
+        (:data:`repro.runtime.engine._NUMPY_FAULTS`), the run is retried
+        with ``fallback`` under the same seed and policy, and the
+        degradation is recorded as a ``degradation`` note event and in
+        :attr:`degradations`.
 
         A ``profile=True`` session threads a
         :class:`~repro.congest.kernels.KernelProfile` through vectorized
@@ -334,25 +317,21 @@ class RunSession:
         max_rounds: int,
         seed: Any = _UNSET,
         stop_on_detect: bool = True,
-        chunks_per_job: int = 4,
         network_kwargs: Optional[Dict[str, Any]] = None,
-        share_graph: Optional[bool] = None,
         label: Optional[str] = None,
-        pool_retries: int = 2,
-        backoff_base: float = 0.05,
-        worker_timeout: Optional[float] = None,
         success_probability: Optional[float] = None,
     ) -> AmplifiedOutcome:
-        """Amplified fan-out under the policy's ``jobs`` and ``metrics``.
+        """Amplified fan-out of ``algo_factory`` under the whole policy.
 
-        Exactly :func:`repro.congest.parallel.run_amplified` with the
-        parallelism knobs supplied by the policy -- the merged outcome is
-        bit-identical to the sequential loop regardless of ``jobs``.  The
-        policy's fault plan rides into every worker chunk, and the
-        resilience knobs (``pool_retries`` / ``backoff_base`` /
-        ``worker_timeout``) arm the jobs>1 rungs of the degradation
-        ladder; any step taken lands in :attr:`degradations` and the
-        record.
+        The one way a color-coding detector runs its seeds: exactly
+        :func:`repro.congest.parallel.run_amplified` with the policy's
+        ``jobs``, ``metrics``, ``model``, ``sanitize`` and fault plan, so
+        the merged outcome is bit-identical to the sequential loop at any
+        ``jobs``, on the policy's model, with every seed audited when the
+        sanitizer is on.  When the session keeps a record, one
+        ``amplified`` trace event is appended, whatever ``jobs`` is.
+        Pool-ladder steps taken (jobs > 1) land in :attr:`degradations`
+        and the record.
 
         The policy's adaptive knobs (``amplify_confidence`` /
         ``amplify_batch`` / ``amplify_max_seeds``) arm the sequential
@@ -383,12 +362,7 @@ class RunSession:
             max_rounds=max_rounds,
             seed=run_seed,
             stop_on_detect=stop_on_detect,
-            chunks_per_job=chunks_per_job,
             network_kwargs=network_kwargs,
-            share_graph=share_graph,
-            pool_retries=pool_retries,
-            backoff_base=backoff_base,
-            worker_timeout=worker_timeout,
             success_probability=success_probability,
             governor=self.governor,
             on_degrade=_degraded,

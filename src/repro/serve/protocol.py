@@ -50,11 +50,6 @@ __all__ = [
     "parse_request",
 ]
 
-#: Patterns the server accepts, mapped to their execution shape:
-#: ``run`` patterns execute a single deterministic engine run; ``amplified``
-#: patterns fan out seed iterations and are coalescable across budgets.
-PATTERN_KINDS = ("triangle", "clique", "even-cycle", "odd-cycle")
-
 #: Default amplification budget when an amplified request omits
 #: ``iterations`` (matches the CLI detectors' small-default idiom).
 DEFAULT_ITERATIONS = 8

@@ -302,6 +302,22 @@ class TestLaneParityUnderFaults:
 
         self._assert_parity(workload, spec)
 
+    def test_one_cycle_iteration_round_by_round(self, spec):
+        # The amplified record keeps per-seed totals only; one iteration
+        # through ses.run keeps the per-round bit trace under the plan.
+        from repro.core.cycle_detection_linear import _LinearCycleFactory
+
+        g = nx.cycle_graph(12)
+
+        def workload(ses):
+            algo = _LinearCycleFactory(4, None, lane=ses.policy.lane)(0)
+            res = ses.run(ses.network(g, bandwidth=7), algo, max_rounds=18,
+                          label="linear-cycle-C4")
+            return (res.decision, res.rounds, res.metrics.total_bits,
+                    res.metrics.total_messages)
+
+        self._assert_parity(workload, spec)
+
     def test_one_round_protocol(self, spec):
         from repro.core.triangle import FullAnnouncementProtocol
         from repro.graphs.template_graph import sample_input

@@ -334,15 +334,26 @@ MATRIX_FAULTS = [None, "drop:0.3", "drop:0.2|corrupt:0.2|crash:1@2|seed:13"]
 
 
 def _run_matrix_cell(lane, spec):
-    from repro.core.cycle_detection_linear import detect_cycle_linear
+    """The amplified detector (one ``amplified`` event, per-seed totals)
+    plus one iteration through ``ses.run``, whose ``run`` event carries
+    the per-round bit trace the lanes must agree on."""
+    from repro.core.cycle_detection_linear import (
+        _LinearCycleFactory,
+        detect_cycle_linear,
+    )
     from repro.runtime import RunSession
 
     g = nx.cycle_graph(12)
     policy = ExecutionPolicy(lane=lane, faults=spec, seed=5)
     with RunSession(policy, record=True, owns_pools=False) as ses:
         rep = detect_cycle_linear(g, 4, iterations=6, session=ses)
+        res = ses.run(ses.network(g, bandwidth=7),
+                      _LinearCycleFactory(4, None, lane=lane)(0), max_rounds=18,
+                      label="linear-cycle-C4")
         out = (rep.detected, rep.iterations_run, rep.total_bits,
-               rep.total_messages)
+               rep.total_messages, res.decision, res.rounds,
+               res.metrics.total_bits)
+    assert [e.kind for e in ses.record.events] == ["amplified", "run"]
     return out, ses.record
 
 

@@ -179,14 +179,6 @@ class TestRunAmplified:
         assert par.iterations_run == seq.iterations_run == 3
         assert par.total_bits == seq.total_bits
 
-    def test_keep_results_requires_sequential(self):
-        g = nx.cycle_graph(9)
-        with pytest.raises(ValueError):
-            detect_even_cycle(
-                g, 2, iterations=2, keep_results=True,
-                session=RunSession(jobs=2, owns_pools=False),
-            )
-
     def test_input_validation(self):
         g = nx.path_graph(2)
         factory = RejectAtIterations(frozenset())

@@ -231,15 +231,14 @@ class TestPolicyDrivenDetection:
         assert adaptive.iterations_run == plain.iterations_run
         assert sorted(adaptive.witnesses) == sorted(plain.witnesses)
 
-    def test_max_seeds_applies_to_keep_results_path(self):
+    def test_max_seeds_caps_the_inline_path(self):
         with RunSession(
             ExecutionPolicy(amplify_max_seeds=3), owns_pools=False
         ) as ses:
             rep = detect_even_cycle(
-                nx.cycle_graph(21), 2, iterations=10, seed=2,
-                keep_results=True, session=ses,
+                nx.cycle_graph(21), 2, iterations=10, seed=2, session=ses,
             )
-        assert rep.iterations_run == 3 and len(rep.results) == 3
+        assert rep.iterations_run == 3 and rep.seeds_saved == 7
 
 
 class TestSeedsSaved:

@@ -304,16 +304,27 @@ class TestSharedPoolBreaks:
     def test_a_timed_out_sibling_does_not_cancel_queued_chunks(self):
         # A's hung worker times out and A discards the shared pool while
         # B's chunks still wait in its queue: they must run to a result,
-        # not surface as CancelledError.
+        # not surface as CancelledError.  A kills the discarded pool's
+        # workers, so B's queued chunks fail fast into B's own rebuild
+        # rung instead of waiting out the hung worker's 3 s sleeps, and
+        # no process of the discarded pool outlives the discard.
+        from repro.congest import parallel as par
+
         shutdown_pools()
+        pool = par._get_pool(2)
+        pool.submit(abs, -1).result(timeout=30)  # spawns both workers
+        workers = list(pool._processes.values())
         kw = dict(KW, iterations=400)
         outcomes = {}
+        elapsed = {}
 
         def call(name, factory, **extra):
+            t0 = time.perf_counter()
             try:
                 outcomes[name] = run_amplified(GRAPH, factory, jobs=2, **extra)
             except BaseException as exc:  # surfaced by the assertion below
                 outcomes[name] = exc
+            elapsed[name] = time.perf_counter() - t0
 
         a = threading.Thread(target=call, args=("a", _sleep_factory),
                              kwargs=dict(KW, worker_timeout=0.3))
@@ -328,6 +339,11 @@ class TestSharedPoolBreaks:
                 assert not isinstance(outcomes[name], BaseException), outcomes[name]
             _same_outcome(outcomes["a"], _reference())
             _same_outcome(outcomes["b"], run_amplified(GRAPH, _factory, jobs=1, **kw))
+            assert elapsed["b"] < 3.0, elapsed
+            deadline = time.monotonic() + 10
+            while any(w.is_alive() for w in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(w.is_alive() for w in workers)
         finally:
             shutdown_pools()
 

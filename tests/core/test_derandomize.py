@@ -117,7 +117,7 @@ class TestDeterministicDetection:
         assert not detect_even_cycle_deterministic(t, 2, seeds, family=fam).detected
 
     def test_empty_family_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="at least one iteration"):
             detect_even_cycle_deterministic(gen.cycle(4), 2, [])
 
 

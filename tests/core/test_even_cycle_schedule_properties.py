@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.congest import CongestNetwork
 from repro.congest.message import int_width
 from repro.core.color_coding import OracleColorSource, proper_coloring_for_cycle
 from repro.core.even_cycle import (
+    EvenCycleIterationAlgorithm,
     IterationSchedule,
     detect_even_cycle,
     required_bandwidth,
@@ -85,11 +87,12 @@ class TestBandwidthAccounting:
         best = max(range(4), key=lambda i: g.degree(verts[i]))
         rot = verts[best:] + verts[:best]
         src = OracleColorSource(2, proper_coloring_for_cycle(rot, 2), default=3)
-        rep = detect_even_cycle(
-            g, 2, iterations=1, color_source=src, keep_results=True,
-            stop_on_detect=False,
+        bandwidth = required_bandwidth(30, 2)
+        res = CongestNetwork(g, bandwidth=bandwidth).run(
+            EvenCycleIterationAlgorithm(2, color_source=src),
+            max_rounds=IterationSchedule.build(30, 2).total_rounds + 1,
         )
-        assert rep.results[0].metrics.max_message_bits <= required_bandwidth(30, 2)
+        assert res.metrics.max_message_bits <= bandwidth
 
     def test_messages_scale_with_k(self):
         assert required_bandwidth(1000, 4) > required_bandwidth(1000, 2)

@@ -7,7 +7,6 @@ import pytest
 from repro.runtime import (
     LANES,
     MODELS,
-    AmplificationPolicy,
     ExecutionPolicy,
     PolicyError,
     seeds_for_confidence,
@@ -220,17 +219,6 @@ class TestAdaptivePolicy:
         assert p.amplify_max_seeds is None
         assert p.governor_budget is None
         assert p.governor_decay is None
-        assert p.amplification().is_null
-
-    def test_amplification_view(self):
-        p = ExecutionPolicy(
-            amplify_confidence=0.9, amplify_batch=8, amplify_max_seeds=500
-        )
-        amp = p.amplification()
-        assert (amp.confidence, amp.batch, amp.max_seeds) == (0.9, 8, 500)
-        assert not amp.is_null
-        assert amp.target_accepts(0.5) == 4
-        assert AmplificationPolicy().target_accepts(0.5) is None
 
     @pytest.mark.parametrize("bad", [
         {"amplify_confidence": 0.0}, {"amplify_confidence": 1.0},

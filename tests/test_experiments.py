@@ -4,6 +4,7 @@ import pytest
 
 from repro import experiments
 from repro.experiments.common import ExperimentReport, FitCheck, format_table
+from tests.test_paper_shapes import E1_NS, E4_BUDGETS, _run
 
 
 class TestRegistry:
@@ -21,63 +22,55 @@ class TestRegistry:
 
 
 class TestRunnersReproduce:
-    """Every runner, at reduced parameters, must still report 'reproduced'.
-    (The full-size sweeps are tests/test_paper_shapes.py.)"""
+    """Every runner must report 'reproduced'.  Where
+    tests/test_paper_shapes.py already makes a runner call at the same or
+    larger parameters, the case reads that call's cached report (``_run``)
+    instead of running the runner a second time."""
 
     def test_e1(self):
-        rep = experiments.run("e1", k=2, ns=[2**i for i in range(7, 13)])
+        rep = _run("e1", k=2, ns=E1_NS)
         assert rep.reproduced
         assert rep.checks[0].fitted == pytest.approx(0.5, abs=0.12)
 
     def test_e1_k3(self):
-        rep = experiments.run("e1", k=3, ns=[2**i for i in range(7, 13)])
-        assert rep.reproduced
+        assert _run("e1", k=3, ns=E1_NS).reproduced
 
     def test_e2(self):
-        rep = experiments.run("e2", k=2, ns=[2**i for i in range(6, 12)])
-        assert rep.reproduced
+        assert _run("e2", k=2).reproduced
 
     def test_e2_live(self):
         rep = experiments.run("e2-live", k=2, n=4)
         assert rep.extras["result"].correct
 
     def test_e3(self):
-        rep = experiments.run("e3", ns_per_part=[4, 8], max_bits=5)
-        assert rep.reproduced
+        assert _run("e3").reproduced
 
     def test_e4_scaling(self):
-        rep = experiments.run("e4-scaling")
-        assert rep.reproduced
+        assert _run("e4-scaling").reproduced
 
     def test_e5(self):
-        rep = experiments.run("e5", s=3)
-        assert rep.reproduced
+        assert _run("e5", s=3).reproduced
 
     def test_e5_live(self):
         rep = experiments.run("e5-live", n=14)
         assert "BOUND VIOLATED" not in rep.notes
 
     def test_e6(self):
-        rep = experiments.run("e6")
-        assert rep.reproduced
+        assert _run("e6").reproduced
 
     def test_e6_live(self):
-        rep = experiments.run("e6-live", pad_sizes=[0, 40])
-        assert rep.reproduced
+        assert _run("e6-live").reproduced
 
     def test_e7(self):
-        rep = experiments.run("e7")
-        assert rep.reproduced
+        assert _run("e7").reproduced
 
     @pytest.mark.slow
     def test_e4(self):
-        rep = experiments.run("e4", n=8, num_samples=400, num_worlds=3)
-        assert rep.reproduced
+        assert _run("e4", budgets=E4_BUDGETS).reproduced
 
     @pytest.mark.slow
     def test_e8(self):
-        rep = experiments.run("e8")
-        assert rep.reproduced
+        assert _run("e8").reproduced
 
     def test_e9(self):
         rep = experiments.run(

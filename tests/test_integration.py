@@ -146,14 +146,20 @@ class TestModelRelationships:
 class TestBoundsMatchExecutions:
     def test_even_cycle_schedule_is_what_the_engine_runs(self):
         """The analytic schedule and the simulator agree on round counts."""
-        from repro.core.even_cycle import IterationSchedule
+        from repro.core.even_cycle import (
+            EvenCycleIterationAlgorithm,
+            IterationSchedule,
+            required_bandwidth,
+        )
 
         g = gen.cycle(32)
-        rep = detect_even_cycle(g, 2, iterations=1, seed=0, stop_on_detect=False,
-                                keep_results=True)
+        rep = detect_even_cycle(g, 2, iterations=1, seed=0, stop_on_detect=False)
         sched = IterationSchedule.build(32, 2)
         assert rep.rounds_per_iteration == sched.total_rounds
-        assert rep.results[0].rounds <= sched.total_rounds + 1
+        res = CongestNetwork(g, bandwidth=required_bandwidth(32, 2)).run(
+            EvenCycleIterationAlgorithm(2), max_rounds=sched.total_rounds + 1, seed=0
+        )
+        assert res.rounds <= sched.total_rounds + 1
 
     def test_funnel_rounds_within_analytic_cap(self):
         from repro.congest.message import int_width
