@@ -179,7 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "printed on startup)")
     p.add_argument("--policy", default=None, metavar="SPEC",
                    help="base execution policy as 'field=value,...'; "
-                        "per-request policy specs are applied on top")
+                        "per-request policy specs are applied on top. "
+                        "'governor_budget=N' (and 'governor_decay') build "
+                        "the one shared load governor, which also drives "
+                        "load-aware admission")
     p.add_argument("--max-inflight", type=int, default=8,
                    help="admission ceiling on concurrently executing "
                         "requests (scaled down by the governor when a "
@@ -189,11 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "rejected with an 'overload' error")
     p.add_argument("--cache-size", type=int, default=256,
                    help="result-cache capacity (LRU entries)")
-    p.add_argument("--governor-budget", type=int, default=None,
-                   help="peak-hold load-governor budget (bit-rounds); "
-                        "enables load-aware admission")
-    p.add_argument("--governor-decay", type=float, default=None,
-                   help="peak-hold decay factor in (0, 1]")
     p.add_argument("--chaos", default=None, metavar="SPEC",
                    help="deterministic infra fault plan, e.g. "
                         "'conn-drop:0.1|req-stall:0.05|seed:7' (see "
@@ -205,8 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="crash-safe result-cache journal (JSONL, "
                         "restored on start; see docs/serving.md)")
     p.add_argument("--governor-state", default=None, metavar="PATH",
-                   help="governor sidecar restored on start and saved "
-                        "on stop (same format as REPRO_GOVERNOR_STATE)")
+                   help="governor sidecar (JSON, keyed by the base "
+                        "policy's hash) restored on start and saved on "
+                        "stop; needs 'governor_budget' in --policy")
 
     p = sub.add_parser(
         "policy", help="inspect an execution-policy spec"
@@ -550,8 +549,6 @@ def _cmd_serve(args) -> int:
             max_inflight=args.max_inflight,
             max_queue=args.max_queue,
             cache_size=args.cache_size,
-            governor_budget=args.governor_budget,
-            governor_decay=args.governor_decay,
             chaos=chaos,
             default_deadline_ms=args.deadline_ms,
             cache_journal=args.cache_journal,

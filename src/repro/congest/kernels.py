@@ -32,8 +32,8 @@ and inbox ordering are bit-identical to the object lane --
 pin this differentially.
 
 :class:`KernelProfile` is the lightweight per-phase wall-clock counter:
-sessions thread one through ``net.run(..., profile=...)`` and surface it
-as a ``vec_profile`` note event in the run record.
+callers thread one through ``net.run(..., profile=...)`` and read its
+per-phase split back (``perfbench/`` does, for its kernel phase shares).
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class KernelProfile:
         self.deliver_s = 0.0
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-friendly snapshot for a ``vec_profile`` note event."""
+        """JSON-friendly snapshot of the counters."""
         return {
             "rounds": self.rounds,
             "fast_rounds": self.fast_rounds,

@@ -22,8 +22,10 @@ kept in a module-level registry, and reused by every later
 :func:`run_amplified` call (shut down at interpreter exit, or explicitly
 via :func:`shutdown_pools`).  The parent and every worker additionally
 keep a small LRU cache of constructed networks keyed by a content token
-of (graph, bandwidth, network kwargs), so repeated amplification over
-the same instance skips both process spawn *and* network construction.
+of (model, graph, bandwidth, network kwargs), so repeated amplification
+over the same instance skips both process spawn *and* network
+construction.  A forked worker starts with an empty LRU: it serves only
+networks it built or attached itself, never the parent's.
 The graph half of the token is computed once per graph object and
 reused only while the graph still has exactly the nodes, node order and
 neighbour sets it was computed from, so an in-place mutation can never
@@ -336,10 +338,13 @@ def _shipping(token: str) -> Iterator[None]:
 
 
 def _reset_after_fork() -> None:
-    # A forked child ships nothing and must not inherit a held lock.
+    # A forked child ships nothing and must not inherit a held lock; it
+    # serves only networks it built or attached itself, so a worker-side
+    # build bug cannot hide behind the parent's cached copy.
     global _NET_LOCK
     _NET_LOCK = threading.Lock()
     _SHIPPING.clear()
+    _NET_CACHE.clear()
 
 
 os.register_at_fork(after_in_child=_reset_after_fork)

@@ -93,11 +93,12 @@ def run_live(
     sweep's.  With a ``checkpoint``, each ``n`` is one journaled cell: a
     resumed sweep skips completed cells and reproduces the same report.
     """
+    from ..runtime.policy import ExecutionPolicy
     from ..runtime.session import RunSession
 
     ses = session
     if ses is None:
-        ses = RunSession(metrics="lite", owns_pools=False)
+        ses = RunSession(ExecutionPolicy(metrics="lite"), owns_pools=False)
     if ns is None:
         ns = [65, 97, 129, 193]
     rows = []

@@ -12,7 +12,7 @@ first-class, reproducible experiment dimension:
   object and vectorized execution lanes.
 
 Plans ride on :class:`~repro.runtime.policy.ExecutionPolicy` (the
-``faults`` field / ``--faults`` CLI flag / ``REPRO_FAULTS``); see
+``faults`` field, set directly or by ``--faults`` / ``--policy``); see
 ``docs/robustness.md`` for the spec grammar and semantics.
 """
 

@@ -9,12 +9,13 @@ experiment, and CLI path as a separate keyword argument.  This package
 is the single chassis that replaces that sprawl:
 
 ``ExecutionPolicy``
-    A frozen, validated bundle of all engine knobs, with loaders from
-    dicts, ``REPRO_*`` environment variables, and ``key=value`` CLI
-    specs, plus a stable content hash for stamping artifacts.
+    A frozen, validated bundle of all engine knobs -- the one way to
+    configure a run -- built directly, from a dict, or from a
+    ``key=value`` CLI spec, plus a stable content hash for stamping
+    artifacts.  Nothing here reads the environment.
 ``ExecutionEngine``
-    The execution core: the blocking run/amplify primitives (degradation
-    ladder included) plus a submit/await surface over a bounded
+    The execution core: the blocking run/amplify primitives (the
+    amplification's pool ladder included) plus a submit/await surface over a bounded
     orchestration thread pool, shared by sessions and the serving layer
     (:mod:`repro.serve`).  One :func:`default_engine` per process unless
     a client injects its own.

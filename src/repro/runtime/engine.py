@@ -3,12 +3,13 @@
 :class:`ExecutionEngine` owns
 
 * the **blocking execution primitives** -- :meth:`execute_run` (one
-  engine run under a policy, with the vectorized->object fallback rung)
-  and :meth:`execute_amplify`, the one amplification path: every
+  engine run under a policy, whose failures propagate) and
+  :meth:`execute_amplify`, the one amplification path: every
   color-coding detector reaches its seeds through
   :meth:`RunSession.amplify <repro.runtime.session.RunSession.amplify>`
   and this method's one :func:`~repro.congest.parallel.run_amplified`
-  call, which gets every policy field that shapes a seed's run;
+  call, which gets every policy field that shapes a seed's run (and
+  whose pool ladder is the only degradation path);
 * a **submit/await surface**: :meth:`submit` schedules work on a bounded
   orchestration thread pool and returns a
   :class:`concurrent.futures.Future`.  The process-pool workers
@@ -52,12 +53,6 @@ __all__ = [
     "shutdown_default_engine",
 ]
 
-#: Kernel failures the vectorized->object degradation rung catches: hard
-#: numpy faults (array allocation failure, trapped floating-point error).
-#: Anything else -- kernel contract violations, model violations -- is a
-#: bug and must propagate.
-_NUMPY_FAULTS = (FloatingPointError, MemoryError)
-
 #: Default bound on concurrently *orchestrated* executions.  Each slot is
 #: a coordinating thread (cheap: it blocks on process-pool futures most
 #: of its life), so the default is sized for request concurrency, not
@@ -97,50 +92,23 @@ class ExecutionEngine:
         max_rounds: int,
         seed: Optional[int],
         stop_on_reject: bool = False,
-        fallback: Any = None,
-        profile: Any = None,
         governor: Any = None,
-        on_degrade: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> ExecutionResult:
         """One engine run of ``algorithm`` on ``net`` under ``policy``.
 
-        Metrics mode, sanitizer and fault plan come from the policy;
-        ``fallback`` arms the vectorized->object degradation rung (a hard
-        numpy fault retries the run on the object lane and reports the
-        step through ``on_degrade``); a ``governor`` observes the run's
-        cost so later amplifications start throttled.
+        Metrics mode, sanitizer and fault plan come from the policy; a
+        ``governor`` observes the run's cost so later amplifications
+        start throttled.
         """
-        try:
-            result = net.run(
-                algorithm,
-                max_rounds=max_rounds,
-                seed=seed,
-                stop_on_reject=stop_on_reject,
-                metrics=policy.metrics,
-                sanitize=policy.sanitize,
-                faults=policy.faults,
-                profile=profile,
-            )
-        except _NUMPY_FAULTS as exc:
-            if fallback is None:
-                raise
-            step = {
-                "step": "lane-fallback",
-                "from": type(algorithm).__name__,
-                "to": type(fallback).__name__,
-                "error": repr(exc),
-            }
-            if on_degrade is not None:
-                on_degrade(step)
-            result = net.run(
-                fallback,
-                max_rounds=max_rounds,
-                seed=seed,
-                stop_on_reject=stop_on_reject,
-                metrics=policy.metrics,
-                sanitize=policy.sanitize,
-                faults=policy.faults,
-            )
+        result = net.run(
+            algorithm,
+            max_rounds=max_rounds,
+            seed=seed,
+            stop_on_reject=stop_on_reject,
+            metrics=policy.metrics,
+            sanitize=policy.sanitize,
+            faults=policy.faults,
+        )
         if governor is not None:
             # Keep the peak-hold estimate warm across direct runs too, so
             # an amplify after expensive inline runs starts throttled.

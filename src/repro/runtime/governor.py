@@ -94,7 +94,7 @@ class PeakHoldGovernor:
 
         A restored governor starts throttled at the carried peak instead
         of granting the first batch unthrottled -- the point of
-        persistence: a cold CLI process inherits the previous process's
+        persistence: a restarted server inherits the previous process's
         cost estimate.  The estimate then evolves normally (new
         observations decay or replace it).
         """
@@ -126,11 +126,11 @@ class GovernorStateStore:
     (:mod:`repro.runtime.durable`): readers and crashes see either the
     old snapshot or the new one.
 
-    Wired into :class:`~repro.runtime.session.RunSession` via its
-    ``governor_state`` argument or the ``REPRO_GOVERNOR_STATE``
-    environment variable; a session restores its governor's estimate at
-    open and saves it at close, so back-to-back CLI invocations start
-    throttled instead of re-learning the peak from scratch.
+    Owned by the detection server (``repro serve --governor-state``,
+    keyed by the base policy's hash): the server restores its shared
+    governor's estimate at start and saves it at stop, so a restarted
+    server begins throttled instead of re-learning the peak from
+    scratch.  Sessions never touch the sidecar.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:

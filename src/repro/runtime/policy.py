@@ -3,9 +3,11 @@
 An :class:`ExecutionPolicy` is the contract between callers and the
 engine stack.  Instead of threading ``lane=`` / ``jobs=`` / ``metrics=``
 / ``sanitize=`` through every detector signature, a caller builds one
-policy (directly, from a dict, from ``REPRO_*`` environment variables,
-or from a CLI ``key=value,key=value`` spec) and hands it to a
-:class:`~repro.runtime.session.RunSession`.
+policy (directly, from a dict, or from a CLI ``key=value,key=value``
+spec) and hands it to a :class:`~repro.runtime.session.RunSession`.
+The policy is the one way to set a run's knobs: nothing in the package
+reads them from the environment, so a record's policy and hash are the
+whole configuration of the run that wrote it.
 
 Validation happens at construction, not at the bottom of a run: illegal
 values *and* illegal combinations raise :class:`PolicyError` immediately.
@@ -14,10 +16,10 @@ The combinations rejected here are the ones the engine cannot honor:
 * ``metrics="lite"`` + ``sanitize=True`` -- the sanitizer's replay
   comparison audits the full traffic digest; the lite fast path elides
   exactly the per-message observation it needs.
-* ``jobs > 1`` + ``sanitize=True`` -- sanitized runs re-execute the
-  algorithm in-process for replay comparison, so a sanitized policy
-  amplifies inline; there every seed of every amplified detector is
-  audited (the chunk spec carries ``sanitize``).
+* ``jobs > 1`` + ``sanitize=True`` -- a sanitized policy amplifies
+  inline, where every seed of every amplified detector is audited (the
+  chunk spec carries ``sanitize``).  Worker chunks would carry it too;
+  the rule keeps sanitized runs on the one path the audit is tested on.
 * ``model="local"`` + a finite ``bandwidth`` -- the LOCAL model *is*
   the unbounded-bandwidth engine; a ``B`` here is a contradiction.
 * ``model="local"`` + ``faults`` -- the LOCAL model abstracts the
@@ -40,7 +42,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
@@ -59,9 +60,6 @@ LANES = ("object", "vectorized")
 MODELS = ("congest", "broadcast", "local", "clique")
 
 _METRIC_MODES = ("full", "lite")
-
-#: Environment variables read by :meth:`ExecutionPolicy.from_env`.
-_ENV_PREFIX = "REPRO_"
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -286,8 +284,8 @@ class ExecutionPolicy:
             )
         if self.sanitize and self.jobs > 1:
             raise PolicyError(
-                "sanitize=True needs jobs=1: amplified worker chunks run "
-                "unsanitized, so the combination would silently drop the audit"
+                "sanitize=True needs jobs=1: sanitized amplification runs "
+                "inline, where every seed is audited"
             )
         if self.model == "local" and self.bandwidth is not None:
             raise PolicyError(
@@ -378,32 +376,6 @@ class ExecutionPolicy:
                 f"known: {', '.join(sorted(fields))}"
             )
         return cls(**dict(data))
-
-    @classmethod
-    def from_env(
-        cls,
-        environ: Optional[Mapping[str, str]] = None,
-        base: Optional["ExecutionPolicy"] = None,
-    ) -> "ExecutionPolicy":
-        """Build a policy from ``REPRO_*`` environment variables.
-
-        Recognized: ``REPRO_LANE``, ``REPRO_JOBS``, ``REPRO_METRICS``,
-        ``REPRO_SANITIZE``, ``REPRO_BANDWIDTH`` (empty / ``none`` means
-        unbounded), ``REPRO_MODEL``, ``REPRO_SEED``, ``REPRO_CACHE``,
-        ``REPRO_FAULTS`` (a fault spec; empty / ``none`` disables),
-        ``REPRO_AMPLIFY_CONFIDENCE``, ``REPRO_AMPLIFY_BATCH``,
-        ``REPRO_AMPLIFY_MAX_SEEDS``, ``REPRO_GOVERNOR_BUDGET``,
-        ``REPRO_GOVERNOR_DECAY`` (empty / ``none`` disables each).
-        Unset variables keep ``base``'s values (default policy if absent).
-        """
-        env = os.environ if environ is None else environ
-        overrides: Dict[str, Any] = {}
-        for f in dataclasses.fields(cls):
-            raw = env.get(_ENV_PREFIX + f.name.upper())
-            if raw is None:
-                continue
-            overrides[f.name] = cls._parse_field(f.name, raw)
-        return (base or cls()).merged(**overrides)
 
     @classmethod
     def from_spec(

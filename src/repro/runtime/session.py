@@ -33,15 +33,14 @@ The session is one client of an
 :class:`~repro.runtime.engine.ExecutionEngine`: :meth:`run` and
 :meth:`amplify` delegate to the engine's blocking primitives and keep
 only the client-side bookkeeping (trace events, degradation / governor
-notes, profiles, lifecycle).  The asyncio server (:mod:`repro.serve`)
-is the other client, driving the same engine through its submit/await
-surface.
+notes, lifecycle).  The asyncio server (:mod:`repro.serve`) is the other
+client, driving the same engine through its submit/await surface.
 
-Resilience (see ``docs/robustness.md``): :meth:`run` is the first rung
-of the graceful-degradation ladder -- it falls back from the vectorized
-lane to a caller-supplied object-lane algorithm when a numpy kernel
-faults, recording the degradation instead of dying; :meth:`amplify`
-records the pool ladder's steps.
+Every knob of a run comes from the session's policy; the constructor
+takes only what is not a knob (the record, pool ownership, a shared
+governor, the engine).  The record's ``degradation`` and ``governor``
+note events are the one account of the pool ladder's steps and the
+governor's throttles (see ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ import networkx as nx
 from ..congest.network import CongestNetwork, ExecutionResult
 from ..congest.parallel import AmplifiedOutcome, build_network
 from .engine import ExecutionEngine, default_engine
-from .governor import GovernorStateStore, PeakHoldGovernor
+from .governor import PeakHoldGovernor
 from .policy import ExecutionPolicy
 from .record import (
     RunRecord,
@@ -87,30 +86,15 @@ class RunSession:
         share (e.g. one governor across the per-cell sessions of a
         sweep, so the peak-hold estimate carries over); ``None`` builds
         one from the policy's ``governor_budget`` / ``governor_decay``
-        if set, else runs ungoverned.
-    governor_state:
-        A :class:`~repro.runtime.governor.GovernorStateStore` (or a path
-        to one) persisting the governor's peak-hold estimate across
-        processes, keyed by policy hash: the session restores the
-        estimate at open and saves it at close, so a cold CLI invocation
-        starts throttled instead of re-learning the peak.  ``None``
-        falls back to the ``REPRO_GOVERNOR_STATE`` environment variable;
-        unset means no persistence.  Ignored for ungoverned sessions.
-    profile:
-        ``True`` threads a :class:`~repro.congest.kernels.KernelProfile`
-        through every vectorized :meth:`run` and appends its per-phase
-        wall-clock breakdown as a ``vec_profile`` note event (recorded
-        sessions only).  Off by default: profile notes carry timings, so
-        they would (correctly) show up as divergence in record diffs.
+        if set, else runs ungoverned.  A session never persists its
+        governor: the server's ``--governor-state`` sidecar is the one
+        owner of a saved estimate.
     engine:
         The :class:`~repro.runtime.engine.ExecutionEngine` to execute
         through; ``None`` (the default) uses the process-wide shared
         engine.  The server injects its own so every request rides one
         submit/await surface.  Sessions never shut an engine's threads
         down -- engines outlive their clients by design.
-    **overrides:
-        Convenience policy overrides: ``RunSession(jobs=4)`` is
-        ``RunSession(ExecutionPolicy().merged(jobs=4))``.
     """
 
     def __init__(
@@ -120,13 +104,9 @@ class RunSession:
         record: "bool | RunRecord" = False,
         owns_pools: bool = True,
         governor: Optional[PeakHoldGovernor] = None,
-        governor_state: "str | GovernorStateStore | None" = None,
-        profile: bool = False,
         engine: Optional[ExecutionEngine] = None,
-        **overrides: Any,
     ) -> None:
-        base = policy if policy is not None else ExecutionPolicy()
-        self.policy = base.merged(**overrides) if overrides else base
+        self.policy = policy if policy is not None else ExecutionPolicy()
         self.owns_pools = owns_pools
         self.engine = engine if engine is not None else default_engine()
         self.record: Optional[RunRecord]
@@ -136,12 +116,6 @@ class RunSession:
             self.record = record
         else:
             self.record = None
-        #: Degradation-ladder steps taken so far (lane fallbacks and the
-        #: like), for callers that report resilience events.
-        self.degradations: list = []
-        #: Governor throttle decisions taken so far (mirrors the
-        #: ``governor`` note events in the record).
-        self.governor_events: list = []
         self.governor: Optional[PeakHoldGovernor]
         if governor is not None:
             self.governor = governor
@@ -151,25 +125,6 @@ class RunSession:
             )
         else:
             self.governor = None
-        if governor_state is None:
-            import os
-
-            env_path = os.environ.get("REPRO_GOVERNOR_STATE")
-            governor_state = env_path if env_path else None
-        self.governor_store: Optional[GovernorStateStore]
-        if governor_state is None:
-            self.governor_store = None
-        elif isinstance(governor_state, GovernorStateStore):
-            self.governor_store = governor_state
-        else:
-            self.governor_store = GovernorStateStore(governor_state)
-        if self.governor is not None and self.governor_store is not None:
-            persisted = self.governor_store.load(self.policy.policy_hash())
-            if persisted is not None:
-                self.governor.restore(
-                    persisted["peak"], persisted.get("observed", 0)
-                )
-        self.profile_runs = bool(profile)
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------
@@ -191,14 +146,6 @@ class RunSession:
         self._closed = True
         if self.record is not None:
             self.record.finalize()
-        if (
-            self.governor is not None
-            and self.governor_store is not None
-            and self.governor.observed > 0
-        ):
-            # Persist the learned estimate (only when something was
-            # observed -- a fresh governor must not clobber a prior one).
-            self.governor_store.save(self.policy.policy_hash(), self.governor)
         if self.owns_pools:
             self.engine.release_pools()
         if not self.policy.cache:
@@ -245,40 +192,17 @@ class RunSession:
         seed: Any = _UNSET,
         stop_on_reject: bool = False,
         label: Optional[str] = None,
-        fallback: Any = None,
     ) -> ExecutionResult:
         """Run ``algorithm`` on ``net`` under the session's policy.
 
         Metrics mode, the sanitizer, and the fault plan come from the
         policy; ``seed`` defaults to the policy's.  When the session
         keeps a record, one ``run`` trace event (decision, rounds, bit
-        totals, per-round bits) is appended.
-
-        ``fallback`` (an object-lane algorithm instance, optional) arms
-        the first rung of the degradation ladder: if ``algorithm`` is a
-        vectorized kernel that dies with a hard numpy fault
-        (:data:`repro.runtime.engine._NUMPY_FAULTS`), the run is retried
-        with ``fallback`` under the same seed and policy, and the
-        degradation is recorded as a ``degradation`` note event and in
-        :attr:`degradations`.
-
-        A ``profile=True`` session threads a
-        :class:`~repro.congest.kernels.KernelProfile` through vectorized
-        runs; its per-phase timings land as a ``vec_profile`` note event
-        after the run event.  Otherwise the round loop stays timer-free.
+        totals, per-round bits) is appended.  A kernel's failure
+        propagates to the caller.
         """
         run_seed = self.policy.seed if seed is _UNSET else seed
         t0 = time.perf_counter() if self.record is not None else 0.0
-        profile = None
-        if self.profile_runs and self.record is not None:
-            from ..congest.kernels import KernelProfile
-
-            profile = KernelProfile()
-
-        def _degraded(step: Dict[str, Any]) -> None:
-            self.degradations.append(step)
-            self.note("degradation", **step)
-
         result = self.engine.execute_run(
             self.policy,
             net,
@@ -286,10 +210,7 @@ class RunSession:
             max_rounds=max_rounds,
             seed=run_seed,
             stop_on_reject=stop_on_reject,
-            fallback=fallback,
-            profile=profile,
             governor=self.governor,
-            on_degrade=_degraded,
         )
         if self.record is not None:
             wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -301,10 +222,6 @@ class RunSession:
                     wall_ms=wall_ms,
                 )
             )
-            if profile is not None and profile.rounds > 0:
-                # Object-lane runs leave the profile untouched (rounds=0):
-                # only vectorized runs emit the phase breakdown.
-                self.note("vec_profile", **profile.as_dict())
         return result
 
     def amplify(
@@ -330,27 +247,25 @@ class RunSession:
         ``jobs``, on the policy's model, with every seed audited when the
         sanitizer is on.  When the session keeps a record, one
         ``amplified`` trace event is appended, whatever ``jobs`` is.
-        Pool-ladder steps taken (jobs > 1) land in :attr:`degradations`
-        and the record.
+        Pool-ladder steps taken (jobs > 1) land in the record as
+        ``degradation`` note events.
 
         The policy's adaptive knobs (``amplify_confidence`` /
         ``amplify_batch`` / ``amplify_max_seeds``) arm the sequential
         test; detectors pass ``success_probability`` (their iteration's
         documented success rate) so the confidence target translates to
         an accept threshold.  The session's governor, if any, throttles
-        chunk submission; each throttle decision lands in
-        :attr:`governor_events` and as a ``governor`` note event.
+        chunk submission; each throttle decision lands in the record as a
+        ``governor`` note event.
         """
         run_seed = self.policy.seed if seed is _UNSET else seed
         bw = self.policy.bandwidth if bandwidth is _UNSET else bandwidth
         t0 = time.perf_counter() if self.record is not None else 0.0
 
         def _degraded(step: Dict[str, Any]) -> None:
-            self.degradations.append(step)
             self.note("degradation", **step)
 
         def _governed(step: Dict[str, Any]) -> None:
-            self.governor_events.append(step)
             self.note("governor", **step)
 
         outcome = self.engine.execute_amplify(

@@ -8,9 +8,13 @@ on the pattern class with **exactly the parameters the standalone
 detectors use** -- same factories, same round budgets, same bandwidth
 defaults, same success probabilities.  That symmetry is the bit-identity
 contract: a served response's record diffs clean
-(:func:`~repro.runtime.record.diff_records`) against a direct
-``RunSession`` run of the same request, which ``tests/serve/`` asserts
-for misses, cache hits and coalesced followers.
+(:func:`~repro.runtime.record.diff_records`) against a recorded session
+calling the standalone detector (``detect_even_cycle``,
+``detect_cycle_linear``, ``detect_triangle_congest``, ``detect_clique``)
+with the request's parameters, which
+``tests/serve/test_executor_parity.py`` asserts for every pattern class
+under each lane and metrics mode; the other ``tests/serve/`` suites
+check cache hits and coalesced followers against ``execute_request``.
 
 Amplified patterns (cycles) always take the :meth:`RunSession.amplify`
 path -- one ``amplified`` trace event carrying the ordered per-iteration

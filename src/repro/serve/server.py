@@ -174,7 +174,11 @@ class DetectionServer:
         Bind address; port ``0`` picks a free port (read it back from
         :attr:`bound_port` after :meth:`start` -- the test/bench idiom).
     base_policy:
-        Policy that request ``policy`` specs merge over.
+        Policy that request ``policy`` specs merge over.  Its
+        ``governor_budget`` / ``governor_decay`` build the server's one
+        shared :class:`PeakHoldGovernor`, which both throttles in-run
+        fan-out and tightens the admission limit as observed cost grows;
+        every request's session runs under it.
     engine:
         Shared :class:`ExecutionEngine`; ``None`` uses the process-wide
         default.  The server never shuts the engine's threads down
@@ -183,10 +187,6 @@ class DetectionServer:
         Admission bounds (see :class:`AdmissionController`).
     cache_size:
         Result-cache capacity (entries).
-    governor_budget, governor_decay:
-        When set, one shared :class:`PeakHoldGovernor` both throttles
-        in-run fan-out and tightens the admission limit as observed cost
-        grows.
     chaos:
         An :class:`InfraFaultPlan` (or its spec string) of deterministic
         infrastructure faults to inject; ``None`` injects nothing.
@@ -197,9 +197,11 @@ class DetectionServer:
         Path of the result cache's write-ahead journal; restored at
         construction, appended per fill (see :class:`CacheJournal`).
     governor_state:
-        Path of a :class:`GovernorStateStore` sidecar: the governor's
-        peak estimate is restored at :meth:`start` and saved at
-        :meth:`stop`, so a restarted server begins throttled.
+        Path of a :class:`GovernorStateStore` sidecar, keyed by the base
+        policy's hash: the governor's peak estimate is restored at
+        :meth:`start` and saved at :meth:`stop` (once it has observed a
+        run), so a restarted server begins throttled.  The server is the
+        sidecar's one owner; sessions never read or write it.
     """
 
     def __init__(
@@ -212,8 +214,6 @@ class DetectionServer:
         max_inflight: int = 8,
         max_queue: int = 64,
         cache_size: int = 256,
-        governor_budget: Optional[int] = None,
-        governor_decay: Optional[float] = None,
         chaos: Union[InfraFaultPlan, str, None] = None,
         default_deadline_ms: Optional[int] = None,
         cache_journal: Optional[Any] = None,
@@ -225,8 +225,10 @@ class DetectionServer:
         self.owns_engine = engine is None
         self.engine = engine or default_engine()
         self.governor: Optional[PeakHoldGovernor] = None
-        if governor_budget is not None:
-            self.governor = PeakHoldGovernor(governor_budget, governor_decay)
+        if self.base_policy.governor_budget is not None:
+            self.governor = PeakHoldGovernor(
+                self.base_policy.governor_budget, self.base_policy.governor_decay
+            )
         self.admission = AdmissionController(
             max_inflight, max_queue, governor=self.governor
         )
@@ -294,7 +296,12 @@ class DetectionServer:
                 waiter = self._waiters.get_nowait()
                 if not waiter.done():
                     waiter.cancel()
-        if self._governor_store is not None and self.governor is not None:
+        if (
+            self._governor_store is not None
+            and self.governor is not None
+            and self.governor.observed > 0
+        ):
+            # A governor that never observed a run has nothing to save.
             self._governor_store.save(
                 self.base_policy.policy_hash(), self.governor
             )

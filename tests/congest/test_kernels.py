@@ -312,20 +312,6 @@ class TestKernelProfile:
         assert prof.rounds > 0
         assert prof.fast_rounds < prof.rounds
 
-    def test_session_profile_note(self):
-        from repro.runtime import ExecutionPolicy, RunSession
-
-        with RunSession(
-            ExecutionPolicy(lane="vectorized"), record=True,
-            owns_pools=False, profile=True,
-        ) as ses:
-            net = ses.network(nx.cycle_graph(8), bandwidth=31)
-            ses.run(net, VectorizedBroadcastAccumulate(3), max_rounds=6)
-        notes = [e for e in ses.record.events
-                 if e.kind == "note" and e.label == "vec_profile"]
-        assert len(notes) == 1
-        assert notes[0].extra["rounds"] == 3
-
 
 # ----------------------------------------------------------------------
 # lane x fault-plan cross matrix

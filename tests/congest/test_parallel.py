@@ -29,7 +29,7 @@ from repro.congest import (
     run_amplified,
 )
 from repro.core.even_cycle import detect_even_cycle
-from repro.runtime import RunSession
+from repro.runtime import ExecutionPolicy, RunSession
 
 
 class Gossip(Algorithm):
@@ -151,12 +151,14 @@ class TestRunAmplified:
         g = nx.gnp_random_graph(36, 0.12, seed=5)
         seq = detect_even_cycle(
             g, 2, iterations=8, seed=0,
-            session=RunSession(metrics="full", owns_pools=False),
+            session=RunSession(ExecutionPolicy(metrics="full"), owns_pools=False),
         )
         for jobs in (2, 4):
             par = detect_even_cycle(
                 g, 2, iterations=8, seed=0,
-                session=RunSession(jobs=jobs, metrics="lite", owns_pools=False),
+                session=RunSession(
+                    ExecutionPolicy(jobs=jobs, metrics="lite"), owns_pools=False
+                ),
             )
             assert par.detected == seq.detected
             assert par.iterations_run == seq.iterations_run
@@ -169,11 +171,11 @@ class TestRunAmplified:
         g = nx.cycle_graph(21)
         seq = detect_even_cycle(
             g, 2, iterations=3, seed=2,
-            session=RunSession(metrics="full", owns_pools=False),
+            session=RunSession(ExecutionPolicy(metrics="full"), owns_pools=False),
         )
         par = detect_even_cycle(
             g, 2, iterations=3, seed=2,
-            session=RunSession(jobs=3, metrics="lite", owns_pools=False),
+            session=RunSession(ExecutionPolicy(jobs=3, metrics="lite"), owns_pools=False),
         )
         assert not seq.detected and not par.detected
         assert par.iterations_run == seq.iterations_run == 3
@@ -239,9 +241,9 @@ ses.close()
 _IMPLICIT_EXIT_SCRIPT = """
 import networkx as nx
 from repro.core.cycle_detection_linear import detect_cycle_linear
-from repro.runtime import RunSession
+from repro.runtime import ExecutionPolicy, RunSession
 
-ses = RunSession(jobs=2, metrics="lite", owns_pools=False)
+ses = RunSession(ExecutionPolicy(jobs=2, metrics="lite"), owns_pools=False)
 rep = detect_cycle_linear(nx.grid_2d_graph(6, 6), 5, iterations=4, session=ses)
 assert not rep.detected
 """

@@ -221,7 +221,7 @@ class TestPolicyDrivenDetection:
         assert seeds_for_confidence(0.05, 1 / 256) == 14
         plain = detect_even_cycle(
             g, 2, iterations=12, seed=0,
-            session=RunSession(metrics="lite", owns_pools=False),
+            session=RunSession(ExecutionPolicy(metrics="lite"), owns_pools=False),
         )
         with RunSession(
             ExecutionPolicy(metrics="lite", amplify_confidence=0.05), owns_pools=False

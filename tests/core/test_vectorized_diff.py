@@ -42,12 +42,14 @@ from repro.core.triangle import (
 )
 from repro.graphs.template_graph import sample_input
 from repro.lowerbounds.one_round_network import run_one_round_on_network
-from repro.runtime import RunSession
+from repro.runtime import ExecutionPolicy, RunSession
 
 
 def _session(lane, metrics="full", jobs=1):
     """A session for one lane/metrics/jobs cell that leaves pools warm."""
-    return RunSession(lane=lane, metrics=metrics, jobs=jobs, owns_pools=False)
+    return RunSession(
+        ExecutionPolicy(lane=lane, metrics=metrics, jobs=jobs), owns_pools=False
+    )
 
 
 def assert_equivalent(res_obj, res_vec, *, check_witness: bool = False):

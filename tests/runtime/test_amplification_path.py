@@ -24,6 +24,7 @@ from repro.congest import (
     SanitizerViolation,
     shutdown_pools,
 )
+from repro.congest import parallel
 from repro.core import detect_cycle_linear, detect_even_cycle, detect_tree
 from repro.graphs import generators as gen
 from repro.runtime import ExecutionPolicy, RunRecord, RunSession, diff_records
@@ -70,13 +71,10 @@ class TestThePolicyHoldsOnEverySeed:
                     ses.amplify(g, _scribble, 4, bandwidth=64, max_rounds=10,
                                 success_probability=0.5)
 
-    # One graph per case: pool workers forked after an inline case would
-    # otherwise inherit its cached network instead of building their own.
-    @pytest.mark.parametrize("extra, n", [({}, 6), ({"jobs": 2}, 7),
-                                          ({"amplify_max_seeds": 2}, 8)],
+    @pytest.mark.parametrize("extra", [{}, {"jobs": 2}, {"amplify_max_seeds": 2}],
                              ids=["jobs1", "jobs2", "max-seeds"])
-    def test_broadcast_model_holds_on_every_seed(self, extra, n):
-        g = nx.cycle_graph(n)
+    def test_broadcast_model_holds_on_every_seed(self, extra):
+        g = nx.cycle_graph(6)
         with RunSession(ExecutionPolicy(model="broadcast", **extra),
                         owns_pools=False) as ses:
             with pytest.raises(BroadcastViolation):
@@ -89,6 +87,32 @@ class TestThePolicyHoldsOnEverySeed:
                             owns_pools=False) as ses:
                 assert detect_cycle_linear(g, 8, 3, session=ses).iterations_run == 3
                 assert detect_even_cycle(g, 2, 2, session=ses).iterations_run == 2
+
+
+def _worker_cached_tokens(_: int) -> list:
+    return sorted(parallel._NET_CACHE)
+
+
+class TestWorkersBuildTheirOwnNetworks:
+    """A forked pool worker serves only networks it built or attached
+    itself, so a worker-side build bug cannot hide behind the parent's
+    cached copy."""
+
+    def test_a_worker_forked_after_an_inline_run_builds_its_own(self):
+        g = nx.cycle_graph(9)
+        shutdown_pools()
+        with RunSession(ExecutionPolicy(model="broadcast"), owns_pools=False) as ses:
+            with pytest.raises(BroadcastViolation):
+                ses.amplify(g, _unicast, 4, bandwidth=16, max_rounds=4)
+        assert parallel._NET_CACHE, "the inline run caches its network"
+        # The pool forks here, while the parent's LRU holds that network.
+        worker = parallel._get_pool(2).submit(_worker_cached_tokens, 0)
+        assert worker.result(timeout=60) == []
+        # The workers build the broadcast network from the chunk spec.
+        with RunSession(ExecutionPolicy(model="broadcast", jobs=2),
+                        owns_pools=False) as ses:
+            with pytest.raises(BroadcastViolation):
+                ses.amplify(g, _unicast, 4, bandwidth=16, max_rounds=4)
 
 
 class TestTreeDetectionHonorsThePolicy:

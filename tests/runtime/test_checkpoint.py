@@ -214,49 +214,25 @@ class _DyingKernel(Algorithm):
         pass
 
 
-class _HealthyObject(Algorithm):
-    name = "healthy-object"
-
-    def init(self, node):
-        pass
-
-    def round(self, node, inbox):
-        node.halt()
-        return {}
-
-    def finish(self, node):
-        node.accept()
-
-
 class TestSessionLaneFallback:
+    """A run has no lane fallback: a kernel's fault reaches the caller,
+    and nothing is recorded as a degradation."""
+
     def _net(self, ses):
         import networkx as nx
 
         return ses.network(nx.path_graph(4), bandwidth=16)
 
-    def test_numpy_fault_falls_back_to_object_lane(self):
-        with RunSession(ExecutionPolicy(), record=True, owns_pools=False) as ses:
-            res = ses.run(
-                self._net(ses), _DyingKernel(), max_rounds=2,
-                fallback=_HealthyObject(),
-            )
-            assert not res.rejected
-            assert [d["step"] for d in ses.degradations] == ["lane-fallback"]
-            assert ses.degradations[0]["from"] == "_DyingKernel"
-            assert ses.degradations[0]["to"] == "_HealthyObject"
-            kinds = [(e.kind, e.label) for e in ses.record.events]
-            assert ("note", "degradation") in kinds
-
     def test_without_fallback_the_fault_propagates(self):
-        with RunSession(ExecutionPolicy(), owns_pools=False) as ses:
+        with RunSession(ExecutionPolicy(), record=True, owns_pools=False) as ses:
             with pytest.raises(FloatingPointError):
                 ses.run(self._net(ses), _DyingKernel(), max_rounds=2)
-            assert ses.degradations == []
+            assert ses.record.events == []
 
     def test_non_numpy_errors_are_never_swallowed(self):
         with RunSession(ExecutionPolicy(), owns_pools=False) as ses:
             with pytest.raises(RuntimeError):
                 ses.run(
                     self._net(ses), _DyingKernel(exc=RuntimeError),
-                    max_rounds=2, fallback=_HealthyObject(),
+                    max_rounds=2,
                 )

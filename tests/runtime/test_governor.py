@@ -1,6 +1,9 @@
-"""The peak-hold load governor: estimator math and session integration."""
+"""The peak-hold load governor: estimator math, session integration,
+and its sidecar, which the server alone restores and saves."""
 
 from __future__ import annotations
+
+import asyncio
 
 import networkx as nx
 import pytest
@@ -17,6 +20,24 @@ from repro.runtime import (
     PolicyError,
     RunSession,
 )
+from repro.serve import DetectionServer, execute_request
+from repro.serve.protocol import parse_request
+
+
+def _serve(policy, path, body=lambda srv: None):
+    """Start a server under ``policy`` with the sidecar at ``path``, run
+    ``body(srv)``, stop it (which saves the sidecar) and return it."""
+    srv = DetectionServer(base_policy=policy, governor_state=path)
+
+    async def run():
+        await srv.start()
+        try:
+            body(srv)
+        finally:
+            await srv.stop()
+
+    asyncio.run(run())
+    return srv
 
 
 class TestPeakHold:
@@ -138,16 +159,16 @@ class TestSessionIntegration:
         )
         governed = tight.amplify(graph, _chatty_factory, **kw)
         assert governed.outcomes == ungoverned.outcomes
-        assert tight.governor_events, "expected at least one throttle"
-        for step in tight.governor_events:
+        # The record's governor notes are the one account of throttles.
+        notes = [
+            e.extra for e in tight.record.events
+            if e.kind == "note" and e.label == "governor"
+        ]
+        assert notes, "expected at least one throttle"
+        for step in notes:
             assert step["requested_jobs"] == 4
             assert step["granted_jobs"] == 1
             assert step["peak"] > 0
-        notes = [
-            e for e in tight.record.events
-            if e.kind == "note" and e.label == "governor"
-        ]
-        assert len(notes) == len(tight.governor_events)
 
 
 class TestStatePersistence:
@@ -245,49 +266,47 @@ class TestStatePersistence:
         assert gov.peak == 4.5 and gov.observed == 2
         assert gov.allowed(8) == 2  # 10 // 4.5: restored state throttles
 
-    def test_cold_session_starts_throttled(self, tmp_path):
-        """The CLI contract: a new process under the same policy inherits
-        the previous session's estimate instead of granting the first
-        batch unthrottled."""
-        path = tmp_path / "gov.json"
-        policy = ExecutionPolicy(governor_budget=1000)
-        with RunSession(policy, governor_state=path, owns_pools=False) as warm:
-            warm.governor.observe(800.0)
-        cold = RunSession(policy, governor_state=path, owns_pools=False)
-        assert cold.governor.peak == 800.0
-        assert cold.governor.allowed(8) == 1  # throttled from the start
-
     def test_distinct_policies_do_not_share_estimates(self, tmp_path):
         path = tmp_path / "gov.json"
         p1 = ExecutionPolicy(governor_budget=1000)
         p2 = ExecutionPolicy(governor_budget=1000, bandwidth=8)
-        with RunSession(p1, governor_state=path, owns_pools=False) as ses:
-            ses.governor.observe(500.0)
-        fresh = RunSession(p2, governor_state=path, owns_pools=False)
+        _serve(p1, path, lambda srv: srv.governor.observe(500.0))
+        fresh = _serve(p2, path)
         assert fresh.governor.peak == 0.0  # different hash, no carry-over
 
     def test_unobserved_governor_never_clobbers(self, tmp_path):
         path = tmp_path / "gov.json"
         policy = ExecutionPolicy(governor_budget=1000)
-        with RunSession(policy, governor_state=path, owns_pools=False) as warm:
-            warm.governor.observe(123.0)
-        # Open and close without running anything: estimate must survive.
+        _serve(policy, path, lambda srv: srv.governor.observe(123.0))
+        # Start and stop without running anything: the estimate survives.
         # (The restored estimate counts as observed, so it re-saves; a
         # *fresh* unobserved governor writes nothing.)
-        with RunSession(policy, governor_state=path, owns_pools=False):
-            pass
+        _serve(policy, path)
         assert GovernorStateStore(path).load(policy.policy_hash())["peak"] == 123.0
         p_other = ExecutionPolicy(governor_budget=2000)
-        with RunSession(p_other, governor_state=path, owns_pools=False):
-            pass
+        _serve(p_other, path)
         assert GovernorStateStore(path).load(p_other.policy_hash()) is None
 
-    def test_env_var_wiring(self, tmp_path, monkeypatch):
+    def test_served_request_ignores_the_sidecar_env_var(self, tmp_path, monkeypatch):
+        """A request's session neither restores nor saves a sidecar: the
+        server's shared governor moves only by its own observations."""
         path = tmp_path / "gov.json"
         policy = ExecutionPolicy(governor_budget=100)
+        stale = PeakHoldGovernor(100)
+        stale.observe(8.1e11)
+        GovernorStateStore(path).save(policy.policy_hash(), stale)
+        before = path.read_bytes()
+        req = parse_request({"id": "a", "pattern": "c4", "seed": 3, "iterations": 3,
+                             "graph": {"kind": "gnp", "n": 16, "p": 0.2, "seed": 1}})
+
+        def served():
+            gov = PeakHoldGovernor(100)
+            gov.observe(100.0)
+            execute_request(req, req.policy(base=policy), governor=gov)
+            return gov.snapshot()
+
+        expected = served()
         monkeypatch.setenv("REPRO_GOVERNOR_STATE", str(path))
-        with RunSession(policy, owns_pools=False) as ses:
-            assert ses.governor_store is not None
-            ses.governor.observe(40.0)
-        cold = RunSession(policy, owns_pools=False)
-        assert cold.governor.peak == 40.0
+        assert served() == expected
+        assert expected["observed"] > 1
+        assert path.read_bytes() == before

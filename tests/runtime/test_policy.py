@@ -155,6 +155,12 @@ class TestFromSpec:
         with pytest.raises(PolicyError, match="boolean"):
             ExecutionPolicy.from_spec("sanitize=maybe")
 
+    def test_bad_number_spellings(self):
+        with pytest.raises(PolicyError, match="integer"):
+            ExecutionPolicy.from_spec("jobs=many")
+        with pytest.raises(PolicyError, match="number"):
+            ExecutionPolicy.from_spec("amplify_confidence=high")
+
     def test_bad_fragment(self):
         with pytest.raises(PolicyError, match="key=value"):
             ExecutionPolicy.from_spec("jobs")
@@ -166,32 +172,6 @@ class TestFromSpec:
     def test_spec_combos_still_validated(self):
         with pytest.raises(PolicyError):
             ExecutionPolicy.from_spec("sanitize=true,metrics=lite")
-
-
-class TestFromEnv:
-    def test_reads_prefixed_vars(self):
-        env = {"REPRO_LANE": "vectorized", "REPRO_JOBS": "4",
-               "REPRO_METRICS": "lite", "REPRO_BANDWIDTH": "16",
-               "REPRO_SEED": "7", "REPRO_CACHE": "false"}
-        p = ExecutionPolicy.from_env(env)
-        assert p == ExecutionPolicy(lane="vectorized", jobs=4, metrics="lite",
-                                    bandwidth=16, seed=7, cache=False)
-
-    def test_unset_keeps_base(self):
-        base = ExecutionPolicy(jobs=3, seed=5)
-        p = ExecutionPolicy.from_env({"REPRO_METRICS": "lite"}, base=base)
-        assert (p.jobs, p.seed, p.metrics) == (3, 5, "lite")
-
-    def test_empty_environment_is_default(self):
-        assert ExecutionPolicy.from_env({}) == ExecutionPolicy()
-
-    def test_bandwidth_unbounded_spelling(self):
-        p = ExecutionPolicy.from_env({"REPRO_BANDWIDTH": "none"})
-        assert p.bandwidth is None
-
-    def test_bad_value_raises(self):
-        with pytest.raises(PolicyError, match="integer"):
-            ExecutionPolicy.from_env({"REPRO_JOBS": "many"})
 
 
 class TestAdaptivePolicy:
@@ -247,16 +227,6 @@ class TestAdaptivePolicy:
                 governor_budget=None, governor_decay=None
             )
         ).amplify_confidence is None
-
-    def test_from_env_parses_adaptive_fields(self):
-        p = ExecutionPolicy.from_env({
-            "REPRO_AMPLIFY_CONFIDENCE": "0.95",
-            "REPRO_AMPLIFY_MAX_SEEDS": "800",
-            "REPRO_GOVERNOR_BUDGET": "50000",
-        })
-        assert p.amplify_confidence == 0.95
-        assert p.amplify_max_seeds == 800
-        assert p.governor_budget == 50000
 
     def test_dict_roundtrip_with_adaptive_fields(self):
         p = ExecutionPolicy(

@@ -71,9 +71,21 @@ class TestModelDispatch:
 
 
 class TestConstruction:
-    def test_overrides_shortcut(self):
-        ses = RunSession(jobs=3, metrics="lite", owns_pools=False)
-        assert (ses.policy.jobs, ses.policy.metrics) == (3, "lite")
+    def test_run_knobs_come_only_from_the_policy(self, tmp_path):
+        # No keyword shortcut, profile switch, sidecar path or lane
+        # fallback rides beside the policy: each one fails loudly.
+        for kwargs in ({"jobs": 2}, {"profile": True},
+                       {"governor_state": tmp_path / "gov.json"}):
+            with pytest.raises(TypeError):
+                RunSession(owns_pools=False, **kwargs)
+        ses = RunSession(owns_pools=False)
+        net = ses.network(nx.complete_graph(3), bandwidth=8)
+        with pytest.raises(TypeError):
+            ses.run(net, VectorizedCliqueDetection(3), max_rounds=6,
+                    fallback=CliqueDetection(3))
+        assert not hasattr(ExecutionPolicy, "from_env")
+        for gone in ("degradations", "governor_events", "governor_store"):
+            assert not hasattr(ses, gone)
 
     def test_existing_record_appended(self):
         rec = RunRecord.start(ExecutionPolicy())

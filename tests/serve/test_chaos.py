@@ -32,7 +32,7 @@ from collections import Counter
 import pytest
 
 from repro.congest.parallel import shutdown_pools
-from repro.runtime import ExecutionEngine, diff_records
+from repro.runtime import ExecutionEngine, ExecutionPolicy, diff_records
 from repro.serve import InfraFaultInjector, InfraFaultPlan, InfraFaultSpecError
 from repro.serve.chaos import chaos_execute
 from tests.serve.test_server import (
@@ -632,15 +632,16 @@ class TestGovernorStatePersistence:
             await client.close()
             return srv.governor.snapshot()
 
+        policy = ExecutionPolicy(governor_budget=10_000_000)
         snap1 = asyncio.run(_with_server(
-            phase1, governor_budget=10_000_000, governor_state=state))
+            phase1, base_policy=policy, governor_state=state))
         assert snap1["observed"] >= 1
 
         async def phase2(srv):
             return srv.governor.snapshot()
 
         snap2 = asyncio.run(_with_server(
-            phase2, governor_budget=10_000_000, governor_state=state))
+            phase2, base_policy=policy, governor_state=state))
         # The restarted server starts throttled at the carried peak.
         assert snap2["peak"] == snap1["peak"]
         assert snap2["observed"] == snap1["observed"]

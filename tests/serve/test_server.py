@@ -342,8 +342,46 @@ class TestStatsEndpoint:
             await client.close()
             return row
 
-        row = asyncio.run(
-            _with_server(scenario, governor_budget=1_000_000)
-        )
+        row = asyncio.run(_with_server(
+            scenario, base_policy=ExecutionPolicy(governor_budget=1_000_000)
+        ))
         assert "governor" in row
         assert row["admission"]["limit"] == row["admission"]["max_inflight"]
+
+    def test_base_policy_budget_builds_one_shared_governor(self):
+        # `serve --policy governor_budget=N` is the one way to govern a
+        # server: admission and every request's session share the
+        # governor the base policy builds.
+        reqs = [{"pattern": "c4", "graph": GRAPH, "seed": s, "iterations": 3}
+                for s in (11, 12)]
+
+        async def scenario(srv):
+            client = await Client.connect(srv.bound_port)
+            got = {}
+            for i, obj in enumerate(reqs):
+                await client.send({"id": f"r{i}", **obj})
+                got.update(await client.collect(1))
+            await client.send({"id": "s", "op": "stats"})
+            row = json.loads(await client.reader.readline())
+            await client.close()
+            return got, row
+
+        policy = ExecutionPolicy(governor_budget=1_000_000)
+        srv = DetectionServer(base_policy=policy)
+        assert srv.governor is not None
+        assert srv.admission.governor is srv.governor
+        assert (srv.governor.budget, srv.governor.decay) == (1_000_000, 0.9)
+
+        async def run():
+            await srv.start()
+            try:
+                return await scenario(srv)
+            finally:
+                await srv.stop()
+
+        got, row = asyncio.run(run())
+        seeds_run = [got[f"r{i}"]["terminal"]["iterations_run"] for i in (0, 1)]
+        # Both requests fed the one estimate: one observation per seed.
+        assert row["governor"]["observed"] == sum(seeds_run) > 0
+        assert row["governor"]["peak"] > 0
+        assert row["governor"] == srv.governor.snapshot()

@@ -103,10 +103,13 @@ class TestCLICommands:
     @pytest.mark.parametrize("flag", [
         "--submit-retries", "--breaker-threshold",
         "--breaker-backoff-base", "--breaker-backoff-cap",
+        "--governor-budget", "--governor-decay",
     ])
     def test_removed_serve_flags_exit_2(self, flag):
         # Pool failures have one ladder, in run_amplified; the server's
-        # own retry knobs are gone and must fail loudly.
+        # own retry knobs are gone and must fail loudly.  So are the
+        # governor flags: the base policy's governor_budget /
+        # governor_decay (--policy) build the one shared governor.
         with pytest.raises(SystemExit) as err:
             main(["serve", "--port", "0", flag, "1"])
         assert err.value.code == 2
