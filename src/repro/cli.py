@@ -62,8 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run a detector on a graph")
     p.add_argument("--pattern", required=True,
-                   help="triangle | c<even length, e.g. c4/c6> | odd-c<len> | "
-                        "k<s, e.g. k4> | path<t>")
+                   help="triangle | c<even length, e.g. c4/c6> | "
+                        "odd-c<odd length> | k<s >= 3, e.g. k4> | path<t> "
+                        "(the server's grammar)")
     p.add_argument("--graph", default="gnp", choices=["gnp", "grid", "cycle", "file"])
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--p", type=float, default=0.1)
@@ -71,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, default=5)
     p.add_argument("--length", type=int, default=8, help="cycle graph length")
     p.add_argument("--path", help="edge-list file (with --graph file)")
-    p.add_argument("--bandwidth", type=int, default=None)
+    p.add_argument("--bandwidth", type=int, default=None,
+                   help="per-edge bits B; unset, the policy's bandwidth, "
+                        "then the detector's own default")
     p.add_argument("--iterations", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
@@ -271,58 +274,48 @@ def _cmd_detect(args) -> int:
         detect_triangle_congest,
     )
     from .graphs import generators
+    from .serve.protocol import ProtocolError, parse_pattern
 
+    try:
+        _, kind, arg, _ = parse_pattern(args.pattern)
+    except ProtocolError as exc:
+        raise SystemExit(f"repro: {exc}") from None
     g = _build_graph(args)
-    pat = args.pattern.lower()
     print(f"graph: {g.number_of_nodes()} nodes, {g.number_of_edges()} edges")
 
     ses = _session_from_args(args)
-    seed = ses.policy.seed
+    seed, bw = ses.policy.seed, args.bandwidth
     with ses:
-        if pat == "triangle":
-            res = detect_triangle_congest(
-                g, bandwidth=args.bandwidth or 16, seed=seed, session=ses
-            )
+        if kind == "triangle":
+            res = detect_triangle_congest(g, bw, seed=seed, session=ses)
             print(f"triangle detected: {res.rejected} (rounds: {res.rounds}, "
                   f"bits: {res.metrics.total_bits})")
-        elif pat.startswith("odd-c"):
-            length = int(pat[5:])
+        elif kind == "clique":
+            res = detect_clique(g, arg, bw, seed=seed, session=ses)
+            print(f"K_{arg} detected: {res.rejected} (rounds: {res.rounds})")
+        elif kind == "odd-cycle":
             rep = detect_cycle_linear(
-                g, length, iterations=args.iterations, seed=seed, session=ses
+                g, arg, args.iterations, seed=seed, bandwidth=bw, session=ses
             )
-            print(f"C_{length} detected: {rep.detected} "
+            print(f"C_{arg} detected: {rep.detected} "
                   f"({rep.iterations_run} iterations x "
                   f"{rep.rounds_per_iteration} rounds)")
-        elif pat.startswith("c"):
-            length = int(pat[1:])
-            if length % 2 != 0 or length < 4:
-                raise SystemExit("use c<even length> or odd-c<length>")
-            k = length // 2
+        elif kind == "even-cycle":
             rep = detect_even_cycle(
-                g, k, iterations=args.iterations, seed=seed,
-                bandwidth=args.bandwidth, session=ses,
+                g, arg, args.iterations, seed=seed, bandwidth=bw, session=ses
             )
-            print(f"C_{length} detected: {rep.detected} "
+            print(f"C_{2 * arg} detected: {rep.detected} "
                   f"({rep.iterations_run} iterations x "
                   f"{rep.rounds_per_iteration} rounds; "
                   f"Theorem 1.1 schedule R1={rep.schedule.r1} R2={rep.schedule.r2})")
-        elif pat.startswith("k"):
-            s = int(pat[1:])
-            res = detect_clique(
-                g, s, bandwidth=args.bandwidth or 8, seed=seed, session=ses
-            )
-            print(f"K_{s} detected: {res.rejected} (rounds: {res.rounds})")
-        elif pat.startswith("path"):
-            t = int(pat[4:])
+        else:
             rep = detect_tree(
-                g, generators.path(t), iterations=args.iterations, seed=seed,
-                session=ses,
+                g, generators.path(arg), args.iterations, seed=seed,
+                bandwidth=bw, session=ses,
             )
-            print(f"P_{t} detected: {rep.detected} "
+            print(f"P_{arg} detected: {rep.detected} "
                   f"({rep.iterations_run} iterations x "
                   f"{rep.rounds_per_iteration} rounds)")
-        else:
-            raise SystemExit(f"unknown pattern {args.pattern!r}")
     if args.record:
         print(f"run record: {ses.save_record(args.record)}")
     return 0
@@ -541,19 +534,23 @@ def _cmd_serve(args) -> int:
         except InfraFaultSpecError as exc:
             raise SystemExit(f"repro: bad chaos spec: {exc}") from None
 
-    async def _run() -> None:
-        srv = DetectionServer(
-            host=args.host,
-            port=args.port,
-            base_policy=base,
-            max_inflight=args.max_inflight,
-            max_queue=args.max_queue,
-            cache_size=args.cache_size,
-            chaos=chaos,
-            default_deadline_ms=args.deadline_ms,
-            cache_journal=args.cache_journal,
-            governor_state=args.governor_state,
-        )
+    async def _run() -> int:
+        try:
+            srv = DetectionServer(
+                host=args.host,
+                port=args.port,
+                base_policy=base,
+                max_inflight=args.max_inflight,
+                max_queue=args.max_queue,
+                cache_size=args.cache_size,
+                chaos=chaos,
+                default_deadline_ms=args.deadline_ms,
+                cache_journal=args.cache_journal,
+                governor_state=args.governor_state,
+            )
+        except ValueError as exc:
+            print(f"repro serve: {exc}", file=sys.stderr)
+            return 2
         await srv.start()
         # Handlers before the banner: a supervisor may signal the moment
         # it reads the port.  Flushed so scripts reading our stdout can
@@ -561,9 +558,9 @@ def _cmd_serve(args) -> int:
         srv.install_signal_handlers(asyncio.get_running_loop())
         print(f"serving on {args.host}:{srv.bound_port}", flush=True)
         await srv.serve_forever()
+        return 0
 
-    asyncio.run(_run())
-    return 0
+    return asyncio.run(_run())
 
 
 def _cmd_policy(args) -> int:

@@ -13,20 +13,18 @@
 
 from .clique_detection import CliqueDetection, VectorizedCliqueDetection, detect_clique
 from .color_coding import (
+    AmplifiedReport,
     ColorSource,
     OracleColorSource,
     RandomColorSource,
     is_properly_colored_cycle,
-    iterations_for_constant_success,
     proper_coloring_for_cycle,
     success_probability,
 )
 from .cycle_detection_linear import (
     LinearCycleIterationAlgorithm,
-    LinearCycleReport,
     VectorizedLinearCycle,
     detect_cycle_linear,
-    linear_iterations_for_constant_success,
 )
 from .detection import DetectOutcome, classify_pattern, detect
 from .decomposition import LayerDecomposition, layer_decomposition, peel_threshold
@@ -38,7 +36,6 @@ from .derandomize import (
     splitter_family_size,
 )
 from .even_cycle import (
-    DetectionReport,
     EvenCycleIterationAlgorithm,
     IterationSchedule,
     detect_even_cycle,
@@ -61,7 +58,6 @@ from .listing import (
 from .tree_detection import (
     RootedTree,
     TreeDetectionIteration,
-    TreeDetectionReport,
     detect_tree,
 )
 from .triangle_listing import (
@@ -85,18 +81,16 @@ __all__ = [
     "CliqueDetection",
     "VectorizedCliqueDetection",
     "detect_clique",
+    "AmplifiedReport",
     "ColorSource",
     "OracleColorSource",
     "RandomColorSource",
     "is_properly_colored_cycle",
-    "iterations_for_constant_success",
     "proper_coloring_for_cycle",
     "success_probability",
     "LinearCycleIterationAlgorithm",
-    "LinearCycleReport",
     "VectorizedLinearCycle",
     "detect_cycle_linear",
-    "linear_iterations_for_constant_success",
     "DetectOutcome",
     "classify_pattern",
     "detect",
@@ -108,7 +102,6 @@ __all__ = [
     "detect_even_cycle_deterministic",
     "next_prime",
     "splitter_family_size",
-    "DetectionReport",
     "EvenCycleIterationAlgorithm",
     "IterationSchedule",
     "detect_even_cycle",
@@ -126,7 +119,6 @@ __all__ = [
     "test_triangle_freeness",
     "RootedTree",
     "TreeDetectionIteration",
-    "TreeDetectionReport",
     "detect_tree",
     "TriangleListingCongest",
     "TriangleListingOutcome",

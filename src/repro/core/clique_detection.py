@@ -324,12 +324,13 @@ def _sub_has_clique(sub: np.ndarray, s: int) -> bool:
 def detect_clique(
     graph: nx.Graph,
     s: int,
-    bandwidth: int,
+    bandwidth: Optional[int] = None,
     seed: int = 0,
     session: Optional["RunSession"] = None,
 ) -> ExecutionResult:
     """Run the O(n) clique detector; deterministic, two-sided correct.
 
+    ``bandwidth`` falls back to the session policy's, then to 8 bits.
     Under a ``session`` whose policy says ``metrics=lite`` the engine
     keeps aggregate counters only; the decision and aggregate bit totals
     are unchanged.  ``lane=vectorized`` runs
@@ -339,6 +340,7 @@ def detect_clique(
     from ..runtime.session import use_session
 
     ses = use_session(session)
+    bandwidth = ses.resolve_bandwidth(bandwidth, 8)
     net = ses.network(graph, bandwidth=bandwidth)
     n = graph.number_of_nodes()
     max_rounds = math.ceil(n / max(1, bandwidth)) + 2

@@ -9,22 +9,27 @@ repetitions detect with constant probability.
 
 This module holds the coloring sources (random and oracle-controlled -- the
 latter lets tests and the derandomization discussion plant a known-good
-coloring) and the amplification arithmetic.
+coloring), the ``C_{2k}`` success probability, and
+:class:`AmplifiedReport`, the one report every color-coding detector
+returns.  Seed counts come from
+:func:`repro.runtime.policy.seeds_for_confidence`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..congest.parallel import AmplifiedOutcome
+
 __all__ = [
+    "AmplifiedReport",
     "ColorSource",
     "RandomColorSource",
     "OracleColorSource",
     "success_probability",
-    "iterations_for_constant_success",
     "proper_coloring_for_cycle",
     "is_properly_colored_cycle",
 ]
@@ -84,16 +89,56 @@ def success_probability(k: int) -> float:
     return float((2 * k) ** (-(2 * k)))
 
 
-def iterations_for_constant_success(k: int, target: float = 2.0 / 3.0) -> int:
-    """Repetitions so a present cycle is detected w.p. >= ``target``.
+@dataclass
+class AmplifiedReport:
+    """Outcome of one amplified color-coding detection.
 
-    ``(1 - p)^t <= exp(-pt) <= 1 - target`` gives
-    ``t = ceil(ln(1/(1-target)) / p)``.
+    The tree, linear-cycle, Theorem 1.1 and derandomized detectors all
+    return this, built by :meth:`from_outcome` from the merged
+    :class:`~repro.congest.parallel.AmplifiedOutcome`, which rides along
+    as ``outcome`` (the server derives coalesced followers from it).
+    ``total_bits`` / ``total_messages`` aggregate every executed
+    iteration and are identical at any ``metrics`` mode or ``jobs``.
+    ``seeds_saved`` / ``stop_reason`` report the adaptive stop (see
+    :mod:`repro.congest.parallel`).  ``schedule`` is Theorem 1.1's
+    :class:`~repro.core.even_cycle.IterationSchedule`, ``None`` for the
+    other detectors.
     """
-    if not 0 < target < 1:
-        raise ValueError("target must be in (0, 1)")
-    p = success_probability(k)
-    return math.ceil(math.log(1.0 / (1.0 - target)) / p)
+
+    detected: bool
+    iterations_run: int
+    rounds_per_iteration: int
+    total_rounds: int
+    witnesses: List[Any]
+    total_bits: int
+    total_messages: int
+    seeds_requested: int
+    seeds_saved: int
+    stop_reason: str
+    outcome: AmplifiedOutcome
+    schedule: Optional[Any] = None
+
+    @classmethod
+    def from_outcome(
+        cls,
+        amp: AmplifiedOutcome,
+        rounds_per_iteration: int,
+        schedule: Optional[Any] = None,
+    ) -> "AmplifiedReport":
+        return cls(
+            detected=amp.rejected,
+            iterations_run=amp.iterations_run,
+            rounds_per_iteration=rounds_per_iteration,
+            total_rounds=amp.iterations_run * rounds_per_iteration,
+            witnesses=list(amp.witnesses),
+            total_bits=amp.total_bits,
+            total_messages=amp.total_messages,
+            seeds_requested=amp.seeds_requested,
+            seeds_saved=amp.seeds_saved,
+            stop_reason=amp.stop_reason,
+            outcome=amp,
+            schedule=schedule,
+        )
 
 
 def proper_coloring_for_cycle(

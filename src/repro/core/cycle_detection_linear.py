@@ -16,7 +16,6 @@ paper (experiment E7).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -36,25 +35,22 @@ from ..congest.vectorized import (
     VectorizedAlgorithm,
     first_integers,
 )
+from .color_coding import AmplifiedReport
 
 __all__ = [
     "LinearCycleIterationAlgorithm",
     "VectorizedLinearCycle",
-    "LinearCycleReport",
     "detect_cycle_linear",
-    "linear_iterations_for_constant_success",
+    "linear_success_probability",
 ]
 
 
-def linear_iterations_for_constant_success(length: int, target: float = 2.0 / 3.0) -> int:
-    """Repetitions for the ``ℓ``-color coding to hit a fixed cycle:
-    per-iteration success ``ℓ^{-ℓ}``."""
+def linear_success_probability(length: int) -> float:
+    """Probability that one uniform ``ℓ``-coloring properly colors a fixed
+    ``C_ℓ`` (all ``ℓ`` positions right): ``ℓ^{-ℓ}``."""
     if length < 3:
         raise ValueError("cycles have length >= 3")
-    if not 0 < target < 1:
-        raise ValueError("target in (0,1)")
-    p = float(length) ** (-length)
-    return math.ceil(math.log(1.0 / (1.0 - target)) / p)
+    return float(length) ** -length
 
 
 class _AnyLengthColorSource:
@@ -339,19 +335,6 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
         return VecOutbox(edges, payload, state["msg_bits"])
 
 
-@dataclass
-class LinearCycleReport:
-    detected: bool
-    iterations_run: int
-    rounds_per_iteration: int
-    total_rounds: int
-    total_bits: int = 0
-    total_messages: int = 0
-    seeds_requested: int = 0
-    seeds_saved: int = 0
-    stop_reason: str = "exhausted"
-
-
 @dataclass(frozen=True)
 class _LinearCycleFactory:
     """Picklable per-iteration algorithm factory for parallel amplification."""
@@ -377,7 +360,7 @@ def detect_cycle_linear(
     color_map: Optional[Mapping[int, int]] = None,
     stop_on_detect: bool = True,
     session: Optional["RunSession"] = None,
-) -> LinearCycleReport:
+) -> AmplifiedReport:
     """Amplified O(n)-baseline detection of ``C_length``.
 
     Like :func:`repro.core.even_cycle.detect_even_cycle`, the seeds run
@@ -385,17 +368,15 @@ def detect_cycle_linear(
     at any ``jobs`` and the whole policy applies to every seed.
     ``lane=vectorized`` runs :class:`VectorizedLinearCycle` per iteration
     (same decisions, witnesses, and bit totals as the object lane).
+    ``bandwidth`` falls back to the session policy's, then to one token:
+    an id plus a hop count.
     """
     from ..runtime.session import use_session
 
     ses = use_session(session)
     n = graph.number_of_nodes()
-    if bandwidth is None:
-        bandwidth = int_width(max(n, 2)) + int_width(length)
     rounds_per = n + length + 2
-    # A uniform coloring assigns all `length` cycle positions correctly
-    # with probability length^(-length); a fixed color_map is
-    # deterministic, so one iteration suffices.
+    # A fixed color_map is deterministic, so one iteration suffices.
     amp = ses.amplify(
         graph,
         _LinearCycleFactory(
@@ -405,22 +386,14 @@ def detect_cycle_linear(
         ),
         iterations,
         seed=seed,
-        bandwidth=bandwidth,
+        bandwidth=ses.resolve_bandwidth(
+            bandwidth, int_width(max(n, 2)) + int_width(length)
+        ),
         max_rounds=rounds_per,
         stop_on_detect=stop_on_detect,
         label=f"linear-cycle-C{length}",
         success_probability=(
-            1.0 if color_map is not None else float(length) ** -length
+            1.0 if color_map is not None else linear_success_probability(length)
         ),
     )
-    return LinearCycleReport(
-        detected=amp.rejected,
-        iterations_run=amp.iterations_run,
-        rounds_per_iteration=rounds_per,
-        total_rounds=amp.iterations_run * rounds_per,
-        total_bits=amp.total_bits,
-        total_messages=amp.total_messages,
-        seeds_requested=iterations,
-        seeds_saved=amp.seeds_saved,
-        stop_reason=amp.stop_reason,
-    )
+    return AmplifiedReport.from_outcome(amp, rounds_per)

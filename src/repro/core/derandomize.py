@@ -42,9 +42,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from ..graphs.extremal import is_prime
-from .color_coding import OracleColorSource
+from .color_coding import AmplifiedReport, OracleColorSource
 from .even_cycle import (
-    DetectionReport,
     EvenCycleIterationAlgorithm,
     IterationSchedule,
     required_bandwidth,
@@ -243,7 +242,7 @@ def detect_even_cycle_deterministic(
     family: Optional[PolynomialColorFamily] = None,
     bandwidth: Optional[int] = None,
     edge_constant: float = 1.0,
-) -> DetectionReport:
+) -> AmplifiedReport:
     """Run the Theorem 1.1 algorithm deterministically over family seeds.
 
     ``seeds`` index members of ``family`` (defaults to the polynomial
@@ -255,29 +254,18 @@ def detect_even_cycle_deterministic(
     """
     from ..runtime.session import use_session
 
+    ses = use_session(None)
     n = graph.number_of_nodes()
     if family is None:
         family = PolynomialColorFamily(n, k)
     sched = IterationSchedule.build(n, k, edge_constant)
-    amp = use_session(None).amplify(
+    amp = ses.amplify(
         graph,
         _FamilyFactory(k, edge_constant, family, tuple(map(tuple, seeds))),
         len(seeds),
         seed=0,
-        bandwidth=bandwidth if bandwidth is not None else required_bandwidth(n, k),
+        bandwidth=ses.resolve_bandwidth(bandwidth, required_bandwidth(n, k)),
         max_rounds=sched.total_rounds + 1,
         label=f"even-cycle-C{2 * k}",
     )
-    return DetectionReport(
-        detected=amp.rejected,
-        iterations_run=amp.iterations_run,
-        rounds_per_iteration=sched.total_rounds,
-        total_rounds=amp.iterations_run * sched.total_rounds,
-        schedule=sched,
-        witnesses=list(amp.witnesses),
-        total_bits=amp.total_bits,
-        total_messages=amp.total_messages,
-        seeds_requested=len(seeds),
-        seeds_saved=amp.seeds_saved,
-        stop_reason=amp.stop_reason,
-    )
+    return AmplifiedReport.from_outcome(amp, sched.total_rounds, schedule=sched)

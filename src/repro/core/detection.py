@@ -24,21 +24,19 @@ so the dispatcher switches to the LOCAL model and says so in the result.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 import networkx as nx
 
-from ..graphs.properties import girth
+from ..runtime.policy import seeds_for_confidence
 from .clique_detection import detect_clique
-from .cycle_detection_linear import (
-    detect_cycle_linear,
-    linear_iterations_for_constant_success,
-)
+from .color_coding import success_probability
+from .cycle_detection_linear import detect_cycle_linear, linear_success_probability
 from .even_cycle import detect_even_cycle
 from .generic_detection import detect_subgraph_local
-from .color_coding import iterations_for_constant_success
-from .tree_detection import detect_tree
+from .tree_detection import detect_tree, tree_success_probability
 from .triangle import detect_triangle_congest
 
 __all__ = ["classify_pattern", "detect", "DetectOutcome"]
@@ -96,17 +94,19 @@ def detect(
     """Detect ``pattern`` in ``graph`` with the best algorithm we have.
 
     ``target_confidence`` sizes the amplification of the randomized
-    detectors (capped by ``max_iterations`` to keep simulations finite at
-    large k; the cap is reported through ``miss_probability``).  A
-    ``session``'s :class:`~repro.runtime.policy.ExecutionPolicy` (jobs,
-    metrics mode, ...) is threaded through to whichever detector the
-    dispatcher picks; none of its knobs changes the detection decision.
+    detectors through :func:`~repro.runtime.policy.seeds_for_confidence`
+    with each detector's own per-iteration success probability (capped by
+    ``max_iterations`` to keep simulations finite at large k; a miss is
+    reported as ``miss_probability = (1 - p)^t`` over the ``t`` seeds
+    run).  ``bandwidth`` and every default behind it belong to the
+    detector the dispatcher picks.  A ``session``'s
+    :class:`~repro.runtime.policy.ExecutionPolicy` (jobs, metrics mode,
+    bandwidth, ...) is threaded through to that detector.
     """
     from ..runtime.session import use_session
 
     ses = use_session(session)
     kind = classify_pattern(pattern)
-    n = graph.number_of_nodes()
 
     if kind == "empty":
         ok = graph.number_of_nodes() >= pattern.number_of_nodes()
@@ -115,22 +115,9 @@ def detect(
         ok = graph.number_of_edges() >= 1
         return DetectOutcome(ok, kind, "trivial", "CONGEST", 0, {})
 
-    if kind == "tree":
-        t = pattern.number_of_nodes()
-        want = _amplify(t**t, target_confidence, max_iterations)
-        rep = detect_tree(
-            graph, pattern, iterations=want.iterations, seed=seed, session=ses
-        )
-        return DetectOutcome(
-            rep.detected, kind, "color-coded tree DP [12]", "CONGEST",
-            rep.total_rounds,
-            {"iterations": rep.iterations_run},
-            miss_probability=0.0 if rep.detected else want.miss,
-        )
-
     if kind == "triangle":
         res = detect_triangle_congest(
-            graph, bandwidth=bandwidth or 16, seed=seed, session=ses
+            graph, bandwidth=bandwidth, seed=seed, session=ses
         )
         return DetectOutcome(
             res.rejected, kind, "neighbor exchange", "CONGEST", res.rounds,
@@ -140,46 +127,37 @@ def detect(
     if kind == "clique":
         s = pattern.number_of_nodes()
         res = detect_clique(
-            graph, s, bandwidth=bandwidth or 8, seed=seed, session=ses
+            graph, s, bandwidth=bandwidth, seed=seed, session=ses
         )
         return DetectOutcome(
             res.rejected, kind, "bitmap shipping [10]", "CONGEST", res.rounds, {}
         )
 
-    if kind == "even-cycle":
-        k = pattern.number_of_nodes() // 2
-        want = _amplify((2 * k) ** (2 * k), target_confidence, max_iterations)
-        rep = detect_even_cycle(
-            graph,
-            k,
-            iterations=want.iterations,
-            seed=seed,
-            bandwidth=bandwidth,
-            session=ses,
-        )
+    if kind in ("tree", "even-cycle", "odd-cycle"):
+        h = pattern.number_of_nodes()
+        if kind == "tree":
+            p = tree_success_probability(h)
+            algorithm = "color-coded tree DP [12]"
+            run = functools.partial(detect_tree, graph, pattern)
+        elif kind == "even-cycle":
+            p = success_probability(h // 2)
+            algorithm = "Theorem 1.1 (sublinear)"
+            run = functools.partial(detect_even_cycle, graph, h // 2)
+        else:
+            p = linear_success_probability(h)
+            algorithm = "linear color-BFS"
+            run = functools.partial(detect_cycle_linear, graph, h)
+        iterations = seeds_for_confidence(target_confidence, p)
+        if max_iterations is not None:
+            iterations = max(1, min(iterations, max_iterations))
+        rep = run(iterations, seed=seed, bandwidth=bandwidth, session=ses)
         return DetectOutcome(
-            rep.detected, kind, "Theorem 1.1 (sublinear)", "CONGEST",
-            rep.total_rounds,
+            rep.detected, kind, algorithm, "CONGEST", rep.total_rounds,
             {"iterations": rep.iterations_run,
              "rounds_per_iteration": rep.rounds_per_iteration},
-            miss_probability=0.0 if rep.detected else want.miss,
-        )
-
-    if kind == "odd-cycle":
-        length = pattern.number_of_nodes()
-        want = _amplify(length**length, target_confidence, max_iterations)
-        rep = detect_cycle_linear(
-            graph,
-            length,
-            iterations=want.iterations,
-            seed=seed,
-            bandwidth=bandwidth,
-            session=ses,
-        )
-        return DetectOutcome(
-            rep.detected, kind, "linear color-BFS", "CONGEST", rep.total_rounds,
-            {"iterations": rep.iterations_run},
-            miss_probability=0.0 if rep.detected else want.miss,
+            miss_probability=(
+                0.0 if rep.detected else (1.0 - p) ** rep.iterations_run
+            ),
         )
 
     # General H: fall back to LOCAL (and say so) -- by Theorem 1.2 there is
@@ -191,25 +169,3 @@ def detect(
         res.rounds,
         {"max_message_bits": res.max_message_bits},
     )
-
-
-@dataclass
-class _Amplification:
-    iterations: int
-    miss: float
-
-
-def _amplify(
-    inverse_success: float, target: float, cap: Optional[int]
-) -> _Amplification:
-    """Iterations for ``target`` detection probability given per-iteration
-    success ``1/inverse_success``; honest residual miss under a cap."""
-    import math
-
-    if not 0 < target < 1:
-        raise ValueError("target_confidence must be in (0, 1)")
-    p = 1.0 / float(inverse_success)
-    want = math.ceil(math.log(1.0 / (1.0 - target)) / p)
-    iters = want if cap is None else min(want, cap)
-    miss = (1.0 - p) ** iters
-    return _Amplification(iterations=max(1, iters), miss=miss)

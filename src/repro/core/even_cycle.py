@@ -37,22 +37,26 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import networkx as nx
 
 from ..congest.algorithm import Algorithm, Decision, NodeContext, broadcast
 from ..congest.message import Message, int_width
 from ..theory.turan import even_cycle_edge_budget
-from .color_coding import ColorSource, RandomColorSource
+from .color_coding import (
+    AmplifiedReport,
+    ColorSource,
+    RandomColorSource,
+    success_probability,
+)
 from .decomposition import peel_threshold
 
 __all__ = [
     "EvenCycleIterationAlgorithm",
     "IterationSchedule",
-    "DetectionReport",
     "detect_even_cycle",
     "required_bandwidth",
 ]
@@ -453,35 +457,6 @@ class EvenCycleIterationAlgorithm(Algorithm):
         node.halt()
 
 
-@dataclass
-class DetectionReport:
-    """Outcome of an amplified detection run.
-
-    ``total_bits`` / ``total_messages`` aggregate the exact communication of
-    every executed iteration; they are identical whichever ``metrics`` mode
-    or ``jobs`` count produced them.
-
-    ``seeds_requested`` / ``seeds_saved`` / ``stop_reason`` report the
-    adaptive-amplification outcome (see
-    :mod:`repro.congest.parallel`): under a policy with
-    ``amplify_confidence`` set, the run may stop before exhausting the
-    requested iterations (``stop_reason="confidence"``), and
-    ``seeds_saved`` counts the iterations that never had to run.
-    """
-
-    detected: bool
-    iterations_run: int
-    rounds_per_iteration: int
-    total_rounds: int
-    schedule: IterationSchedule
-    witnesses: List[Tuple] = field(default_factory=list)
-    total_bits: int = 0
-    total_messages: int = 0
-    seeds_requested: int = 0
-    seeds_saved: int = 0
-    stop_reason: str = "exhausted"
-
-
 @dataclass(frozen=True)
 class _EvenCycleFactory:
     """Picklable per-iteration algorithm factory for parallel amplification."""
@@ -514,12 +489,13 @@ def detect_even_cycle(
     enable_phase1: bool = True,
     layer_filter: bool = True,
     session: Optional["RunSession"] = None,
-) -> DetectionReport:
+) -> AmplifiedReport:
     """Run the Theorem 1.1 algorithm for up to ``iterations`` colorings.
 
     Each iteration uses independent colors (a fresh seed).  Rejection in any
-    iteration is final (soundness is one-sided).  ``bandwidth`` defaults to
-    the minimum the algorithm needs (:func:`required_bandwidth`).
+    iteration is final (soundness is one-sided).  ``bandwidth`` falls back
+    to the session policy's, then to the minimum the algorithm needs
+    (:func:`required_bandwidth`).
     ``enable_phase1`` / ``layer_filter`` are ablation switches (see
     :class:`EvenCycleIterationAlgorithm`).
 
@@ -535,11 +511,6 @@ def detect_even_cycle(
     ses = use_session(session)
     n = graph.number_of_nodes()
     sched = IterationSchedule.build(n, k, edge_constant)
-    if bandwidth is None:
-        bandwidth = required_bandwidth(n, k)
-    # One color-coding iteration finds an existing C_2k with probability
-    # at least (2k)^(-2k) (the 2k cycle vertices draw the right colors);
-    # this is the success rate the adaptive sequential test amplifies.
     amp = ses.amplify(
         graph,
         _EvenCycleFactory(
@@ -547,22 +518,10 @@ def detect_even_cycle(
         ),
         iterations,
         seed=seed,
-        bandwidth=bandwidth,
+        bandwidth=ses.resolve_bandwidth(bandwidth, required_bandwidth(n, k)),
         max_rounds=sched.total_rounds + 1,
         stop_on_detect=stop_on_detect,
         label=f"even-cycle-C{2 * k}",
-        success_probability=float(2 * k) ** -(2 * k),
+        success_probability=success_probability(k),
     )
-    return DetectionReport(
-        detected=amp.rejected,
-        iterations_run=amp.iterations_run,
-        rounds_per_iteration=sched.total_rounds,
-        total_rounds=amp.iterations_run * sched.total_rounds,
-        schedule=sched,
-        witnesses=list(amp.witnesses),
-        total_bits=amp.total_bits,
-        total_messages=amp.total_messages,
-        seeds_requested=iterations,
-        seeds_saved=amp.seeds_saved,
-        stop_reason=amp.stop_reason,
-    )
+    return AmplifiedReport.from_outcome(amp, sched.total_rounds, schedule=sched)

@@ -32,8 +32,14 @@ import networkx as nx
 from ..congest.algorithm import Algorithm, Decision, NodeContext, broadcast
 from ..congest.message import Message
 from ..graphs.properties import girth
+from .color_coding import AmplifiedReport
 
-__all__ = ["RootedTree", "TreeDetectionIteration", "detect_tree", "TreeDetectionReport"]
+__all__ = [
+    "RootedTree",
+    "TreeDetectionIteration",
+    "detect_tree",
+    "tree_success_probability",
+]
 
 
 @dataclass(frozen=True)
@@ -199,17 +205,12 @@ class TreeDetectionIteration(Algorithm):
         return broadcast(node, Message.of_record(payload, size, kind="dp"))
 
 
-@dataclass
-class TreeDetectionReport:
-    detected: bool
-    iterations_run: int
-    rounds_per_iteration: int
-    total_rounds: int
-    total_bits: int = 0
-    total_messages: int = 0
-    seeds_requested: int = 0
-    seeds_saved: int = 0
-    stop_reason: str = "exhausted"
+def tree_success_probability(t: int) -> float:
+    """Probability that one uniform ``t``-coloring makes a fixed copy of a
+    ``t``-vertex tree colorful: at least ``t^{-t}``."""
+    if t < 1:
+        raise ValueError("a tree has >= 1 vertex")
+    return float(t) ** -t
 
 
 @dataclass(frozen=True)
@@ -229,24 +230,25 @@ def detect_tree(
     pattern_tree: nx.Graph,
     iterations: int,
     seed: int = 0,
+    bandwidth: Optional[int] = None,
     color_map: Optional[Mapping[int, int]] = None,
     stop_on_detect: bool = True,
     session: Optional["RunSession"] = None,
-) -> TreeDetectionReport:
+) -> AmplifiedReport:
     """Amplified tree detection; rounds per iteration = depth(T) + 2 = O(1).
 
     The seeds run through one ``session.amplify`` call, like the cycle
     detectors: ``jobs``, the adaptive ``amplify_*`` knobs, ``model``,
     ``sanitize`` and faults all apply, and the report is identical at
-    any ``jobs``.
+    any ``jobs``.  ``bandwidth`` falls back to the session policy's,
+    then to unbounded: the DP tables are O(1) in n.
     """
     from ..runtime.session import use_session
 
     ses = use_session(session)
     pat = RootedTree.from_graph(pattern_tree)
     rounds_per = pat.depth + 2
-    # A present copy is properly colored with probability >= t^(-t) (see
-    # the module docstring); a fixed color_map is deterministic.
+    # A fixed color_map is deterministic, so one iteration suffices.
     amp = ses.amplify(
         graph,
         _TreeFactory(
@@ -255,22 +257,12 @@ def detect_tree(
         ),
         iterations,
         seed=seed,
-        bandwidth=None,  # message size is O(1) in n
+        bandwidth=ses.resolve_bandwidth(bandwidth, None),
         max_rounds=rounds_per + 1,
         stop_on_detect=stop_on_detect,
         label="tree-dp",
         success_probability=(
-            1.0 if color_map is not None else float(pat.t) ** -pat.t
+            1.0 if color_map is not None else tree_success_probability(pat.t)
         ),
     )
-    return TreeDetectionReport(
-        detected=amp.rejected,
-        iterations_run=amp.iterations_run,
-        rounds_per_iteration=rounds_per,
-        total_rounds=amp.iterations_run * rounds_per,
-        total_bits=amp.total_bits,
-        total_messages=amp.total_messages,
-        seeds_requested=iterations,
-        seeds_saved=amp.seeds_saved,
-        stop_reason=amp.stop_reason,
-    )
+    return AmplifiedReport.from_outcome(amp, rounds_per)

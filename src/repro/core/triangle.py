@@ -121,21 +121,24 @@ class NeighborExchangeTriangleDetection(Algorithm):
 
 def detect_triangle_congest(
     graph: nx.Graph,
-    bandwidth: int,
+    bandwidth: Optional[int] = None,
     seed: int = 0,
     session: Optional["RunSession"] = None,
 ) -> ExecutionResult:
     """Run the neighbor-exchange detector; REJECT iff a triangle exists.
 
-    Under a ``session`` whose policy says ``metrics=lite`` the engine
-    keeps aggregate counters only; the decision and aggregate bit totals
-    are unchanged.
+    ``bandwidth`` falls back to the session policy's, then to one id per
+    message, ``ceil(log2 n)`` bits: CONGEST's ``B = O(log n)``.  Under a
+    ``session`` whose policy says ``metrics=lite`` the engine keeps
+    aggregate counters only; the decision and aggregate bit totals are
+    unchanged.
     """
     from ..runtime.session import use_session
 
     ses = use_session(session)
     n = graph.number_of_nodes()
     w = int_width(max(n, 2))
+    bandwidth = ses.resolve_bandwidth(bandwidth, w)
     if bandwidth < w:
         raise ValueError(
             f"neighbor exchange needs B >= id width ({w}); got {bandwidth}"

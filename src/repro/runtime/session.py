@@ -174,6 +174,17 @@ class RunSession:
         bw = self.policy.bandwidth if bandwidth is _UNSET else bandwidth
         return build_network(self.policy.model, graph, bw, **kwargs)
 
+    def resolve_bandwidth(
+        self, explicit: Optional[int], default: Optional[int]
+    ) -> Optional[int]:
+        """A detector's ``B``: the caller's ``explicit`` value, else the
+        policy's ``bandwidth``, else the detector's own ``default``."""
+        if explicit is not None:
+            return explicit
+        if self.policy.bandwidth is not None:
+            return self.policy.bandwidth
+        return default
+
     def lane_class(self, object_cls: Type, vectorized_cls: Type) -> Type:
         """The algorithm class for the policy's execution lane.
 

@@ -1,55 +1,51 @@
-"""Request execution: one plan per pattern class, records included.
+"""Request execution: every pattern class is a call to its detector.
 
 :func:`execute_request` is the single function standing between a parsed
 :class:`~repro.serve.protocol.DetectRequest` and the runtime: it builds
 the graph, opens a recording :class:`~repro.runtime.session.RunSession`
-(a *client* of the shared engine -- ``owns_pools=False``), and dispatches
-on the pattern class with **exactly the parameters the standalone
-detectors use** -- same factories, same round budgets, same bandwidth
-defaults, same success probabilities.  That symmetry is the bit-identity
-contract: a served response's record diffs clean
-(:func:`~repro.runtime.record.diff_records`) against a recorded session
-calling the standalone detector (``detect_even_cycle``,
-``detect_cycle_linear``, ``detect_triangle_congest``, ``detect_clique``)
-with the request's parameters, which
-``tests/serve/test_executor_parity.py`` asserts for every pattern class
-under each lane and metrics mode; the other ``tests/serve/`` suites
-check cache hits and coalesced followers against ``execute_request``.
+(a *client* of the shared engine -- ``owns_pools=False``), and calls the
+standalone detector the pattern names (``detect_triangle_congest``,
+``detect_clique``, ``detect_even_cycle``, ``detect_cycle_linear``,
+``detect_tree``) with the request's seed, iterations and bandwidth.  The
+executor keeps no copy of any detector parameter: bandwidth defaults,
+round budgets, success probabilities and labels belong to the detectors,
+and the label comes back from the recorded event.  So a served
+response's record diffs clean (:func:`~repro.runtime.record.diff_records`)
+against a recorded session calling the detector directly, and against
+``repro detect --record``, which ``tests/serve/test_executor_parity.py``
+asserts for every pattern class under each lane and metrics mode; the
+other ``tests/serve/`` suites check cache hits and coalesced followers
+against ``execute_request``.
 
-Amplified patterns (cycles) always take the :meth:`RunSession.amplify`
-path -- one ``amplified`` trace event carrying the ordered per-iteration
-outcomes -- because that is the shape the batch coalescer can derive
-follower answers from: :func:`derive_follower` replays the pure stopping
-rule over the leader's ordered outcomes
+Amplified patterns (cycles, paths) run one ``session.amplify`` -- one
+``amplified`` trace event carrying the ordered per-iteration outcomes --
+and their report carries that
+:class:`~repro.congest.parallel.AmplifiedOutcome`, the shape the batch
+coalescer derives follower answers from: :func:`derive_follower` replays
+the pure stopping rule over the leader's ordered outcomes
 (:func:`repro.congest.parallel.prefix_outcome`) and synthesizes a record
 that is indistinguishable from having run the follower directly.
-
-Single-run patterns (triangle, cliques) route through their detector
-functions with ``session=``, producing one ``run`` trace event.
+Single-run patterns (triangle, cliques) produce one ``run`` trace event.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from ..congest.message import int_width
 from ..congest.parallel import (
     AmplifiedOutcome,
     IterationOutcome,
     prefix_outcome,
 )
 from ..core.clique_detection import detect_clique
-from ..core.cycle_detection_linear import _LinearCycleFactory
-from ..core.even_cycle import (
-    IterationSchedule,
-    _EvenCycleFactory,
-    required_bandwidth,
-)
+from ..core.cycle_detection_linear import detect_cycle_linear
+from ..core.even_cycle import detect_even_cycle
+from ..core.tree_detection import detect_tree
 from ..core.triangle import detect_triangle_congest
+from ..graphs import generators
 from ..runtime.engine import ExecutionEngine
 from ..runtime.governor import PeakHoldGovernor
 from ..runtime.policy import ExecutionPolicy
@@ -241,7 +237,6 @@ def execute_request(
     over.
     """
     graph = build_graph(req.graph_spec)
-    n = graph.number_of_nodes()
     record = _fresh_record(policy, stamp)
     ses = RunSession(
         policy,
@@ -250,94 +245,45 @@ def execute_request(
         governor=governor,
         engine=engine,
     )
+    kind, arg, bw = req.pattern_kind, req.pattern_arg, req.bandwidth
+    amp: Optional[AmplifiedOutcome] = None
     try:
-        if req.pattern_kind == "triangle":
-            bw = req.bandwidth or int_width(max(n, 2))
-            result = detect_triangle_congest(
-                graph, bw, seed=req.seed, session=ses
-            )
-            payload = {
-                "detected": result.rejected,
-                "decision": result.decision.name,
-                "rounds": result.rounds,
-                "total_bits": result.metrics.total_bits,
-                "total_messages": result.metrics.total_messages,
-            }
-            out = ServeResult(
-                payload=payload,
-                rows=[],
-                amplified=False,
-                label="triangle-neighbor-exchange",
-            )
-        elif req.pattern_kind == "clique":
-            bw = req.bandwidth or 8
-            result = detect_clique(
-                graph, req.pattern_arg, bw, seed=req.seed, session=ses
-            )
-            payload = {
-                "detected": result.rejected,
-                "decision": result.decision.name,
-                "rounds": result.rounds,
-                "total_bits": result.metrics.total_bits,
-                "total_messages": result.metrics.total_messages,
-            }
-            out = ServeResult(
-                payload=payload,
-                rows=[],
-                amplified=False,
-                label=f"clique-K{req.pattern_arg}",
-            )
-        elif req.pattern_kind == "even-cycle":
-            k = req.pattern_arg
-            sched = IterationSchedule.build(n, k, 1.0)
-            bw = req.bandwidth or required_bandwidth(n, k)
-            label = f"even-cycle-C{2 * k}"
-            amp = ses.amplify(
-                graph,
-                _EvenCycleFactory(k, 1.0, None, True, True),
-                req.iterations,
-                seed=req.seed,
-                bandwidth=bw,
-                max_rounds=sched.total_rounds + 1,
-                stop_on_detect=True,
-                label=label,
-                success_probability=float(2 * k) ** -(2 * k),
-            )
-            out = ServeResult(
-                payload=_amplified_payload(amp),
-                rows=[],
-                amplified=True,
-                label=label,
-                outcome=amp,
-            )
-        elif req.pattern_kind == "odd-cycle":
-            length = req.pattern_arg
-            bw = req.bandwidth or int_width(max(n, 2)) + int_width(length)
-            label = f"linear-cycle-C{length}"
-            amp = ses.amplify(
-                graph,
-                _LinearCycleFactory(length, None, lane=ses.policy.lane),
-                req.iterations,
-                seed=req.seed,
-                bandwidth=bw,
-                max_rounds=n + length + 2,
-                stop_on_detect=True,
-                label=label,
-                success_probability=float(length) ** -length,
-            )
-            out = ServeResult(
-                payload=_amplified_payload(amp),
-                rows=[],
-                amplified=True,
-                label=label,
-                outcome=amp,
-            )
-        else:  # pragma: no cover - parse_pattern bounds the kinds
-            raise ProtocolError(f"unsupported pattern kind {req.pattern_kind!r}")
+        if kind == "triangle":
+            res = detect_triangle_congest(graph, bw, seed=req.seed, session=ses)
+        elif kind == "clique":
+            res = detect_clique(graph, arg, bw, seed=req.seed, session=ses)
+        else:
+            if kind == "even-cycle":
+                detector, target = detect_even_cycle, arg
+            elif kind == "odd-cycle":
+                detector, target = detect_cycle_linear, arg
+            elif kind == "tree":
+                detector, target = detect_tree, generators.path(arg)
+            else:  # pragma: no cover - parse_pattern bounds the kinds
+                raise ProtocolError(f"unsupported pattern kind {kind!r}")
+            amp = detector(
+                graph, target, req.iterations, seed=req.seed, bandwidth=bw,
+                session=ses,
+            ).outcome
     finally:
         ses.close()
-    out.rows = _record_rows(record)
-    return out
+    if amp is None:
+        payload = {
+            "detected": res.rejected,
+            "decision": res.decision.name,
+            "rounds": res.rounds,
+            "total_bits": res.metrics.total_bits,
+            "total_messages": res.metrics.total_messages,
+        }
+    else:
+        payload = _amplified_payload(amp)
+    return ServeResult(
+        payload=payload,
+        rows=_record_rows(record),
+        amplified=amp is not None,
+        label=next(e.label for e in reversed(record.events) if e.kind != "note"),
+        outcome=amp,
+    )
 
 
 def derive_follower(

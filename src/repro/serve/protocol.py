@@ -101,48 +101,46 @@ class DetectRequest:
 def parse_pattern(raw: str) -> Tuple[str, str, int, bool]:
     """Classify a pattern string into (canonical, kind, arg, amplified).
 
-    The grammar mirrors the CLI's detect subcommand: ``triangle``;
-    ``k<s>`` for cliques (s >= 3); ``c<2k>`` for even cycles (the
-    Theorem 1.1 sublinear detector); ``odd-c<len>`` for odd cycles (the
-    linear color-BFS baseline).  Triangles and cliques run one
-    deterministic engine round-trip; cycles amplify over seeds.
+    The one pattern grammar, shared by the server and ``repro detect``:
+    ``triangle``; ``k<s>`` for cliques (s >= 3); ``c<2k>`` for even
+    cycles (the Theorem 1.1 sublinear detector, arg ``k``);
+    ``odd-c<len>`` for odd cycles (the linear color-BFS baseline);
+    ``path<t>`` for the ``t``-vertex path (the color-coded tree DP, kind
+    ``tree``).  Triangles and cliques run one deterministic engine
+    round-trip; cycles and trees amplify over seeds.
     """
     raw = raw.strip().lower()
     if raw == "triangle":
         return "triangle", "triangle", 3, False
-    if raw.startswith("odd-c"):
-        try:
-            length = int(raw[5:])
-        except ValueError:
-            raise ProtocolError(f"bad pattern {raw!r}") from None
-        if length < 3 or length % 2 == 0:
-            raise ProtocolError(
-                f"odd-c pattern needs an odd length >= 3, got {length}"
-            )
-        return raw, "odd-cycle", length, True
-    if raw.startswith("k"):
-        try:
-            s = int(raw[1:])
-        except ValueError:
-            raise ProtocolError(f"bad pattern {raw!r}") from None
-        if s < 3:
-            raise ProtocolError(f"clique pattern needs s >= 3, got {s}")
-        return raw, "clique", s, False
-    if raw.startswith("c"):
-        try:
-            length = int(raw[1:])
-        except ValueError:
-            raise ProtocolError(f"bad pattern {raw!r}") from None
-        if length < 4 or length % 2 != 0:
+    for prefix, kind in (("odd-c", "odd-cycle"), ("path", "tree"),
+                         ("k", "clique"), ("c", "even-cycle")):
+        if raw.startswith(prefix):
+            try:
+                arg = int(raw[len(prefix):])
+            except ValueError:
+                raise ProtocolError(f"bad pattern {raw!r}") from None
+            break
+    else:
+        raise ProtocolError(
+            f"unknown pattern {raw!r}; expected triangle, k<s>, c<even>, "
+            "odd-c<odd> or path<t>"
+        )
+    if kind == "odd-cycle" and (arg < 3 or arg % 2 == 0):
+        raise ProtocolError(f"odd-c pattern needs an odd length >= 3, got {arg}")
+    if kind == "tree" and arg < 1:
+        raise ProtocolError(f"path pattern needs t >= 1 vertices, got {arg}")
+    if kind == "clique":
+        if arg < 3:
+            raise ProtocolError(f"clique pattern needs s >= 3, got {arg}")
+        return raw, kind, arg, False
+    if kind == "even-cycle":
+        if arg < 4 or arg % 2 != 0:
             raise ProtocolError(
                 f"c pattern is the even-cycle detector (length >= 4, even); "
-                f"got {length}; use odd-c{length} for odd cycles"
+                f"got {arg}; use odd-c{arg} for odd cycles"
             )
-        return raw, "even-cycle", length // 2, True
-    raise ProtocolError(
-        f"unknown pattern {raw!r}; expected triangle, k<s>, c<even>, "
-        "or odd-c<odd>"
-    )
+        arg //= 2
+    return raw, kind, arg, True
 
 
 def _canonical_graph_spec(obj: Any) -> Tuple[Any, ...]:

@@ -201,7 +201,8 @@ class DetectionServer:
         policy's hash: the governor's peak estimate is restored at
         :meth:`start` and saved at :meth:`stop` (once it has observed a
         run), so a restarted server begins throttled.  The server is the
-        sidecar's one owner; sessions never read or write it.
+        sidecar's one owner; sessions never read or write it.  Needs a
+        ``governor_budget`` in ``base_policy`` (``ValueError`` otherwise).
     """
 
     def __init__(
@@ -222,6 +223,11 @@ class DetectionServer:
         self.host = host
         self.port = port
         self.base_policy = base_policy or ExecutionPolicy()
+        if governor_state is not None and self.base_policy.governor_budget is None:
+            raise ValueError(
+                "governor_state needs 'governor_budget' in the base policy: "
+                "without a governor there is no estimate to persist"
+            )
         self.owns_engine = engine is None
         self.engine = engine or default_engine()
         self.governor: Optional[PeakHoldGovernor] = None

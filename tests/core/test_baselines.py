@@ -17,9 +17,10 @@ from repro.core import (
     detect_tree,
     list_cliques_congested_clique,
 )
-from repro.core.cycle_detection_linear import linear_iterations_for_constant_success
+from repro.core.cycle_detection_linear import linear_success_probability
 from repro.core.tree_detection import RootedTree
 from repro.graphs import generators as gen
+from repro.runtime.policy import seeds_for_confidence
 from repro.graphs.subgraph_iso import contains_subgraph
 from repro.theory.counting import count_cliques, count_cycles_of_length
 
@@ -60,11 +61,13 @@ class TestLinearCycleDetection:
         assert rep.detected
 
     def test_iteration_formula(self):
-        assert linear_iterations_for_constant_success(3, 2 / 3) == math.ceil(
-            math.log(3.0) * 27
-        )
+        # Per-iteration success l^(-l) = 1/27, sized by the one seed-count
+        # formula: (26/27)^t <= 1/3 first holds at t = 30.
+        p = linear_success_probability(3)
+        assert p == 1 / 27
+        assert seeds_for_confidence(2 / 3, p) == math.ceil(math.log(3.0) * 27)
         with pytest.raises(ValueError):
-            linear_iterations_for_constant_success(2)
+            linear_success_probability(2)
 
 
 class TestTreeDetection:

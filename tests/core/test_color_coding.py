@@ -9,10 +9,10 @@ from repro.core.color_coding import (
     OracleColorSource,
     RandomColorSource,
     is_properly_colored_cycle,
-    iterations_for_constant_success,
     proper_coloring_for_cycle,
     success_probability,
 )
+from repro.runtime.policy import seeds_for_confidence
 
 
 class TestSuccessProbability:
@@ -28,18 +28,9 @@ class TestSuccessProbability:
             success_probability(1)
 
     def test_iterations_scale(self):
-        t = iterations_for_constant_success(2, target=2 / 3)
-        # p = 1/256 -> about 282 iterations.
-        assert 250 <= t <= 330
-
-    def test_iterations_monotone_in_target(self):
-        assert iterations_for_constant_success(2, 0.9) > iterations_for_constant_success(
-            2, 0.5
-        )
-
-    def test_iterations_invalid_target(self):
-        with pytest.raises(ValueError):
-            iterations_for_constant_success(2, 1.0)
+        # p = 1/256: (255/256)^t <= 1/3 first holds at t = 281, the C_4
+        # seed count detect() asks for at its default confidence.
+        assert seeds_for_confidence(2 / 3, success_probability(2)) == 281
 
 
 class TestSources:

@@ -94,23 +94,30 @@ class TestCallGraphBasics:
         assert not any(q.endswith("._amplify_badly") for q in closure)
 
 
+@pytest.fixture(scope="module")
+def src_deep():
+    """One deep report over ``src/`` and its wall time, shared by the
+    tests that read it."""
+    t0 = time.perf_counter()
+    report = lint_paths([str(REPO_ROOT / "src")], deep=True)
+    return report, time.perf_counter() - t0
+
+
 class TestRepoIsDeepClean:
-    def test_src_has_zero_unsuppressed_errors_deep(self):
+    def test_src_has_zero_unsuppressed_errors_deep(self, src_deep):
         """The acceptance criterion: `repro lint --deep src/` runs clean,
         within the 20 s budget that keeps it cheap enough to gate every
         change (the fixpoints are linear in resolved edges, so a blowup
         means the analysis went super-linear)."""
-        t0 = time.perf_counter()
-        report = lint_paths([str(REPO_ROOT / "src")], deep=True)
-        elapsed = time.perf_counter() - t0
+        report, elapsed = src_deep
         assert elapsed < 20.0, f"deep lint of src/ took {elapsed:.2f}s"
         assert report.files_checked > 50
         assert report.errors == [], report.render_text()
 
-    def test_known_intentional_suppressions_are_reported(self):
+    def test_known_intentional_suppressions_are_reported(self, src_deep):
         """parallel.py's worker-local LRU carries noqa[L8]: suppressed
         findings stay visible in the report rather than vanishing."""
-        report = lint_paths([str(REPO_ROOT / "src")], deep=True)
+        report, _ = src_deep
         assert any(
             f.rule_id == "L8" and f.path.endswith("parallel.py")
             for f in report.suppressed

@@ -146,7 +146,9 @@ class TestCrashRobustness:
 
 class TestDeepAndDiffFlags:
     def test_deep_flag_runs_clean_on_src(self, capsys):
-        rc = main(["lint", str(REPO_ROOT / "src"), "--deep"])
+        # CLI plumbing only: a small deep-clean package keeps it cheap;
+        # test_deep.py::TestRepoIsDeepClean lints all of src/ deep.
+        rc = main(["lint", str(REPO_ROOT / "src" / "repro" / "graphs"), "--deep"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "(deep)" in out

@@ -266,6 +266,14 @@ class TestStatePersistence:
         assert gov.peak == 4.5 and gov.observed == 2
         assert gov.allowed(8) == 2  # 10 // 4.5: restored state throttles
 
+    def test_a_sidecar_without_a_budget_is_refused(self, tmp_path):
+        # No budget, no governor, no estimate to persist: refuse the
+        # sidecar instead of silently never writing it.
+        path = tmp_path / "gov.json"
+        with pytest.raises(ValueError, match="governor_budget"):
+            DetectionServer(base_policy=ExecutionPolicy(), governor_state=path)
+        assert not path.exists()
+
     def test_distinct_policies_do_not_share_estimates(self, tmp_path):
         path = tmp_path / "gov.json"
         p1 = ExecutionPolicy(governor_budget=1000)

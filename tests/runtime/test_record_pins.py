@@ -9,6 +9,9 @@ platform stamp.  Everything else -- the policy, every event's decision,
 rounds, bit totals and per-round trace -- must be byte-identical, so an
 engine refactor that moves any persisted output fails here.
 
+The ``triangle`` runs use the detector's own default bandwidth,
+``B = ceil(log2 n) = 5`` bits (CONGEST's ``O(log n)``).
+
 The amplified patterns (``c4``, ``odd-c5``) record one ``amplified``
 event, which must also equal its ``--jobs 2`` twin's: ``jobs`` may
 change wall-clock only.
@@ -47,10 +50,10 @@ RECORD_DIGEST = {
     ("k4", "object", _FAULTS): "2b50f9df46a7f789",
     ("k4", "vectorized", None): "943c337457ff02c5",
     ("k4", "vectorized", _FAULTS): "378493e1ae6a381f",
-    ("triangle", "object", None): "387b9ec9a2b14bf3",
-    ("triangle", "object", _FAULTS): "0fade5eb8078cd2b",
-    ("triangle", "vectorized", None): "b74b0542af1af3c0",
-    ("triangle", "vectorized", _FAULTS): "7066b0212593bf5b",
+    ("triangle", "object", None): "9bf9ef1d3315516f",
+    ("triangle", "object", _FAULTS): "14a0cfc087ca1d8c",
+    ("triangle", "vectorized", None): "a9b1e7666bf05976",
+    ("triangle", "vectorized", _FAULTS): "94642d4bef0af11a",
 }
 
 

@@ -1,12 +1,15 @@
-"""A served record equals the standalone detector's record.
+"""A served record equals the standalone detector's and ``repro detect``'s.
 
-``repro.serve.executor`` keeps its own copies of each detector's
-factory, round budget, bandwidth default and success probability.  The
-other serve tests compare served answers with ``execute_request``
-itself, so they cannot see those copies drift.  Here every pattern
-class, under each lane and metrics mode, is served over a real socket
-and compared with a recorded session that calls the detector directly
-with the request's seed, iterations and bandwidth.
+``repro.serve.executor`` calls the detectors and keeps no copy of their
+parameters: bandwidth defaults, round budgets, success probabilities and
+labels live in the detectors alone, and ``repro detect`` calls the same
+detectors.  Here every pattern class, under each lane and metrics mode,
+is served over a real socket and compared with two other entry points:
+a recorded session calling the detector directly with the request's
+seed, iterations and bandwidth (and no defaults of its own), and
+``repro detect --record`` on the same graph (graph seed = request seed).
+A bandwidth too small for the pattern must fail the same way at all
+three.
 """
 
 from __future__ import annotations
@@ -15,41 +18,68 @@ import asyncio
 
 import pytest
 
-from repro.congest.message import int_width
-from repro.core import detect_cycle_linear, detect_even_cycle
+from repro.cli import main
+from repro.congest import BandwidthExceeded
+from repro.core import detect_cycle_linear, detect_even_cycle, detect_tree
 from repro.core.clique_detection import detect_clique
 from repro.core.triangle import detect_triangle_congest
-from repro.runtime import ExecutionPolicy, RunSession, diff_records
+from repro.graphs import generators
+from repro.runtime import ExecutionPolicy, RunRecord, RunSession, diff_records
 from repro.serve.protocol import build_graph, parse_request
-from tests.serve.test_server import GRAPH, Client, _with_server, record_from_rows
+from tests.serve.test_server import Client, _with_server, record_from_rows
 
 
 def _direct(req, graph, ses):
     """Call the standalone detector the request's pattern names."""
-    n = graph.number_of_nodes()
-    if req.pattern_kind == "even-cycle":
-        detect_even_cycle(graph, req.pattern_arg, req.iterations, seed=req.seed,
-                          bandwidth=req.bandwidth, session=ses)
-    elif req.pattern_kind == "odd-cycle":
-        detect_cycle_linear(graph, req.pattern_arg, req.iterations, seed=req.seed,
-                            bandwidth=req.bandwidth, session=ses)
-    elif req.pattern_kind == "triangle":
-        detect_triangle_congest(graph, req.bandwidth or int_width(n),
-                                seed=req.seed, session=ses)
+    kind, arg = req.pattern_kind, req.pattern_arg
+    kw = {"seed": req.seed, "bandwidth": req.bandwidth, "session": ses}
+    if kind == "even-cycle":
+        detect_even_cycle(graph, arg, req.iterations, **kw)
+    elif kind == "odd-cycle":
+        detect_cycle_linear(graph, arg, req.iterations, **kw)
+    elif kind == "tree":
+        detect_tree(graph, generators.path(arg), req.iterations, **kw)
+    elif kind == "triangle":
+        detect_triangle_congest(graph, **kw)
     else:
-        detect_clique(graph, req.pattern_arg, req.bandwidth or 8,
-                      seed=req.seed, session=ses)
+        detect_clique(graph, arg, **kw)
+
+
+def _cli(obj, path, capsys):
+    """``repro detect --record`` for the request ``obj``."""
+    g = obj["graph"]
+    assert g["seed"] == obj["seed"]  # --seed sets the graph's and the run's
+    argv = ["detect", "--pattern", obj["pattern"], "--graph", "gnp",
+            "--n", str(g["n"]), "--p", str(g["p"]), "--seed", str(obj["seed"]),
+            "--iterations", str(obj["iterations"]), "--record", str(path)]
+    if obj["policy"]:
+        argv += ["--policy", obj["policy"]]
+    if "bandwidth" in obj:
+        argv += ["--bandwidth", str(obj["bandwidth"])]
+    assert main(argv) == 0
+    capsys.readouterr()
+    return RunRecord.load(path)
+
+
+def _assert_same_events(a, b):
+    diff = diff_records(a, b)
+    assert diff["num_events"][0] == diff["num_events"][1] > 0, diff
+    assert diff["first_divergence"] is None, diff
 
 
 @pytest.mark.parametrize("policy", ["", "metrics=lite", "lane=vectorized"],
                          ids=["default", "lite", "vectorized"])
-@pytest.mark.parametrize("pattern", ["c4", "c6", "odd-c5", "triangle", "k4"])
-def test_served_record_equals_the_direct_detector_run(pattern, policy):
-    # One request at the detector's own bandwidth default, one explicit.
+@pytest.mark.parametrize("pattern",
+                         ["c4", "c6", "odd-c5", "triangle", "k4", "path3"])
+def test_served_record_equals_the_direct_detector_run(pattern, policy, tmp_path,
+                                                      capsys):
+    # One request at the detector's own bandwidth default, two explicit:
+    # 1 bit is too small for every pattern but k4.
     reqobjs = [
-        {"id": f"{pattern}-{i}", "pattern": pattern, "graph": GRAPH,
+        {"id": f"{pattern}-{i}", "pattern": pattern,
+         "graph": {"kind": "gnp", "n": 24, "p": 0.15, "seed": 3 + i},
          "seed": 3 + i, "iterations": 6, "policy": policy, **extra}
-        for i, extra in enumerate([{}, {"bandwidth": 64}])
+        for i, extra in enumerate([{}, {"bandwidth": 64}, {"bandwidth": 1}])
     ]
 
     async def scenario(srv):
@@ -64,12 +94,20 @@ def test_served_record_equals_the_direct_detector_run(pattern, policy):
     got = asyncio.run(_with_server(scenario))
     for obj in reqobjs:
         bucket = got[obj["id"]]
-        assert bucket["terminal"]["type"] == "result", bucket["terminal"]
-        served = record_from_rows(bucket["records"])
+        terminal = bucket["terminal"]
         req = parse_request(obj)
-        with RunSession(req.policy(base=ExecutionPolicy()), record=True,
-                        owns_pools=False) as ses:
-            _direct(req, build_graph(req.graph_spec), ses)
-        diff = diff_records(served, ses.record)
-        assert diff["num_events"][0] == diff["num_events"][1] > 0, diff
-        assert diff["first_divergence"] is None, diff
+        path = tmp_path / f"{obj['id']}.jsonl"
+        try:
+            with RunSession(req.policy(base=ExecutionPolicy()), record=True,
+                            owns_pools=False) as ses:
+                _direct(req, build_graph(req.graph_spec), ses)
+        except (BandwidthExceeded, ValueError) as exc:
+            assert terminal["type"] == "error", terminal
+            assert terminal["message"].startswith(type(exc).__name__), terminal
+            with pytest.raises(type(exc)):
+                _cli(obj, path, capsys)
+            continue
+        assert terminal["type"] == "result", terminal
+        served = record_from_rows(bucket["records"])
+        _assert_same_events(served, ses.record)
+        _assert_same_events(served, _cli(obj, path, capsys))

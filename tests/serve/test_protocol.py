@@ -33,13 +33,15 @@ class TestParsePattern:
             ("c8", ("c8", "even-cycle", 4, True)),
             ("odd-c5", ("odd-c5", "odd-cycle", 5, True)),
             ("  C4 ", ("c4", "even-cycle", 2, True)),
+            ("path3", ("path3", "tree", 3, True)),
         ],
     )
     def test_grammar(self, raw, expected):
         assert parse_pattern(raw) == expected
 
     @pytest.mark.parametrize(
-        "raw", ["", "c3", "c5", "odd-c4", "odd-c1", "k2", "kX", "cX", "square"]
+        "raw", ["", "c3", "c5", "odd-c4", "odd-c1", "k2", "kX", "cX", "square",
+                "path0", "pathX"]
     )
     def test_rejects(self, raw):
         with pytest.raises(ProtocolError):

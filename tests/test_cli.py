@@ -8,6 +8,8 @@ import networkx as nx
 import pytest
 
 from repro.cli import main
+from repro.congest import BandwidthExceeded
+from repro.core import detect_cycle_linear, detect_even_cycle, detect_tree
 from repro.graphs import generators as gen
 from repro.graphs.io import read_edgelist, write_edgelist
 
@@ -99,6 +101,33 @@ class TestCLICommands:
     def test_detect_bad_pattern(self):
         with pytest.raises(SystemExit):
             main(["detect", "--pattern", "c5", "--graph", "cycle"])
+
+    @pytest.mark.parametrize("pattern, detector", [
+        ("odd-c5", lambda g: detect_cycle_linear(g, 5, 3, bandwidth=1)),
+        ("c4", lambda g: detect_even_cycle(g, 2, 3, bandwidth=1)),
+        ("path3", lambda g: detect_tree(g, gen.path(3), 3, bandwidth=1)),
+    ])
+    def test_detect_bandwidth_fails_like_the_library(self, pattern, detector):
+        # --bandwidth reaches every detector: too small a B raises the
+        # library's BandwidthExceeded instead of running at the default.
+        with pytest.raises(BandwidthExceeded):
+            detector(gen.cycle(8))
+        with pytest.raises(BandwidthExceeded):
+            main(["detect", "--pattern", pattern, "--graph", "cycle",
+                  "--length", "8", "--iterations", "3", "--bandwidth", "1"])
+
+    def test_serve_governor_state_without_budget_exits_2(self, tmp_path):
+        # A subprocess, so a server that starts anyway fails on the
+        # timeout instead of serving forever.
+        state = tmp_path / "governor.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--governor-state", str(state)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "governor_budget" in proc.stderr
+        assert not state.exists()
 
     @pytest.mark.parametrize("flag", [
         "--submit-retries", "--breaker-threshold",
