@@ -45,16 +45,19 @@ fi
 
 if [ "${1:-}" != "--fast" ]; then
     # Time-budgeted numpy drift guard, ahead of every lane differential:
-    # the fused lane's vectorized first draw (_LazyRngs.first_integers)
-    # re-implements numpy's SeedSequence -> PCG64 -> bounded-draw chain,
-    # so a numpy release that changes any of them must fail here, by
-    # name, rather than as a puzzling lane mismatch further down.
-    step "numpy drift guard (vectorized first draw vs default_rng, 60s budget)"
+    # both lanes' per-node randomness (repro.congest.randomness) serves a
+    # node's first draw from a re-implementation of numpy's SeedSequence
+    # -> PCG64 -> bounded-draw chain, so a numpy release that changes any
+    # of them must fail here, by name, rather than as a puzzling lane
+    # mismatch further down.  The stream-parity property checks every
+    # node's stream in both lanes against the eager default_rng recipe.
+    step "numpy drift guard (first draw and node streams vs default_rng, 60s budget)"
     python -c "import numpy; print('numpy', numpy.__version__)"
     timeout 60 python -m pytest -q -p no:cacheprovider \
-        "tests/congest/test_kernels.py::TestVectorizedFirstDraw" || {
-        echo "numpy drift: _LazyRngs.first_integers no longer matches" \
-             "default_rng(seed).integers(0, high) on this numpy; re-derive it" \
+        "tests/congest/test_kernels.py::TestVectorizedFirstDraw" \
+        "tests/congest/test_stream_parity.py::TestStreamParity" || {
+        echo "numpy drift: LazyRngs' first draw or node streams no longer match" \
+             "default_rng(seed) on this numpy; re-derive the mirror" \
              "from numpy's SeedSequence / PCG64 / Lemire bounded-draw sources"
         fail=1
     }

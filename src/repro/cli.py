@@ -273,6 +273,7 @@ def _cmd_detect(args) -> int:
         detect_tree,
         detect_triangle_congest,
     )
+    from .congest import BandwidthExceeded
     from .graphs import generators
     from .serve.protocol import ProtocolError, parse_pattern
 
@@ -286,36 +287,44 @@ def _cmd_detect(args) -> int:
     ses = _session_from_args(args)
     seed, bw = ses.policy.seed, args.bandwidth
     with ses:
-        if kind == "triangle":
-            res = detect_triangle_congest(g, bw, seed=seed, session=ses)
-            print(f"triangle detected: {res.rejected} (rounds: {res.rounds}, "
-                  f"bits: {res.metrics.total_bits})")
-        elif kind == "clique":
-            res = detect_clique(g, arg, bw, seed=seed, session=ses)
-            print(f"K_{arg} detected: {res.rejected} (rounds: {res.rounds})")
-        elif kind == "odd-cycle":
-            rep = detect_cycle_linear(
-                g, arg, args.iterations, seed=seed, bandwidth=bw, session=ses
-            )
-            print(f"C_{arg} detected: {rep.detected} "
-                  f"({rep.iterations_run} iterations x "
-                  f"{rep.rounds_per_iteration} rounds)")
-        elif kind == "even-cycle":
-            rep = detect_even_cycle(
-                g, arg, args.iterations, seed=seed, bandwidth=bw, session=ses
-            )
-            print(f"C_{2 * arg} detected: {rep.detected} "
-                  f"({rep.iterations_run} iterations x "
-                  f"{rep.rounds_per_iteration} rounds; "
-                  f"Theorem 1.1 schedule R1={rep.schedule.r1} R2={rep.schedule.r2})")
-        else:
-            rep = detect_tree(
-                g, generators.path(arg), args.iterations, seed=seed,
-                bandwidth=bw, session=ses,
-            )
-            print(f"P_{arg} detected: {rep.detected} "
-                  f"({rep.iterations_run} iterations x "
-                  f"{rep.rounds_per_iteration} rounds)")
+        try:
+            if kind == "triangle":
+                res = detect_triangle_congest(g, bw, seed=seed, session=ses)
+                summary = (f"triangle detected: {res.rejected} (rounds: {res.rounds}, "
+                           f"bits: {res.metrics.total_bits})")
+            elif kind == "clique":
+                res = detect_clique(g, arg, bw, seed=seed, session=ses)
+                summary = f"K_{arg} detected: {res.rejected} (rounds: {res.rounds})"
+            elif kind == "odd-cycle":
+                rep = detect_cycle_linear(
+                    g, arg, args.iterations, seed=seed, bandwidth=bw, session=ses
+                )
+                summary = (f"C_{arg} detected: {rep.detected} "
+                           f"({rep.iterations_run} iterations x "
+                           f"{rep.rounds_per_iteration} rounds)")
+            elif kind == "even-cycle":
+                rep = detect_even_cycle(
+                    g, arg, args.iterations, seed=seed, bandwidth=bw, session=ses
+                )
+                summary = (f"C_{2 * arg} detected: {rep.detected} "
+                           f"({rep.iterations_run} iterations x "
+                           f"{rep.rounds_per_iteration} rounds; "
+                           f"Theorem 1.1 schedule R1={rep.schedule.r1} "
+                           f"R2={rep.schedule.r2})")
+            else:
+                rep = detect_tree(
+                    g, generators.path(arg), args.iterations, seed=seed,
+                    bandwidth=bw, session=ses,
+                )
+                summary = (f"P_{arg} detected: {rep.detected} "
+                           f"({rep.iterations_run} iterations x "
+                           f"{rep.rounds_per_iteration} rounds)")
+        except (BandwidthExceeded, ValueError) as exc:
+            # The detector refused its input (a bandwidth too small for
+            # the pattern, say): a usage error, not a crash.
+            print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+    print(summary)
     if args.record:
         print(f"run record: {ses.save_record(args.record)}")
     return 0

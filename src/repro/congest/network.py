@@ -6,8 +6,10 @@ bits over each incident edge (CONGEST model, Section 2 of the paper).  With
 ``bandwidth=None`` the same engine is the LOCAL model.
 
 The engine is deterministic given the algorithm, the graph, the identifier
-assignment, and the seed: per-node randomness is spawned from a single master
-seed keyed by node identifier, so a run can be replayed bit-for-bit.
+assignment, and the seed: each node's private randomness is a stream derived
+from a single master seed in ascending-identifier order
+(:mod:`repro.congest.randomness`, shared with the vectorized lane), so a run
+can be replayed bit-for-bit.
 
 Faithfulness notes
 ------------------
@@ -33,8 +35,13 @@ edge.
 Fast path
 ---------
 Adjacency sets and sorted neighbor tuples are precomputed once per
-:class:`CongestNetwork`, so per-message send validation and per-run context
-construction never touch networkx.  ``run(..., metrics="lite")`` keeps the
+:class:`CongestNetwork`, straight from the input graph through the identifier
+assignment, so per-message send validation and per-run context construction
+never touch networkx; the relabelled ``graph`` is built only if read.  A
+run's set-up builds no random generator: a node's ``rng`` is a
+:class:`~repro.congest.randomness.NodeRng` view that serves a first
+``integers(0, high)`` from one lane-wide array and builds the node's
+generator only on any other use.  ``run(..., metrics="lite")`` keeps the
 aggregate bit counters but skips the per-edge metric dictionaries (see
 :mod:`repro.congest.metrics` for the exact contract); lower-bound harnesses
 must keep the default ``metrics="full"``.
@@ -47,12 +54,12 @@ from types import MappingProxyType
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
 import networkx as nx
-import numpy as np
 
 from .algorithm import Algorithm, Decision, NodeContext
 from .identifiers import canonical_assignment, identifier_order
 from .message import BandwidthExceeded, Message
 from .metrics import METRIC_MODES, CommMetrics
+from .randomness import LazyRngs, NodeRng
 from .schedule import run_schedule
 
 __all__ = ["CongestNetwork", "ExecutionResult", "run_congest"]
@@ -118,7 +125,12 @@ class CongestNetwork:
         Whether nodes are told ``n`` (most CONGEST algorithms assume this).
     inputs:
         Optional per-vertex private inputs, keyed by *original* vertex.
+
+    ``graph`` is the network graph relabelled by ``assignment``, built on
+    first access from the graph as it is then.
     """
+
+    graph: nx.Graph
 
     def __init__(
         self,
@@ -142,7 +154,6 @@ class CongestNetwork:
         self.original_graph = graph
         self.assignment: Dict[Hashable, int] = dict(assignment)
         self.vertex_of: Dict[int, Hashable] = {i: v for v, i in assignment.items()}
-        self.graph: nx.Graph = nx.relabel_nodes(graph, self.assignment, copy=True)
         self.bandwidth = bandwidth
         self.n = graph.number_of_nodes()
         self.namespace_size = (
@@ -153,12 +164,15 @@ class CongestNetwork:
             self.assignment[v]: inp for v, inp in (inputs or {}).items()
         }
         # Fast-path precomputation: adjacency sets for send validation and
-        # sorted neighbor tuples for context construction, built once so the
-        # round loop (and repeated runs on the same network) never query
-        # networkx again.
-        self._node_ids: Tuple[int, ...] = tuple(sorted(self.graph.nodes()))
+        # sorted neighbor tuples for context construction, read straight
+        # from the graph through the assignment (self-loops included) and
+        # built once, so the round loop (and repeated runs on the same
+        # network) never query networkx again.  The relabelled ``graph``
+        # itself is built only if something reads it (see __getattr__).
+        a = self.assignment
+        self._node_ids: Tuple[int, ...] = tuple(sorted(ids))
         self._adj: Dict[int, frozenset] = {
-            u: frozenset(self.graph[u]) for u in self._node_ids
+            a[v]: frozenset([a[w] for w in nbrs]) for v, nbrs in graph.adj.items()
         }
         self._neighbor_tuples: Dict[int, Tuple[int, ...]] = {
             u: tuple(sorted(self._adj[u])) for u in self._node_ids
@@ -210,17 +224,21 @@ class CongestNetwork:
         return self
 
     def __getattr__(self, name: str) -> Any:
-        # Lazy object-lane structures for from_csr networks; regular
-        # construction sets all of these eagerly in __init__, so this
-        # only fires on CSR-built instances (or truly missing names).
+        # Lazy structures: ``graph`` for every network (the relabelled
+        # copy of the original graph, or the CSR index's edges), and the
+        # object-lane adjacency of from_csr networks, which regular
+        # construction sets eagerly in __init__.
         if name in ("_neighbor_tuples", "_adj", "graph"):
+            original = self.__dict__.get("original_graph")
             grid = self.__dict__.get("_edge_index_cache")
-            if grid is None:
+            if name == "graph" and original is not None:
+                value: Any = nx.relabel_nodes(original, self.assignment, copy=True)
+            elif grid is None:
                 raise AttributeError(name)
-            if name == "_neighbor_tuples":
+            elif name == "_neighbor_tuples":
                 out_ptr = grid.out_ptr.tolist()
                 dst_ids = grid.ids[grid.dst].tolist()
-                value: Any = {
+                value = {
                     int(u): tuple(dst_ids[out_ptr[p] : out_ptr[p + 1]])
                     for p, u in enumerate(grid.ids.tolist())
                 }
@@ -353,9 +371,12 @@ class _ObjectLane:
     callback per live node and one :class:`Message` per sent edge."""
 
     def __init__(self, net, algorithm, seed, metrics, observer, injector) -> None:
-        master = np.random.default_rng(seed) if seed is not None else None
+        # One lazy stream per node (repro.congest.randomness): nothing is
+        # built until a node draws, and a first integers(0, high) draw
+        # comes from one lane-wide array.
+        rngs = LazyRngs.derive(seed, net.n) if seed is not None else None
         self.contexts: Dict[int, NodeContext] = {}
-        for u in net._node_ids:
+        for p, u in enumerate(net._node_ids):
             self.contexts[u] = NodeContext(
                 id=u,
                 neighbors=net._neighbor_tuples[u],
@@ -363,11 +384,7 @@ class _ObjectLane:
                 namespace_size=net.namespace_size,
                 bandwidth=net.bandwidth,
                 input=net.inputs.get(u),
-                rng=(
-                    np.random.default_rng(master.integers(0, 2**63))
-                    if master is not None
-                    else None
-                ),
+                rng=NodeRng(rngs, p) if rngs is not None else None,
             )
         for ctx in self.contexts.values():
             algorithm.init(ctx)

@@ -29,9 +29,10 @@ Model fidelity is not relaxed:
   in ``tests/core/test_vectorized_diff.py`` pins this.
 * **At most one message per directed edge per round** is validated on
   every outbox.
-* **Randomness** is spawned from the master seed per node in sorted-id
-  order -- the same derivation as the object lane, so color draws and
-  coin flips agree bit-for-bit between lanes.
+* **Randomness** is one stream per node derived from the master seed in
+  sorted-id order by :mod:`repro.congest.randomness`, which the object
+  lane uses too, so color draws and coin flips agree bit-for-bit between
+  lanes.
 
 Inbox ordering contract: within one receiver, messages are ordered by
 ascending sender identifier -- the same order in which the object lane's
@@ -60,6 +61,7 @@ import numpy as np
 from .algorithm import Decision, NodeContext
 from .kernels import KernelProfile, RoundKernel
 from .metrics import METRIC_MODES, CommMetrics
+from .randomness import LazyRngs
 from .schedule import run_schedule
 
 __all__ = [
@@ -335,9 +337,10 @@ class VecRun:
     """Engine-owned run context handed to every kernel callback.
 
     ``decision`` and ``halted`` are the engine's per-node output arrays
-    (indexed by position); kernels write them directly.  ``rngs`` holds
-    one per-node generator spawned from the master seed in sorted-id
-    order -- identical derivation to the object lane, so randomized
+    (indexed by position); kernels write them directly.  ``rngs`` is the
+    run's :class:`~repro.congest.randomness.LazyRngs` (a list of ``None``
+    for an unseeded run): one stream per position, derived from the master
+    seed in sorted-id order exactly as in the object lane, so randomized
     kernels reproduce their reference bit-for-bit.  ``inputs`` is keyed
     by *identifier* (as in :class:`CongestNetwork`).
     """
@@ -348,7 +351,7 @@ class VecRun:
     bandwidth: Optional[int]
     knows_n: bool
     inputs: Dict[int, Any]
-    rngs: List[Optional[np.random.Generator]]
+    rngs: Union[LazyRngs, List[None]]
     decision: np.ndarray = field(default=None)  # type: ignore[assignment]
     halted: np.ndarray = field(default=None)  # type: ignore[assignment]
 
@@ -362,232 +365,6 @@ class VecRun:
         return self.inputs.get(int(self.grid.ids[pos]))
 
 
-# numpy's seeding and bounded-draw constants, mirrored by
-# _LazyRngs.first_integers: SeedSequence's hash mixing (bit_generator.pyx)
-# and PCG64's 128-bit LCG multiplier (pcg64.h).
-_M32 = np.uint64(0xFFFFFFFF)
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MUL_HI = np.uint64(2549297995355413924)
-_PCG_MUL_LO = np.uint64(4865540595714422341)
-
-
-def _hash_consts(init: int, mult: int, count: int) -> List[np.uint32]:
-    """The scalar ``hash_const`` sequence of ``count`` SeedSequence hash
-    steps: step ``i`` xors with entry ``i`` and multiplies by entry
-    ``i + 1``."""
-    out = [init]
-    for _ in range(count):
-        out.append((out[-1] * mult) & 0xFFFFFFFF)
-    return [np.uint32(c) for c in out]
-
-
-# SeedSequence.mix_entropy hashes 4 pool words, then 12 cross-mixes;
-# generate_state(4, uint64) hashes 8 output words.
-_MIX_CONSTS = _hash_consts(_SS_INIT_A, _SS_MULT_A, 16)
-_OUT_CONSTS = _hash_consts(_SS_INIT_B, _SS_MULT_B, 8)
-
-
-def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """High 64 bits of each ``a * b`` (schoolbook over 32-bit halves)."""
-    a0, a1 = a & _M32, a >> np.uint64(32)
-    b0, b1 = b & _M32, b >> np.uint64(32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> np.uint64(32)) + (p01 & _M32) + (p10 & _M32)
-    return (
-        a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32))
-        + (mid >> np.uint64(32))
-    )
-
-
-def _pcg64_first_output(seeds: np.ndarray) -> np.ndarray:
-    """First ``next_uint64`` of ``default_rng(s)`` for every seed, as uint64.
-
-    ``default_rng(s)`` is ``PCG64(SeedSequence(s))``.  The seed's 32-bit
-    little-endian words (two at most, for ``s < 2**64``) are hashed into a
-    4-word pool, which yields the 128-bit initial state and stream
-    increment; PCG64 seeds with two LCG steps and outputs with a third
-    (XSL-RR).  All 128-bit arithmetic runs in ``(hi, lo)`` uint64 limbs;
-    uint32/uint64 array products wrap, which is exactly the C semantics.
-    """
-    s = seeds.astype(np.uint64)
-    hc = iter(_MIX_CONSTS)
-    c = next(hc)
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal c
-        value = value ^ c
-        c = next(hc)
-        value = value * c
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = _SS_MIX_L * x - _SS_MIX_R * y
-        return out ^ (out >> np.uint32(16))
-
-    zero = np.zeros(s.shape[0], dtype=np.uint32)
-    words = [(s & _M32).astype(np.uint32), (s >> np.uint64(32)).astype(np.uint32)]
-    pool = [hashmix(w) for w in words + [zero, zero]]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    state32 = []
-    for i in range(8):
-        value = (pool[i % 4] ^ _OUT_CONSTS[i]) * _OUT_CONSTS[i + 1]
-        state32.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    # generate_state(4, uint64): little-endian pairs of 32-bit words.
-    init_hi, init_lo, seq_hi, seq_lo = (
-        state32[2 * i] | (state32[2 * i + 1] << np.uint64(32)) for i in range(4)
-    )
-    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
-    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
-
-    def step(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        new_hi = _mulhi64(lo, _PCG_MUL_LO) + lo * _PCG_MUL_HI + hi * _PCG_MUL_LO
-        new_lo = lo * _PCG_MUL_LO + inc_lo
-        carry = (new_lo < inc_lo).astype(np.uint64)
-        return new_hi + inc_hi + carry, new_lo
-
-    # pcg_setseq_128_srandom_r: state = 0; step; state += initstate; step.
-    lo = inc_lo + init_lo
-    hi = inc_hi + init_hi + (lo < init_lo).astype(np.uint64)
-    hi, lo = step(hi, lo)
-    hi, lo = step(hi, lo)  # pcg64_random_r steps before it outputs
-    x = hi ^ lo
-    rot = hi >> np.uint64(58)
-    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-
-
-class _LazyRngs:
-    """Per-node generators spawned on first touch (fused lane only).
-
-    Constructing ``n`` :class:`numpy.random.Generator` objects dominates
-    the whole engine wrapper at ``n ~ 10^5`` (well over a second at
-    ``n = 65536``).  This sequence holds only the derived seeds and builds
-    each generator at its first ``[p]`` access, caching it for repeat
-    reads.  A kernel that needs one bounded draw per node reads
-    :meth:`first_integers` instead, which computes every node's draw as
-    one array and builds no generator at all (see :func:`first_integers`).
-
-    Seed derivation is bit-identical to the eager list: numpy's bounded
-    ``integers(0, 2**63)`` consumes exactly one 64-bit word per value
-    (the bound is a power of two, so masking never rejects), hence the
-    vectorized ``size=n`` draw yields the same stream as ``n`` sequential
-    single-value draws -- pinned by a regression test.
-    """
-
-    __slots__ = ("_seeds", "_made", "_drawn")
-
-    def __init__(self, seeds: np.ndarray):
-        self._seeds = seeds
-        self._made: Dict[int, np.random.Generator] = {}
-        #: ``high`` of the vectorized first draw, once taken: generators
-        #: built afterwards replay it so each stream continues past it.
-        self._drawn: Optional[int] = None
-
-    def __len__(self) -> int:
-        return int(self._seeds.shape[0])
-
-    def __getitem__(self, pos: int) -> np.random.Generator:
-        rng = self._made.get(pos)
-        if rng is None:
-            rng = np.random.default_rng(int(self._seeds[pos]))
-            if self._drawn is not None:
-                rng.integers(0, self._drawn)
-            self._made[pos] = rng
-        return rng
-
-    def first_integers(self, high: int) -> np.ndarray:
-        """Every node's first ``self[p].integers(0, high)``, as int64.
-
-        Bit-identical to the per-node calls, without building a generator:
-        ``SeedSequence`` -> ``PCG64`` seeding -> one 64-bit output, whose
-        low 32 bits feed numpy's Lemire bounded draw (``high == 2**32``
-        takes the word as is; ``high == 1`` draws nothing).  Lemire
-        rejects only when the product's low word falls under ``high``
-        (probability ``high / 2**32``); those nodes draw from their real
-        generator instead.  Every generator built later is advanced past
-        this draw, so ``self[p]`` continues each node's stream exactly.
-        Must be the stream's first use.  If the installed numpy's draw no
-        longer matches this mirror (checked once per process, see
-        :func:`_first_draw_matches_numpy`), every node draws from its real
-        generator, so the answer never depends on the mirror.
-        """
-        if not 1 <= high <= 2**32:
-            raise ValueError(f"high must be in [1, 2**32], got {high}")
-        if self._made or self._drawn is not None:
-            raise RuntimeError("first_integers must be the first use of the generators")
-        self._drawn = high
-        if high == 1:
-            # rng == 0: numpy returns the bound without consuming output.
-            return np.zeros(len(self), dtype=np.int64)
-        if not _first_draw_matches_numpy():
-            # numpy changed its seeding or bounded draw: use real generators.
-            out = np.empty(len(self), dtype=np.int64)
-            for p in range(len(self)):
-                rng = self._made[p] = np.random.default_rng(int(self._seeds[p]))
-                out[p] = rng.integers(0, high)
-            return out
-        return self._mirrored_draw(high)
-
-    def _mirrored_draw(self, high: int) -> np.ndarray:
-        """:meth:`first_integers` for ``1 < high`` via the numpy mirror;
-        Lemire-rejected positions build (and keep) their real generator."""
-        seeds = self._seeds
-        low32 = _pcg64_first_output(seeds) & _M32
-        if high == 2**32:
-            return low32.astype(np.int64)
-        m = low32 * np.uint64(high)
-        out = (m >> np.uint64(32)).astype(np.int64)
-        rejected = np.nonzero((m & _M32) < np.uint64(high))[0]
-        for p in rejected.tolist():
-            rng = self._made[p] = np.random.default_rng(int(seeds[p]))
-            out[p] = rng.integers(0, high)
-        return out
-
-
-#: Cached outcome of :func:`_first_draw_matches_numpy` for this process.
-_FIRST_DRAW_OK: Optional[bool] = None
-
-
-def _first_draw_matches_numpy() -> bool:
-    """Whether the mirrored first draw agrees with the installed numpy.
-
-    numpy does not promise that ``Generator.integers`` keeps its stream
-    across releases, so the first call compares
-    :meth:`_LazyRngs._mirrored_draw` with ``default_rng(s).integers(0,
-    high)`` on fixed seeds -- one- and two-word seeds, powers of two and
-    odd bounds, and a bound near ``2**32`` whose draws mostly take the
-    Lemire rejection path -- and caches the verdict.  On a mismatch
-    :meth:`_LazyRngs.first_integers` builds real generators instead.
-    """
-    global _FIRST_DRAW_OK
-    if _FIRST_DRAW_OK is None:
-        seeds = np.array([0, 1, 2, 2**32, 2**32 + 1, 12345, 2**63 - 1], dtype=np.int64)
-        ok = True
-        for high in (2, 5, 2**31 + 1, 2**32 - 2**30, 2**32):
-            # A throwaway instance: its fallback generators are discarded.
-            got = _LazyRngs(seeds)._mirrored_draw(high)
-            want = [np.random.default_rng(int(s)).integers(0, high) for s in seeds.tolist()]
-            ok = ok and got.tolist() == want
-        _FIRST_DRAW_OK = ok
-    return _FIRST_DRAW_OK
-
-
-def first_integers(rngs: Sequence[Optional[np.random.Generator]], high: int) -> np.ndarray:
-    """Every position's first ``rngs[p].integers(0, high)``, as int64.
-
-    :class:`_LazyRngs` computes the whole array without building a
-    generator.  Raises ``ValueError`` for an unseeded run, whose ``rngs``
-    is a list of ``None``.
-    """
-    if isinstance(rngs, _LazyRngs):
-        return rngs.first_integers(high)
-    raise ValueError("per-node randomness needs a seeded run")
-
-
 class _FinalContexts(Mapping[int, NodeContext]):
     """Read-only ``id -> NodeContext`` view of a finished fused run.
 
@@ -597,7 +374,7 @@ class _FinalContexts(Mapping[int, NodeContext]):
     ``run_amplified``'s summary reads only the rejecting nodes), so
     building all ``n`` up front would be pure overhead.  A context's
     ``rng`` is the node's generator as the run left it if the run touched
-    that stream (built on demand after a :meth:`_LazyRngs.first_integers`
+    that stream (built on demand after a :meth:`LazyRngs.first_integers`
     draw), else ``None`` -- as for an unseeded run; its ``state`` is
     :meth:`VectorizedAlgorithm.node_state`.
     """
@@ -642,10 +419,7 @@ class _FinalContexts(Mapping[int, NodeContext]):
         # Streams the run never touched stay None: building a generator
         # per context would cost every full pass over the mapping n
         # constructions (over a second at n = 65536).
-        if isinstance(rngs, _LazyRngs):
-            touched = rngs._drawn is not None or p in rngs._made
-        else:
-            touched = True
+        touched = rngs.touched(p) if isinstance(rngs, LazyRngs) else True
         ctx = NodeContext(
             id=u,
             neighbors=net._neighbor_tuples[u],
@@ -777,13 +551,7 @@ class _VecLane:
 
     def __init__(self, net, algorithm, seed, metrics, observer, injector, profile) -> None:
         grid = net.edge_index()
-        if seed is not None:
-            # One vectorized draw, same stream as n sequential draws (see
-            # _LazyRngs); generators themselves are built only on first use.
-            seeds = np.random.default_rng(seed).integers(0, 2**63, size=grid.n)
-            rngs: Any = _LazyRngs(seeds)
-        else:
-            rngs = [None] * grid.n
+        rngs: Any = LazyRngs.derive(seed, grid.n) if seed is not None else [None] * grid.n
         self.run = VecRun(
             grid=grid,
             n=grid.n,

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..congest.algorithm import Algorithm, Decision, NodeContext, broadcast
 from ..congest.message import Message, int_width
+from ..congest.randomness import first_integers
 from ..congest.vectorized import (
     VEC_ACCEPT,
     VEC_REJECT,
@@ -33,7 +34,6 @@ from ..congest.vectorized import (
     VecOutbox,
     VecRun,
     VectorizedAlgorithm,
-    first_integers,
 )
 from .color_coding import AmplifiedReport
 

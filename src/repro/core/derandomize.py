@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -48,6 +48,9 @@ from .even_cycle import (
     IterationSchedule,
     required_bandwidth,
 )
+
+if TYPE_CHECKING:
+    from ..runtime.session import RunSession
 
 __all__ = [
     "next_prime",
@@ -242,6 +245,7 @@ def detect_even_cycle_deterministic(
     family: Optional[PolynomialColorFamily] = None,
     bandwidth: Optional[int] = None,
     edge_constant: float = 1.0,
+    session: Optional["RunSession"] = None,
 ) -> AmplifiedReport:
     """Run the Theorem 1.1 algorithm deterministically over family seeds.
 
@@ -250,11 +254,14 @@ def detect_even_cycle_deterministic(
     detection is reproducible bit for bit, and completeness on a cycle is
     inherited from family coverage of that cycle's vertex set.  The
     family walk runs as one amplification (iteration ``t`` colors by
-    ``seeds[t]``), stopping at the first detecting member.
+    ``seeds[t]``), stopping at the first detecting member.  It is one
+    ``session.amplify`` call, so the session's policy (jobs, lane,
+    bandwidth, ...) applies and a recorded session gets one ``amplified``
+    event.
     """
     from ..runtime.session import use_session
 
-    ses = use_session(None)
+    ses = use_session(session)
     n = graph.number_of_nodes()
     if family is None:
         family = PolynomialColorFamily(n, k)

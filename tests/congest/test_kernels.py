@@ -21,13 +21,9 @@ from repro.congest import (
     execute_vectorized,
 )
 from repro.congest.kernels import KernelProfile
-import repro.congest.vectorized as vec
-from repro.congest.vectorized import (
-    VecOutbox,
-    VectorizedAlgorithm,
-    _LazyRngs,
-    first_integers,
-)
+import repro.congest.randomness as randomness
+from repro.congest.randomness import LazyRngs, first_integers
+from repro.congest.vectorized import VecOutbox, VectorizedAlgorithm
 from repro.core.broadcast_accumulate import (
     BroadcastAccumulate,
     VectorizedBroadcastAccumulate,
@@ -164,7 +160,7 @@ class TestFusedVsReference:
 
 class TestLazyRngs:
     def test_vectorized_seed_draw_matches_sequential(self):
-        """Pins the numpy behaviour _LazyRngs relies on: a bounded
+        """Pins the numpy behaviour LazyRngs relies on: a bounded
         power-of-two integers() draw consumes one 64-bit word per value,
         so size=n yields the same stream as n single draws."""
         seq_master = np.random.default_rng(99)
@@ -175,7 +171,7 @@ class TestLazyRngs:
 
     def test_generators_spawn_lazily_and_cache(self):
         seeds = np.array([1, 2, 3], dtype=np.int64)
-        rngs = _LazyRngs(seeds)
+        rngs = LazyRngs(seeds)
         assert len(rngs) == 3
         assert not rngs._made
         g1 = rngs[1]
@@ -193,7 +189,7 @@ def _numpy_first_draws(seeds, high):
 
 
 class TestVectorizedFirstDraw:
-    """Pins ``_LazyRngs.first_integers`` against numpy itself.
+    """Pins ``LazyRngs.first_integers`` against numpy itself.
 
     The method re-implements ``SeedSequence`` -> ``PCG64`` seeding -> one
     64-bit output -> Lemire's 32-bit bounded draw in uint64 arrays.  A
@@ -208,11 +204,11 @@ class TestVectorizedFirstDraw:
     def _check(seeds, high):
         arr = np.array(seeds, dtype=np.int64)
         want = _numpy_first_draws(seeds, high).tolist()
-        got = _LazyRngs(arr).first_integers(high)
+        got = LazyRngs(arr).first_integers(high)
         assert got.dtype == np.int64
         assert got.tolist() == want
         if high > 1:
-            assert _LazyRngs(arr)._mirrored_draw(high).tolist() == want
+            assert LazyRngs(arr)._mirrored_draw(high).tolist() == want
 
     @settings(max_examples=60)
     @given(
@@ -231,7 +227,7 @@ class TestVectorizedFirstDraw:
         4): those nodes fall back to, and keep, their real generator."""
         seeds = np.arange(200, dtype=np.int64)
         high = 2**32 - 2**30
-        rngs = _LazyRngs(seeds)
+        rngs = LazyRngs(seeds)
         got = rngs.first_integers(high)
         assert got.tolist() == _numpy_first_draws(seeds, high).tolist()
         assert 0 < len(rngs._made) < 200  # the fallback nodes only
@@ -243,7 +239,7 @@ class TestVectorizedFirstDraw:
         for fallback and vectorized positions alike."""
         seeds = np.array([0, 1, 2**32, 12345, 2**62 + 7] + list(range(40, 80)),
                          dtype=np.int64)
-        rngs = _LazyRngs(seeds)
+        rngs = LazyRngs(seeds)
         rngs.first_integers(high)
         for p, s in enumerate(seeds.tolist()):
             ref = np.random.default_rng(s)
@@ -254,12 +250,12 @@ class TestVectorizedFirstDraw:
                 ref.integers(0, 2**40, size=3).tolist()
 
     def test_must_be_first_use(self):
-        rngs = _LazyRngs(np.arange(4, dtype=np.int64))
+        rngs = LazyRngs(np.arange(4, dtype=np.int64))
         rngs[0]
         with pytest.raises(RuntimeError, match="first use"):
             rngs.first_integers(5)
         with pytest.raises(ValueError, match="high"):
-            _LazyRngs(np.arange(4, dtype=np.int64)).first_integers(2**32 + 1)
+            LazyRngs(np.arange(4, dtype=np.int64)).first_integers(2**32 + 1)
 
     def test_reference_list_path(self):
         """An unseeded run's rngs is a list of None: no draw is possible."""
@@ -267,17 +263,17 @@ class TestVectorizedFirstDraw:
             first_integers([None, None], 9)
 
     def test_runtime_self_check_passes_on_installed_numpy(self):
-        vec._FIRST_DRAW_OK = None  # force a fresh check
-        assert vec._first_draw_matches_numpy() is True
-        assert vec._FIRST_DRAW_OK is True
+        randomness._FIRST_DRAW_OK = None  # force a fresh check
+        assert randomness._first_draw_matches_numpy() is True
+        assert randomness._FIRST_DRAW_OK is True
 
     @pytest.mark.parametrize("high", [5, 2**32])
     def test_falls_back_to_real_generators_on_mismatch(self, monkeypatch, high):
         """A numpy whose draw no longer matches the mirror gets every
         node's draw from its real generator, and streams still continue."""
-        monkeypatch.setattr(vec, "_FIRST_DRAW_OK", False)
+        monkeypatch.setattr(randomness, "_FIRST_DRAW_OK", False)
         seeds = np.arange(30, dtype=np.int64)
-        rngs = _LazyRngs(seeds)
+        rngs = LazyRngs(seeds)
         got = rngs.first_integers(high)
         assert got.tolist() == _numpy_first_draws(seeds, high).tolist()
         assert sorted(rngs._made) == list(range(30))

@@ -13,7 +13,9 @@ from repro.core.derandomize import (
     next_prime,
     splitter_family_size,
 )
+from repro.congest import BandwidthExceeded
 from repro.graphs import generators as gen
+from repro.runtime import ExecutionPolicy, RunSession
 
 
 class TestNextPrime:
@@ -109,6 +111,28 @@ class TestDeterministicDetection:
         assert (r1.detected, r1.iterations_run, r1.total_rounds) == (
             r2.detected, r2.iterations_run, r2.total_rounds
         )
+
+    def test_session_policy_and_record_reach_the_amplification(self):
+        rng = np.random.default_rng(2)
+        g, cyc = gen.planted_cycle_graph(18, 4, 0.02, rng)
+        fam = PolynomialColorFamily(18, 2)
+        seeds = fam.covering_subfamily([cyc])
+        plain = detect_even_cycle_deterministic(g, 2, seeds, family=fam)
+        with RunSession(ExecutionPolicy(jobs=2, metrics="lite"), record=True,
+                        owns_pools=False) as ses:
+            rep = detect_even_cycle_deterministic(g, 2, seeds, family=fam,
+                                                  session=ses)
+        assert [(e.kind, e.label) for e in ses.record.events] == [
+            ("amplified", "even-cycle-C4")
+        ]
+        assert (rep.detected, rep.iterations_run, rep.total_rounds) == (
+            plain.detected, plain.iterations_run, plain.total_rounds
+        )
+        # The policy's bandwidth is honoured: one bit is too few.
+        with RunSession(ExecutionPolicy(bandwidth=1), owns_pools=False) as ses:
+            with pytest.raises(BandwidthExceeded):
+                detect_even_cycle_deterministic(g, 2, seeds, family=fam,
+                                                session=ses)
 
     def test_sound_on_trees(self):
         t = gen.random_tree(16, np.random.default_rng(3))

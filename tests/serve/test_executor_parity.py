@@ -45,20 +45,34 @@ def _direct(req, graph, ses):
         detect_clique(graph, arg, **kw)
 
 
-def _cli(obj, path, capsys):
-    """``repro detect --record`` for the request ``obj``."""
+def _detect_argv(obj):
+    """``repro detect`` arguments for the request ``obj``."""
     g = obj["graph"]
     assert g["seed"] == obj["seed"]  # --seed sets the graph's and the run's
     argv = ["detect", "--pattern", obj["pattern"], "--graph", "gnp",
             "--n", str(g["n"]), "--p", str(g["p"]), "--seed", str(obj["seed"]),
-            "--iterations", str(obj["iterations"]), "--record", str(path)]
+            "--iterations", str(obj["iterations"])]
     if obj["policy"]:
         argv += ["--policy", obj["policy"]]
     if "bandwidth" in obj:
         argv += ["--bandwidth", str(obj["bandwidth"])]
-    assert main(argv) == 0
+    return argv
+
+
+def _cli(obj, path, capsys):
+    """``repro detect --record`` for the request ``obj``."""
+    assert main(_detect_argv(obj) + ["--record", str(path)]) == 0
     capsys.readouterr()
     return RunRecord.load(path)
+
+
+def _cli_failure(obj, capsys):
+    """``repro detect`` for a request its detector refuses: exit 2 with a
+    one-line message, returned without its newline."""
+    assert main(_detect_argv(obj)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return err.rstrip("\n")
 
 
 def _assert_same_events(a, b):
@@ -104,8 +118,7 @@ def test_served_record_equals_the_direct_detector_run(pattern, policy, tmp_path,
         except (BandwidthExceeded, ValueError) as exc:
             assert terminal["type"] == "error", terminal
             assert terminal["message"].startswith(type(exc).__name__), terminal
-            with pytest.raises(type(exc)):
-                _cli(obj, path, capsys)
+            assert _cli_failure(obj, capsys) == f"repro: {type(exc).__name__}: {exc}"
             continue
         assert terminal["type"] == "result", terminal
         served = record_from_rows(bucket["records"])

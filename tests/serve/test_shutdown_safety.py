@@ -280,10 +280,13 @@ class TestSigkillIsRecoverable:
                     if row["type"] != "record":
                         break
                 # A second request is mid-execution when the hard kill
-                # lands -- the regression scenario.
+                # lands -- the regression scenario.  Bipartite, so no C5
+                # stops the amplification at its first seeds: all 200
+                # iterations run (tenths of a second), and the request
+                # cannot finish and fill the journal before the kill.
                 writer.write(json.dumps({
                     "id": "inflight", "pattern": "odd-c5",
-                    "graph": {"kind": "gnp", "n": 48, "p": 0.1, "seed": 0},
+                    "graph": {"kind": "grid", "rows": 7, "cols": 7},
                     "iterations": 200,
                 }).encode() + b"\n")
                 await writer.drain()

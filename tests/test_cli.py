@@ -107,14 +107,32 @@ class TestCLICommands:
         ("c4", lambda g: detect_even_cycle(g, 2, 3, bandwidth=1)),
         ("path3", lambda g: detect_tree(g, gen.path(3), 3, bandwidth=1)),
     ])
-    def test_detect_bandwidth_fails_like_the_library(self, pattern, detector):
-        # --bandwidth reaches every detector: too small a B raises the
-        # library's BandwidthExceeded instead of running at the default.
-        with pytest.raises(BandwidthExceeded):
+    def test_detect_bandwidth_fails_like_the_library(self, pattern, detector,
+                                                     capsys):
+        # --bandwidth reaches every detector: too small a B fails with the
+        # library's BandwidthExceeded instead of running at the default,
+        # reported as a one-line usage error.
+        with pytest.raises(BandwidthExceeded) as lib:
             detector(gen.cycle(8))
-        with pytest.raises(BandwidthExceeded):
-            main(["detect", "--pattern", pattern, "--graph", "cycle",
-                  "--length", "8", "--iterations", "3", "--bandwidth", "1"])
+        rc = main(["detect", "--pattern", pattern, "--graph", "cycle",
+                   "--length", "8", "--iterations", "3", "--bandwidth", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"repro: BandwidthExceeded: {lib.value}\n"
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--pattern", "odd-c5", "--bandwidth", "1"], "BandwidthExceeded"),
+        (["--pattern", "triangle", "--bandwidth", "2"], "ValueError"),
+    ], ids=["odd-c5-B1", "triangle-B2"])
+    def test_detector_input_error_exits_2_without_traceback(self, argv, error):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "detect", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"repro: {error}: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert "detected" not in proc.stdout
 
     def test_serve_governor_state_without_budget_exits_2(self, tmp_path):
         # A subprocess, so a server that starts anyway fails on the
