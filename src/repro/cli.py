@@ -50,6 +50,11 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
+class UsageError(Exception):
+    """A bad command line: :func:`main` prints it as one stderr line and
+    returns 2, argparse's exit status for usage errors."""
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -195,10 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "rejected with an 'overload' error")
     p.add_argument("--cache-size", type=int, default=256,
                    help="result-cache capacity (LRU entries)")
-    p.add_argument("--chaos", default=None, metavar="SPEC",
-                   help="deterministic infra fault plan, e.g. "
-                        "'conn-drop:0.1|req-stall:0.05|seed:7' (see "
-                        "docs/robustness.md for the grammar)")
     p.add_argument("--deadline-ms", type=int, default=None,
                    help="default per-request deadline in milliseconds "
                         "(requests may carry their own 'deadline_ms')")
@@ -238,9 +239,9 @@ def _build_graph(args) -> nx.Graph:
         return generators.cycle(args.length)
     if args.graph == "file":
         if not args.path:
-            raise SystemExit("--graph file requires --path")
+            raise UsageError("repro: --graph file requires --path")
         return read_edgelist(args.path)
-    raise SystemExit(f"unknown graph kind {args.graph}")
+    raise UsageError(f"repro: unknown graph kind {args.graph}")
 
 
 def _session_from_args(args) -> "object":
@@ -261,7 +262,7 @@ def _session_from_args(args) -> "object":
         if getattr(args, "policy", None):
             policy = ExecutionPolicy.from_spec(args.policy, base=policy)
     except PolicyError as exc:
-        raise SystemExit(f"repro: bad execution policy: {exc}") from None
+        raise UsageError(f"repro: bad execution policy: {exc}") from None
     return RunSession(policy, record=bool(getattr(args, "record", None)))
 
 
@@ -280,7 +281,7 @@ def _cmd_detect(args) -> int:
     try:
         _, kind, arg, _ = parse_pattern(args.pattern)
     except ProtocolError as exc:
-        raise SystemExit(f"repro: {exc}") from None
+        raise UsageError(f"repro: {exc}") from None
     g = _build_graph(args)
     print(f"graph: {g.number_of_nodes()} nodes, {g.number_of_edges()} edges")
 
@@ -430,7 +431,7 @@ def _cmd_experiment(args) -> int:
             else:
                 ckpt = SweepCheckpoint.fresh(ses.policy, args.resume)
         except CheckpointError as exc:
-            raise SystemExit(f"repro: cannot resume {args.resume}: {exc}") \
+            raise UsageError(f"repro: cannot resume {args.resume}: {exc}") \
                 from None
         # The checkpoint's journal doubles as the session's run record so
         # engine trace events and cell entries land in the same file.
@@ -526,22 +527,14 @@ def _cmd_serve(args) -> int:
     import asyncio
 
     from .runtime import ExecutionPolicy, PolicyError
-    from .serve import DetectionServer, InfraFaultSpecError
+    from .serve import DetectionServer
 
     base = None
     if args.policy:
         try:
             base = ExecutionPolicy.from_spec(args.policy)
         except PolicyError as exc:
-            raise SystemExit(f"repro: bad execution policy: {exc}") from None
-    chaos = None
-    if args.chaos:
-        from .serve import InfraFaultPlan
-
-        try:
-            chaos = InfraFaultPlan.from_spec(args.chaos)
-        except InfraFaultSpecError as exc:
-            raise SystemExit(f"repro: bad chaos spec: {exc}") from None
+            raise UsageError(f"repro: bad execution policy: {exc}") from None
 
     async def _run() -> int:
         try:
@@ -552,7 +545,6 @@ def _cmd_serve(args) -> int:
                 max_inflight=args.max_inflight,
                 max_queue=args.max_queue,
                 cache_size=args.cache_size,
-                chaos=chaos,
                 default_deadline_ms=args.deadline_ms,
                 cache_journal=args.cache_journal,
                 governor_state=args.governor_state,
@@ -578,7 +570,7 @@ def _cmd_policy(args) -> int:
     try:
         policy = ExecutionPolicy.from_spec(args.spec)
     except PolicyError as exc:
-        raise SystemExit(f"repro: bad execution policy: {exc}") from None
+        raise UsageError(f"repro: bad execution policy: {exc}") from None
     if args.as_json:
         import json
 
@@ -611,7 +603,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _cmd_serve,
         "policy": _cmd_policy,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -214,7 +214,7 @@ class LazyRngs:
         from, and keep, their real generator.  Every generator
         built later is advanced past this draw, so ``self[p]`` continues
         each node's stream exactly.  Must be the streams' first use.  If
-        the installed numpy's draw no longer matches the mirror (checked
+        this process's numpy draw no longer matches the mirror (checked
         once per process, see :func:`_first_draw_matches_numpy`), every
         node draws from its real generator, so the answer never depends
         on the mirror.
@@ -344,7 +344,7 @@ _FIRST_DRAW_OK: Optional[bool] = None
 
 
 def _first_draw_matches_numpy() -> bool:
-    """Whether the mirrored first draw agrees with the installed numpy.
+    """Whether the mirrored first draw agrees with this process's numpy.
 
     numpy does not promise that ``Generator.integers`` keeps its stream
     across releases, so the first call compares

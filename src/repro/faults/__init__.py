@@ -16,13 +16,12 @@ Plans ride on :class:`~repro.runtime.policy.ExecutionPolicy` (the
 ``docs/robustness.md`` for the spec grammar and semantics.
 """
 
-from .inject import FaultInjector, mix64, zero_payload
+from .inject import FaultInjector, zero_payload
 from .plan import FaultPlan, FaultSpecError
 
 __all__ = [
     "FaultPlan",
     "FaultSpecError",
     "FaultInjector",
-    "mix64",
     "zero_payload",
 ]

@@ -29,7 +29,7 @@ from ..congest.message import Message
 from ..congest.sanitizer import SanitizerViolation
 from .plan import FaultPlan
 
-__all__ = ["FaultInjector", "mix64", "zero_payload"]
+__all__ = ["FaultInjector", "zero_payload"]
 
 _MASK = (1 << 64) - 1
 _TWO64 = 1 << 64
@@ -52,13 +52,6 @@ def _mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
     return (x ^ (x >> 31)) & _MASK
-
-
-#: Public name for the finalizer: the serving layer's infra-fault
-#: injector (:mod:`repro.serve.chaos`) schedules its decisions through
-#: the same mix so algorithm-level and infrastructure-level fault
-#: schedules share one replayability story.
-mix64 = _mix64
 
 
 def _mix64_np(x: np.ndarray) -> np.ndarray:

@@ -67,7 +67,7 @@ class FaultPlan:
         ignored, so one plan can drive a whole ``n``-sweep.
     stall:
         Rounds (by send-round index) in which the network stalls: every
-        message sent in a stalled round is billed but never delivered.
+        message sent in such a round is billed but never delivered.
     throttle:
         Adversarial bandwidth throttle in bits: any message whose
         declared size exceeds this is dropped at delivery (billed at its

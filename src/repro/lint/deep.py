@@ -47,14 +47,6 @@ every piece of mutable state on the engine core or a server/controller
 instance where locking is explicit, so a module-level dict or list there
 is a latent cross-request race even before any pool is involved.
 
-The chaos module (``repro/serve/chaos.py``) gets one rule more: every
-dataclass there must be ``frozen`` and no class may bind mutable state
-at class scope.  Chaos plans are journaled and replayed by their
-canonical spec string, so a mutable plan -- or schedule state shared
-across injector instances -- is *unjournaled mutable state*: it can
-drift from what was recorded and silently break the replay guarantee
-the whole harness rests on.
-
 Every claim is grounded in a resolved call-graph edge; anything dynamic
 resolves to nothing and is never guessed at.
 """
@@ -738,12 +730,6 @@ class _DeterminismPass(_Pass):
 #: engine threads at once.
 _SERVE_HOMES = ("repro/serve",)
 
-#: Chaos-plan homes (path fragments): fault plans here are journaled and
-#: replayed by their canonical spec, so every dataclass must be frozen
-#: and no class may carry mutable class-scope state -- either one is
-#: unjournaled mutable state that can silently diverge from the record.
-_CHAOS_HOMES = ("repro/serve/chaos.py",)
-
 
 class _ConcurrencyPass(_Pass):
     def run(self) -> None:
@@ -751,7 +737,6 @@ class _ConcurrencyPass(_Pass):
         closure = self.project.pool_closure()
         mutable_globals = self._module_mutable_globals()
         self._check_serve_module_state(mutable_globals)
-        self._check_chaos_frozen_plans()
         for qual in sorted(closure):
             info = self.project.functions.get(qual)
             if info is None:
@@ -794,64 +779,6 @@ class _ConcurrencyPass(_Pass):
                         symbol="<module>",
                     )
                 )
-
-    def _check_chaos_frozen_plans(self) -> None:
-        """Chaos modules: frozen dataclasses only, no class-scope state."""
-        for qual in sorted(self.project.classes):
-            cinfo = self.project.classes[qual]
-            norm = cinfo.path.replace("\\", "/")
-            if not any(home in norm for home in _CHAOS_HOMES):
-                continue
-            if cinfo.is_dataclass and not cinfo.dataclass_frozen:
-                self.findings.append(
-                    LintFinding(
-                        path=cinfo.path,
-                        line=cinfo.node.lineno,
-                        col=cinfo.node.col_offset,
-                        rule_id="L8",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"chaos module defines non-frozen dataclass "
-                            f"'{cinfo.node.name}': fault plans are "
-                            "journaled and replayed by their canonical "
-                            "spec, so a mutable plan is unjournaled "
-                            "mutable state that can silently diverge from "
-                            "what was recorded; declare it "
-                            "@dataclass(frozen=True)"
-                        ),
-                        symbol=cinfo.node.name,
-                    )
-                )
-            for stmt in cinfo.node.body:
-                if isinstance(stmt, ast.Assign):
-                    value, targets = stmt.value, stmt.targets
-                elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                    value, targets = stmt.value, [stmt.target]
-                else:
-                    continue
-                if not _is_mutable_value(value):
-                    continue
-                for t in targets:
-                    if not isinstance(t, ast.Name):
-                        continue
-                    self.findings.append(
-                        LintFinding(
-                            path=cinfo.path,
-                            line=stmt.lineno,
-                            col=stmt.col_offset,
-                            rule_id="L8",
-                            severity=Severity.ERROR,
-                            message=(
-                                f"chaos class '{cinfo.node.name}' binds "
-                                f"mutable class-scope state '{t.id}': a "
-                                "schedule shared across injector instances "
-                                "is unjournaled mutable state -- keep it "
-                                "instance-scoped and derive it from the "
-                                "frozen plan"
-                            ),
-                            symbol=cinfo.node.name,
-                        )
-                    )
 
     def _module_mutable_globals(self) -> Dict[str, Dict[str, int]]:
         """Per module: names bound at module level to mutable values."""

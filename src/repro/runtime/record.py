@@ -16,6 +16,7 @@ policies, commits, or machines.
 
 from __future__ import annotations
 
+import functools
 import json
 import platform as _platform
 import subprocess
@@ -42,8 +43,13 @@ _REPO_ROOT = Path(__file__).resolve().parents[3]
 RECORD_FORMAT = 1
 
 
+@functools.lru_cache(maxsize=None)
 def git_sha() -> str:
-    """The current git commit hash, or ``"unknown"`` outside a checkout."""
+    """The current git commit hash, or ``"unknown"`` outside a checkout.
+
+    Asked once per process: every record stamps the same checkout, so
+    later calls reuse the first answer instead of spawning ``git``.
+    """
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],

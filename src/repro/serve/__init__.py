@@ -23,14 +23,8 @@ one-shot CLI invocations.  This package re-layers it for requests:
     (:func:`~repro.congest.parallel.prefix_outcome`).
 :mod:`~repro.serve.executor`
     Request execution against a :class:`~repro.runtime.session.RunSession`:
-    one plan per pattern class, mirroring the standalone detectors'
-    parameters exactly so served responses diff clean against direct runs.
-:mod:`~repro.serve.chaos`
-    Deterministic infrastructure fault injection (torn connections,
-    stalled requests, torn journals, slow engines) on a replayable
-    SplitMix64 schedule; ``--chaos`` on the CLI.  Pool-worker deaths are
-    not injected here: :func:`~repro.congest.parallel.run_amplified`'s
-    ladder is their one owner.
+    each pattern class calls its standalone detector, so served responses
+    diff clean against direct runs.
 :mod:`~repro.serve.server`
     The asyncio server tying the layers together, streaming
     :class:`~repro.runtime.record.RunRecord` JSONL per request plus a
@@ -47,7 +41,6 @@ stale copy.
 
 from .admission import AdmissionController
 from .cache import CacheJournal, ResultCache
-from .chaos import InfraFaultInjector, InfraFaultPlan, InfraFaultSpecError
 from .coalesce import BatchCoalescer, LeaderDied
 from .executor import (
     ServeResult,
@@ -77,9 +70,6 @@ __all__ = [
     "DeadlineExceeded",
     "DetectRequest",
     "DetectionServer",
-    "InfraFaultInjector",
-    "InfraFaultPlan",
-    "InfraFaultSpecError",
     "LeaderDied",
     "OverloadError",
     "ProtocolError",

@@ -53,26 +53,13 @@ class CacheJournal:
     Parameters
     ----------
     path:
-        Journal file; created on first append, parents must exist.
-    tear_first_append:
-        Chaos hook (``cache-torn`` in an infra fault plan): the first
-        append writes only a prefix of its line and no newline --
-        exactly the on-disk state of a crash mid-``write`` -- and the
-        next append truncates the fragment first, like a restart's load.
+        Journal file; created on first append.
     """
 
-    def __init__(
-        self,
-        path: Any,
-        *,
-        tear_first_append: bool = False,
-    ) -> None:
+    def __init__(self, path: Any) -> None:
         self.path = Path(path)
-        self.tear_first_append = tear_first_append
         self._lock = threading.Lock()
-        self._repair_to: Optional[int] = None
         self.appended = 0
-        self.torn_appends = 0
         self.loaded = 0
         self.dropped_tail = 0
         self.compactions = 0
@@ -103,31 +90,17 @@ class CacheJournal:
             self.loaded = len(entries)
         return entries
 
-    def append(self, key: Hashable, entry: Any) -> bool:
-        """Durably append one fill; ``True`` iff the line landed whole.
+    def append(self, key: Hashable, entry: Any) -> None:
+        """Durably append one fill.
 
         The line is fsynced before this returns: a fill acknowledged to
-        the cache is on disk before the next request can hit it.  Under
-        the ``tear_first_append`` chaos hook the first call deliberately
-        leaves a torn tail and returns ``False``.
+        the cache is on disk before the next request can hit it.
         """
         line = self._encode_line(key, entry)
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            if self._repair_to is not None:
-                durable.repair_to(self.path, self._repair_to)
-                self._repair_to = None
-            if self.tear_first_append:
-                # A simulated crash needs no durability: plain append.
-                self.tear_first_append = False
-                self._repair_to = self.path.stat().st_size if self.path.exists() else 0
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(line[: max(1, len(line) // 2)])
-                self.torn_appends += 1
-                return False
             durable.append_line(self.path, line)
             self.appended += 1
-            return True
 
     def compact(self, entries: List[Tuple[Hashable, Any]]) -> None:
         """Atomically rewrite the journal to exactly ``entries``."""
@@ -135,7 +108,6 @@ class CacheJournal:
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             durable.atomic_write(self.path, text)
-            self._repair_to = None
             self.compactions += 1
 
     def snapshot(self) -> Dict[str, Any]:
@@ -144,7 +116,6 @@ class CacheJournal:
             return {
                 "path": str(self.path),
                 "appended": self.appended,
-                "torn_appends": self.torn_appends,
                 "loaded": self.loaded,
                 "dropped_tail": self.dropped_tail,
                 "compactions": self.compactions,

@@ -44,7 +44,7 @@ the same seed sequence (``seed + t``) and the stopping rule is a pure
 function of the ordered outcomes, the re-elected leader's batch is
 bit-identical to the one the dead leader would have produced -- the
 promotion is observable only in the server's counters, never in the
-response bits (``tests/serve/test_chaos.py`` pins this).
+response bits (``TestLeaderPromotion`` in ``tests/serve/`` pins this).
 """
 
 from __future__ import annotations

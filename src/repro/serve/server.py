@@ -56,13 +56,10 @@ Shutdown is signal-safe: ``SIGTERM``/``SIGINT`` stop accepting, drain
 queued waiters with ``shutdown`` error rows (retry-after hints
 included), and release the engine pools + shared-memory segments
 (idempotent ``shutdown_pools``), so a killed server leaks nothing --
-``tests/serve/test_shutdown_safety.py`` pins that, and
-``tests/serve/test_chaos.py`` pins the kill->restart->replay matrix.
-
-Deterministic infrastructure chaos (:mod:`.chaos`) threads through the
-same path: ``DetectionServer(chaos=...)`` severs connections, stalls
-requests, slows the engine, and tears the cache journal on a
-replayable SplitMix64 schedule keyed by the request sequence number.
+``tests/serve/test_shutdown_safety.py`` pins that.  Each row of the
+table above is pinned by a test that drives a real event -- a client
+closing its socket, a slow engine, a torn journal; ``docs/serving.md``
+names them.
 
 All mutable serving state lives on :class:`DetectionServer` (deep-lint
 rule L8 rejects module-level mutable state in this package).
@@ -74,7 +71,7 @@ import asyncio
 import json
 import signal
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional
 
 from ..graphs.cache import cache_stats
 from ..runtime.engine import ExecutionEngine, default_engine
@@ -82,7 +79,6 @@ from ..runtime.governor import GovernorStateStore, PeakHoldGovernor
 from ..runtime.policy import ExecutionPolicy, PolicyError
 from .admission import AdmissionController
 from .cache import CacheJournal, ResultCache
-from .chaos import InfraFaultInjector, InfraFaultPlan, chaos_execute
 from .coalesce import BatchCoalescer, LeaderDied
 from .executor import (
     RecordStamp,
@@ -155,9 +151,7 @@ class ServerStats:
     rejected: int = 0
     errors: int = 0
     deadline_exceeded: int = 0
-    stalled: int = 0
     promotions: int = 0
-    conn_dropped: int = 0
     drained: int = 0
     detached: int = 0
 
@@ -187,9 +181,6 @@ class DetectionServer:
         Admission bounds (see :class:`AdmissionController`).
     cache_size:
         Result-cache capacity (entries).
-    chaos:
-        An :class:`InfraFaultPlan` (or its spec string) of deterministic
-        infrastructure faults to inject; ``None`` injects nothing.
     default_deadline_ms:
         Deadline applied to requests that do not carry their own
         ``deadline_ms``; ``None`` means no implicit deadline.
@@ -215,7 +206,6 @@ class DetectionServer:
         max_inflight: int = 8,
         max_queue: int = 64,
         cache_size: int = 256,
-        chaos: Union[InfraFaultPlan, str, None] = None,
         default_deadline_ms: Optional[int] = None,
         cache_journal: Optional[Any] = None,
         governor_state: Optional[Any] = None,
@@ -238,18 +228,9 @@ class DetectionServer:
         self.admission = AdmissionController(
             max_inflight, max_queue, governor=self.governor
         )
-        if isinstance(chaos, str):
-            chaos = InfraFaultPlan.from_spec(chaos)
-        self.chaos = chaos or InfraFaultPlan()
-        self._injector = InfraFaultInjector(self.chaos)
-        journal = None
-        if cache_journal is not None:
-            journal = CacheJournal(
-                cache_journal, tear_first_append=self.chaos.cache_torn
-            )
         self.cache = ResultCache(
             cache_size,
-            journal=journal,
+            journal=None if cache_journal is None else CacheJournal(cache_journal),
             encode=encode_result,
             decode=decode_result,
         )
@@ -263,8 +244,6 @@ class DetectionServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._waiters: "asyncio.Queue[asyncio.Future[None]]" = None  # type: ignore[assignment]
         self._stopping = asyncio.Event()
-        self._policies: Dict[str, ExecutionPolicy] = {}
-        self._seq = 0
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -387,15 +366,7 @@ class DetectionServer:
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
         lines: Any,
-        seq: Optional[int] = None,
     ) -> None:
-        if seq is not None and self._injector.drop_connection(seq):
-            # Chaos: sever the connection instead of answering -- the
-            # client sees EOF mid-stream, exactly a crashed frontend.
-            self.stats.conn_dropped += 1
-            async with write_lock:
-                writer.close()
-            return
         payload = b"".join(
             json.dumps(row, sort_keys=True).encode() + b"\n" for row in lines
         )
@@ -434,10 +405,8 @@ class DetectionServer:
                   "message": str(exc)}],
             )
             return
-        seq = self._seq
-        self._seq += 1
         try:
-            lines = await self._serve_detect(req, policy, seq)
+            lines = await self._serve_detect(req, policy)
         except OverloadError as exc:
             self.stats.rejected += 1
             lines = [{"id": req.req_id, "type": "error", "code": "overload",
@@ -463,7 +432,7 @@ class DetectionServer:
             self.stats.errors += 1
             lines = [{"id": req.req_id, "type": "error", "code": "execution",
                       "message": f"{type(exc).__name__}: {exc}"}]
-        await self._respond(writer, write_lock, lines, seq=seq)
+        await self._respond(writer, write_lock, lines)
 
     # -- the layered request path --------------------------------------
     def _deadline_ms(self, req: DetectRequest) -> Optional[int]:
@@ -474,7 +443,7 @@ class DetectionServer:
         )
 
     async def _serve_detect(
-        self, req: DetectRequest, policy: ExecutionPolicy, seq: int
+        self, req: DetectRequest, policy: ExecutionPolicy
     ) -> Any:
         deadline_ms = self._deadline_ms(req)
         loop = asyncio.get_running_loop()
@@ -488,9 +457,6 @@ class DetectionServer:
             if deadline_at is None:
                 return None
             return deadline_at - loop.time()
-
-        if self._injector.stall_request(seq):
-            await self._stall(deadline_ms, remaining())
 
         phash = policy.policy_hash()
         ckey = cache_key(req, phash)
@@ -528,23 +494,6 @@ class DetectionServer:
             self.cache.put(ckey, derived)
             self.stats.coalesced += 1
             return self._result_lines(req, derived, "coalesced")
-
-    async def _stall(
-        self, deadline_ms: Optional[int], timeout: Optional[float]
-    ) -> None:
-        """Chaos: hold this request until its deadline or server drain.
-
-        With a deadline the stall resolves into a deterministic
-        ``deadline-exceeded`` row; without one it parks until shutdown
-        drains it -- either way the client gets a terminal line, never a
-        silent hang.
-        """
-        self.stats.stalled += 1
-        try:
-            await _wait(self._stopping.wait(), timeout)
-        except asyncio.TimeoutError:
-            raise DeadlineExceeded(deadline_ms) from None  # type: ignore[arg-type]
-        raise asyncio.CancelledError()
 
     async def _lead(
         self,
@@ -626,8 +575,6 @@ class DetectionServer:
         fut = asyncio.ensure_future(
             asyncio.wrap_future(
                 self.engine.submit(
-                    chaos_execute,
-                    self._injector.engine_delay_s(),
                     execute_request,
                     req,
                     policy,
@@ -710,8 +657,6 @@ class DetectionServer:
             "coalescer": self.coalescer.snapshot(),
             "construction_cache": cache_stats(),
         }
-        if not self.chaos.is_null:
-            row["chaos"] = {"spec": self.chaos.spec(), **self.chaos.as_dict()}
         if self.governor is not None:
             row["governor"] = self.governor.snapshot()
         return row

@@ -1,15 +1,11 @@
-"""Deep L8's serving-layer extensions: serve module state, chaos plans.
+"""Deep L8's serving-layer extension: no mutable module state in serve.
 
 The static side flags mutable module-level bindings in files under a
 ``repro/serve/`` path (``tests/lint/fixture_serve/.../cheating_server.py``
-carries the ``# EXPECT-D[L8]`` markers) and, one notch tighter, flags
-unjournaled mutable state in chaos modules -- non-frozen plan
-dataclasses and mutable class-scope schedule state in files matching
-``repro/serve/chaos.py`` (``fixture_serve/.../chaos.py``).  The design
-side is the real :mod:`repro.serve` package actually holding every piece
-of mutable state on the engine core or a server/controller instance --
-and every chaos plan frozen -- so the shipped package lints clean under
-its own rules.
+carries the ``# EXPECT-D[L8]`` markers).  The design side is the real
+:mod:`repro.serve` package actually holding every piece of mutable state
+on the engine core or a server/controller instance, so the shipped
+package lints clean under its own rule.
 """
 
 from __future__ import annotations
@@ -23,9 +19,6 @@ from .test_deep import _expected_markers, _project
 SERVE_FIXTURE = str(
     Path(__file__).parent / "fixture_serve" / "repro" / "serve"
     / "cheating_server.py"
-)
-CHAOS_FIXTURE = str(
-    Path(__file__).parent / "fixture_serve" / "repro" / "serve" / "chaos.py"
 )
 
 
@@ -65,59 +58,3 @@ class TestServeModuleStateRule:
             files.append((str(path), path.read_text()))
         findings = deep_findings(ProjectModel.build(files))
         assert [f for f in findings if f.rule_id == "L8"] == []
-
-
-class TestChaosFrozenPlanRule:
-    def test_every_marked_cheat_and_nothing_else(self):
-        expected = _expected_markers(CHAOS_FIXTURE)
-        assert expected, "chaos fixture lost its EXPECT-D markers"
-        assert {rid for _, rid in expected} == {"L8"}
-        found = sorted(
-            (f.line, f.rule_id) for f in deep_findings(_project(CHAOS_FIXTURE))
-        )
-        assert found == expected
-
-    def test_the_three_cheats_are_distinct(self):
-        # One module-state finding (the module-level schedule), one
-        # non-frozen-dataclass finding, one class-scope-state finding.
-        messages = sorted(
-            f.message for f in deep_findings(_project(CHAOS_FIXTURE))
-        )
-        assert len(messages) == 3
-        assert sum("module scope" in m for m in messages) == 1
-        assert sum("non-frozen dataclass" in m for m in messages) == 1
-        assert sum("class-scope state" in m for m in messages) == 1
-
-    def test_chaos_findings_anchor_to_the_class(self):
-        by_symbol = {
-            f.symbol: f.message
-            for f in deep_findings(_project(CHAOS_FIXTURE))
-            if f.symbol != "<module>"
-        }
-        assert "unjournaled mutable state" in by_symbol["CheatingInjector"]
-        assert "frozen=True" in by_symbol["CheatingPlan"]
-
-    def test_same_source_outside_a_chaos_path_skips_the_chaos_rules(
-        self, tmp_path
-    ):
-        # Under a generic serve path the module-state rule still fires,
-        # but the chaos-only rules (frozen plans, class-scope state) are
-        # keyed off the chaos.py filename and stay silent.
-        serve_dir = tmp_path / "repro" / "serve"
-        serve_dir.mkdir(parents=True)
-        neutral = serve_dir / "not_chaos.py"
-        neutral.write_text(Path(CHAOS_FIXTURE).read_text())
-        messages = [
-            f.message for f in deep_findings(_project(str(neutral)))
-        ]
-        assert len(messages) == 1
-        assert "module scope" in messages[0]
-
-    def test_real_chaos_module_is_clean(self):
-        import repro.serve.chaos as mod
-
-        path = Path(mod.__file__)
-        findings = deep_findings(
-            ProjectModel.build([(str(path), path.read_text())])
-        )
-        assert findings == []

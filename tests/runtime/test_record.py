@@ -186,3 +186,22 @@ class TestEnvironmentStamp:
     def test_git_sha_shape(self):
         sha = git_sha()
         assert sha == "unknown" or (len(sha) == 40 and int(sha, 16) >= 0)
+
+    def test_git_sha_spawns_git_at_most_once_per_process(self, monkeypatch):
+        import subprocess
+
+        from repro.runtime import record
+
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(record.subprocess, "run", counting_run)
+        record.git_sha.cache_clear()
+        first = RunRecord.start(ExecutionPolicy())
+        second = RunRecord.start(ExecutionPolicy())
+        assert len(calls) <= 1
+        assert first.git_sha == second.git_sha

@@ -1,9 +1,11 @@
 """Crash-safe cache persistence: the write-ahead journal, in isolation.
 
 The journal's two durability claims -- torn-tail-repairing loads and
-atomic compaction -- are pinned here as plain file manipulations; the
-server-level restart story (journal-warm hits after a kill) lives in
-``test_chaos.py`` and the SIGKILL subprocess test.
+atomic compaction -- are pinned here as plain file manipulations: a torn
+tail is written the way a crash mid-append leaves it, a prefix of a line
+with no newline.  The server-level restart story (journal-warm hits
+after a torn append) lives in ``test_chaos.py``'s replay matrix and the
+SIGKILL subprocess test in ``test_shutdown_safety.py``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import json
 from repro.serve import CacheJournal, ResultCache
 
 
-def _journal(tmp_path, **kwargs):
-    return CacheJournal(tmp_path / "cache.jsonl", **kwargs)
+def _journal(tmp_path):
+    return CacheJournal(tmp_path / "cache.jsonl")
 
 
 class TestJournalBasics:
@@ -39,19 +41,6 @@ class TestJournalBasics:
         assert reader.load() == [(("a",), {"v": 1}), (("b",), {"v": 2})]
         assert reader.dropped_tail == 1
 
-    def test_tear_first_append_hook_then_self_repair(self, tmp_path):
-        j = _journal(tmp_path, tear_first_append=True)
-        assert j.append(("a",), {"v": 1}) is False  # torn, entry lost
-        assert j.torn_appends == 1
-        # The torn fragment is a real torn tail on disk right now.
-        reader = _journal(tmp_path)
-        assert reader.load() == []
-        assert reader.dropped_tail == 1
-        # The next append repairs the tail before writing, like a
-        # restart's truncate-and-continue.
-        assert j.append(("b",), {"v": 2}) is True
-        assert _journal(tmp_path).load() == [(("b",), {"v": 2})]
-
     def test_compact_rewrites_atomically(self, tmp_path):
         j = _journal(tmp_path)
         for i in range(5):
@@ -64,14 +53,14 @@ class TestJournalBasics:
     def test_append_after_torn_load_survives_reload(self, tmp_path):
         # Regression: a load that dropped a torn tail used to leave it on
         # disk, so every later append sat behind an undecodable line and
-        # was lost on the next load, though append() returned True.
+        # was lost on the next load, though append() had returned.
         _journal(tmp_path).append(("a",), {"v": 1})
         with (tmp_path / "cache.jsonl").open("a", encoding="utf-8") as fh:
             fh.write('{"key": ["x"], "ent')
         j = _journal(tmp_path)
         assert j.load() == [(("a",), {"v": 1})]
         assert j.dropped_tail == 1
-        assert j.append(("b",), {"v": 2}) is True
+        j.append(("b",), {"v": 2})
         assert _journal(tmp_path).load() == [
             (("a",), {"v": 1}), (("b",), {"v": 2}),
         ]

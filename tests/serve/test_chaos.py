@@ -1,22 +1,28 @@
-"""The chaos harness: infra fault plans, recovery semantics, and the
+"""Serving faults from real events: recovery semantics and the
 kill -> restart -> replay matrix.
 
-Layers of proof:
+Every fault here is one the server meets in production, produced the
+way production produces it -- nothing inside the server is told to
+fail:
 
-* **unit** -- the plan grammar and the SplitMix64 injector's
-  replayability;
-* **scenario** -- a live server under each fault class answers the
-  deterministic terminal row the recovery table in ``docs/serving.md``
-  promises (deadline-exceeded, shutdown), a SIGKILLed pool worker is
-  absorbed by the amplification ladder with no leader resubmission,
-  followers are promoted when leaders die, and dropped connections
-  never wedge a coalescing group;
-* **matrix** -- the acceptance gate: a chaos run's surviving responses
-  are ``diff_records``-identical to a fault-free run, and a restarted
-  server serves the journalled results as warm hits;
-* **availability** -- a concurrent wave under each of five plans, then a
-  repeat wave: what fraction is answered, which errors appear, and that
-  no answered result is corrupted.
+* a **slow engine** -- :class:`~tests.serve.test_server.SlowEngine`,
+  injected through ``DetectionServer(engine=...)`` -- holds executions
+  open, so deadlines fire (deterministic ``deadline-exceeded`` rows),
+  queued requests wait behind a busy slot and a shutdown drains them;
+* a **client that closes its socket** mid-request: its work detaches,
+  lands and fills the cache, a dead leader's follower is promoted, and
+  a dead follower never wedges its group;
+* a **SIGKILLed pool worker** is absorbed by the amplification ladder
+  with no leader resubmission;
+* a **torn journal** -- the file cut inside its last line, which is what
+  a ``SIGKILL`` during an append leaves -- restores its clean prefix.
+
+The matrix is the acceptance gate: every surviving response is
+``diff_records``-identical to a fault-free run, and a restarted server
+serves the journalled results as warm hits.  The availability matrix
+runs a concurrent wave under each of five fault mixes, then a repeat
+wave: what fraction is answered, which errors appear, and that no
+answered result is corrupted.
 """
 
 from __future__ import annotations
@@ -29,80 +35,16 @@ import os
 import signal
 from collections import Counter
 
-import pytest
-
 from repro.congest.parallel import shutdown_pools
 from repro.runtime import ExecutionEngine, ExecutionPolicy, diff_records
-from repro.serve import InfraFaultInjector, InfraFaultPlan, InfraFaultSpecError
-from repro.serve.chaos import chaos_execute
 from tests.serve.test_server import (
     GRAPH,
     Client,
     _with_server,
     direct_record,
     record_from_rows,
+    run_slow,
 )
-
-
-class TestPlanGrammar:
-    def test_spec_round_trips_canonically(self):
-        spec = "conn-drop:0.25|req-stall:0.1|cache-torn|engine-slow:30|seed:7"
-        plan = InfraFaultPlan.from_spec(spec)
-        assert InfraFaultPlan.from_spec(plan.spec()) == plan
-        assert plan.conn_drop == 0.25 and plan.req_stall == 0.1
-        assert plan.cache_torn and plan.engine_slow_ms == 30
-        assert plan.seed == 7
-
-    def test_empty_spec_is_the_null_plan(self):
-        plan = InfraFaultPlan.from_spec("")
-        assert plan.is_null and not plan.probabilistic
-        assert plan.spec() == ""
-
-    @pytest.mark.parametrize("bad", [
-        "conn-drop:1.5",          # probability out of range
-        "conn-drop:maybe",        # not a number
-        "cache-torn:1",           # flag takes no value
-        "worker-kill:3",          # removed field: real kills only
-        "worker-kill:0@2+1@2",    # removed field: real kills only
-        "worker-kill:0@3",        # removed field: real kills only
-        "engine-slow:-5",         # negative delay
-        "frobnicate:1",           # unknown field
-        "conn-drop:0.1|conn-drop:0.2",  # duplicate field
-    ])
-    def test_invalid_specs_raise(self, bad):
-        with pytest.raises(InfraFaultSpecError):
-            InfraFaultPlan.from_spec(bad)
-
-
-class TestInjectorReplayability:
-    def test_same_seed_same_schedule(self):
-        plan = InfraFaultPlan(conn_drop=0.4, req_stall=0.3, seed=11)
-        a = InfraFaultInjector(plan)
-        b = InfraFaultInjector(InfraFaultPlan.from_spec(plan.spec()))
-        for seq in range(200):
-            assert a.drop_connection(seq) == b.drop_connection(seq)
-            assert a.stall_request(seq) == b.stall_request(seq)
-
-    def test_streams_are_independent_and_seed_sensitive(self):
-        base = InfraFaultInjector(InfraFaultPlan(
-            conn_drop=0.5, req_stall=0.5, seed=1))
-        other = InfraFaultInjector(InfraFaultPlan(
-            conn_drop=0.5, req_stall=0.5, seed=2))
-        drops = [base.drop_connection(s) for s in range(64)]
-        stalls = [base.stall_request(s) for s in range(64)]
-        assert drops != stalls  # distinct stream constants
-        assert drops != [other.drop_connection(s) for s in range(64)]
-
-    def test_extreme_probabilities_are_certainties(self):
-        always = InfraFaultInjector(InfraFaultPlan(conn_drop=1.0, seed=3))
-        never = InfraFaultInjector(InfraFaultPlan(conn_drop=0.0, seed=3))
-        assert all(always.drop_connection(s) for s in range(32))
-        assert not any(never.drop_connection(s) for s in range(32))
-
-
-class TestChaosExecute:
-    def test_transparent_without_faults(self):
-        assert chaos_execute(0.0, lambda x: x + 1, 41) == 42
 
 
 async def _drain_detached(srv, want_executed, tries=200):
@@ -111,6 +53,15 @@ async def _drain_detached(srv, want_executed, tries=200):
         if srv.stats.executed + srv.stats.errors >= want_executed:
             return
         await asyncio.sleep(0.05)
+
+
+async def _until(predicate, tries=200):
+    """Poll the server's own state until ``predicate()`` holds."""
+    for _ in range(tries):
+        if predicate():
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError("server never reached the awaited state")
 
 
 class TestDeadlines:
@@ -130,8 +81,7 @@ class TestDeadlines:
             await client.close()
             return got, srv.stats.detached
 
-        got, detached = asyncio.run(_with_server(
-            scenario, chaos="engine-slow:500|seed:1"))
+        got, detached = run_slow(scenario, 0.5)
         row = got["d"]["terminal"]
         assert row["code"] == "deadline-exceeded"
         assert row["deadline_ms"] == 80
@@ -143,56 +93,63 @@ class TestDeadlines:
         assert diff_records(baseline, served)["identical"]
 
     def test_default_deadline_applies_to_stalled_requests(self):
+        # The request carries no deadline of its own; the server's
+        # default bounds its stall on the slow engine.
         async def scenario(srv):
             client = await Client.connect(srv.bound_port)
             await client.send({"id": "s", **self.REQ})
             got = await client.collect(1)
             await client.close()
-            return got, srv.stats.stalled
+            await _drain_detached(srv, 1)
+            return got, srv.stats.deadline_exceeded, srv.stats.detached
 
-        got, stalled = asyncio.run(_with_server(
-            scenario, chaos="req-stall:1.0|seed:2", default_deadline_ms=80))
-        assert got["s"]["terminal"]["code"] == "deadline-exceeded"
-        assert stalled == 1
+        got, exceeded, detached = run_slow(
+            scenario, 0.5, default_deadline_ms=80)
+        row = got["s"]["terminal"]
+        assert row["code"] == "deadline-exceeded"
+        assert row["deadline_ms"] == 80
+        assert exceeded == 1 and detached == 1
 
     def test_deadline_rows_replay_bit_identically(self):
-        # Two servers, same chaos schedule, same request sequence: the
+        # Two servers, same slow engine, same request sequence: the
         # terminal error rows must be byte-equal -- no clocks leak in.
         async def scenario(srv):
             client = await Client.connect(srv.bound_port)
             await client.send({"id": "d", "deadline_ms": 60, **self.REQ})
             got = await client.collect(1)
             await client.close()
+            await _drain_detached(srv, 1)
             return got["d"]["terminal"]
 
-        rows = [
-            asyncio.run(_with_server(
-                scenario, chaos="req-stall:1.0|seed:5"))
-            for _ in range(2)
-        ]
+        rows = [run_slow(scenario, 0.4) for _ in range(2)]
+        assert rows[0]["code"] == "deadline-exceeded"
         assert rows[0] == rows[1]
 
 
 class TestStallDraining:
     def test_shutdown_drains_stalled_requests_with_retry_hints(self):
-        req = {"pattern": "c4", "graph": GRAPH, "seed": 52}
+        # One slot: "parked" queues behind "busy", whose execution the
+        # slow engine holds open, and is still waiting at shutdown.
+        busy = {"pattern": "c4", "graph": GRAPH, "seed": 52, "iterations": 6}
+        parked = dict(busy, seed=53)
 
         async def scenario(srv):
             client = await Client.connect(srv.bound_port)
-            await client.send({"id": "parked", **req})  # stalls, no deadline
-            await asyncio.sleep(0.15)
-            assert srv.stats.stalled == 1
+            await client.send({"id": "busy", **busy})
+            await client.send({"id": "parked", **parked})
+            await _until(lambda: srv.admission.snapshot()["queued"] == 1)
             await srv.stop()
-            got = await client.collect(1)
+            got = await client.collect(2)
             await client.close()
             return got, srv.stats.drained
 
-        got, drained = asyncio.run(_with_server(
-            scenario, chaos="req-stall:1.0|seed:3"))
+        got, drained = run_slow(scenario, 0.5, max_inflight=1, max_queue=4)
         row = got["parked"]["terminal"]
         assert row["code"] == "shutdown"
         assert row["retry_after_hint"] > 0
         assert drained == 1
+        # The running request is not drained: it finishes and answers.
+        assert got["busy"]["terminal"]["type"] == "result"
 
 
 def _is_degradation(row):
@@ -294,34 +251,23 @@ class TestRealWorkerKill:
 class TestConnectionChaos:
     REQ = {"pattern": "c4", "graph": GRAPH, "seed": 56, "iterations": 6}
 
-    @staticmethod
-    def _seed_dropping_only_seq0():
-        for s in range(500):
-            inj = InfraFaultInjector(InfraFaultPlan(conn_drop=0.5, seed=s))
-            if inj.drop_connection(0) and not inj.drop_connection(1):
-                return s
-        raise AssertionError("no such seed in range")
-
     def test_dropped_response_loses_the_connection_not_the_work(self):
-        seed = self._seed_dropping_only_seq0()
-
         async def scenario(srv):
             a = await Client.connect(srv.bound_port)
             await a.send({"id": "victim", **self.REQ})
-            eof = await a.reader.readline()
+            # The client vanishes while its request executes.
+            await _until(lambda: srv.admission.snapshot()["running"] == 1)
             await a.close()
             await _drain_detached(srv, 1)
             b = await Client.connect(srv.bound_port)
             await b.send({"id": "again", **self.REQ})
             got = await b.collect(1)
             await b.close()
-            return eof, got, srv.stats.conn_dropped
+            return got, srv.stats.detached
 
-        eof, got, dropped = asyncio.run(_with_server(
-            scenario, chaos=f"conn-drop:0.5|seed:{seed}"))
-        assert eof == b""  # the victim saw EOF mid-stream
-        assert dropped == 1
-        # The severed response's work still executed and was cached.
+        got, detached = run_slow(scenario, 0.3)
+        # The dropped client's work detached, landed and was cached.
+        assert detached == 1
         assert got["again"]["terminal"]["cache"] == "hit"
         served = record_from_rows(got["again"]["records"])
         baseline = direct_record({"id": "b", **self.REQ})
@@ -348,9 +294,7 @@ class TestLeaderPromotion:
             await _drain_detached(srv, 2)
             return got, srv.stats.promotions
 
-        got, promotions = asyncio.run(_with_server(
-            scenario, max_inflight=1, max_queue=8,
-            chaos="engine-slow:500|seed:1"))
+        got, promotions = run_slow(scenario, 0.5, max_inflight=1, max_queue=8)
         assert promotions >= 1
         assert got["follow"]["terminal"]["type"] == "result"
         served = record_from_rows(got["follow"]["records"])
@@ -370,15 +314,22 @@ class TestLeaderPromotion:
             await a.close()
             return got, srv.coalescer.snapshot()
 
-        got, snap = asyncio.run(_with_server(
-            scenario, chaos="engine-slow:400|seed:1"))
+        got, snap = run_slow(scenario, 0.4)
         assert got["lead"]["terminal"]["type"] == "result"
         assert snap["followers_left"] == 1
         assert snap["pending"] == 0
 
 
+def _tear_last_line(path):
+    """Cut ``path`` inside its last line: the file a ``SIGKILL`` during
+    an append leaves behind (a prefix of the line, no newline)."""
+    data = path.read_bytes()
+    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    path.write_bytes(data[: start + (len(data) - start) // 2])
+
+
 class TestKillRestartReplayMatrix:
-    """The acceptance gate: chaos, restart, replay, bit-identity."""
+    """The acceptance gate: torn journal, restart, replay, bit-identity."""
 
     REQS = [
         {"id": "m0", "pattern": "c4", "graph": GRAPH, "seed": 60,
@@ -392,13 +343,12 @@ class TestKillRestartReplayMatrix:
         {"id": "m4", "pattern": "k4", "graph": {"kind": "clique", "s": 5}},
     ]
 
-    async def _drive(self, srv, extra=None):
-        """Send the matrix sequentially (deterministic submission order);
-        ``extra`` maps a request id to fields merged into its body."""
+    async def _drive(self, srv):
+        """Send the matrix sequentially (deterministic journal order)."""
         client = await Client.connect(srv.bound_port)
         got = {}
         for obj in self.REQS:
-            await client.send({**obj, **(extra or {}).get(obj["id"], {})})
+            await client.send(obj)
             got.update(await client.collect(1))
         await client.close()
         return got
@@ -409,53 +359,43 @@ class TestKillRestartReplayMatrix:
             obj["id"]: direct_record(obj) for obj in self.REQS
         }
 
-        # -- phase 1: chaos run.  Seed 7 stalls request 1 (m1) alone;
-        # its deadline ends the stall before anything executes or fills
-        # the cache.  The journal's first append (m0's fill) is torn.
-        async def chaos_run(srv):
-            return await self._drive(srv, {"m1": {"deadline_ms": 100}})
-
-        got1 = asyncio.run(_with_server(
-            chaos_run, cache_journal=journal,
-            chaos="req-stall:0.2|cache-torn|seed:7"))
-        completed1 = {
-            rid for rid, b in got1.items()
-            if b["terminal"]["type"] == "result"
-        }
-        assert completed1 == {"m0", "m2", "m3", "m4"}
-        assert got1["m1"]["terminal"]["code"] == "deadline-exceeded"
-        # Every completed chaos response is bit-identical to fault-free.
-        for rid in completed1:
-            served = record_from_rows(got1[rid]["records"])
-            assert diff_records(baselines[rid], served)["identical"], rid
-
-        # -- phase 2: restart against the same journal, no chaos.
         async def replay(srv):
             got = await self._drive(srv)
             return got, srv.cache.restored, srv.cache.stats()
 
+        # -- phase 1: a cold run journals every fill, in request order.
+        got1, restored1, _ = asyncio.run(_with_server(
+            replay, cache_journal=journal))
+        assert restored1 == 0
+        assert {got1[o["id"]]["terminal"]["cache"] for o in self.REQS} \
+            == {"miss"}
+        assert len(journal.read_text().splitlines()) == 5
+
+        # -- the kill: m4's append was cut mid-line.
+        _tear_last_line(journal)
+
+        # -- phase 2: restart against the torn journal.
         got2, restored, cstats = asyncio.run(_with_server(
             replay, cache_journal=journal))
-        # m0's fill was torn, m1 never completed: both re-execute.  The
-        # other three restore journal-warm.
-        assert restored == 3
+        # The clean prefix restores journal-warm; only the torn fill
+        # re-executes.
+        assert restored == 4
+        assert cstats["journal"]["dropped_tail"] == 1
         sources = {rid: got2[rid]["terminal"].get("cache")
                    for rid in got2}
-        assert sources["m2"] == "hit"
-        assert sources["m3"] == "hit"
-        assert sources["m4"] == "hit"
-        assert sources["m0"] == "miss"
-        assert sources["m1"] == "miss"
+        assert sources == {"m0": "hit", "m1": "hit", "m2": "hit",
+                           "m3": "hit", "m4": "miss"}
         # Replay answers everything, and every response -- warm or
         # re-executed -- diffs clean against the fault-free baseline.
-        for obj in self.REQS:
-            rid = obj["id"]
-            assert got2[rid]["terminal"]["type"] == "result", rid
-            served = record_from_rows(got2[rid]["records"])
-            assert diff_records(baselines[rid], served)["identical"], rid
+        for got in (got1, got2):
+            for obj in self.REQS:
+                rid = obj["id"]
+                assert got[rid]["terminal"]["type"] == "result", rid
+                served = record_from_rows(got[rid]["records"])
+                assert diff_records(baselines[rid], served)["identical"], rid
 
         # -- phase 3: one more restart proves the journal now carries
-        # everything (phase 2 journalled the re-executions).
+        # everything (phase 2 journalled the re-execution).
         got3, restored3, _ = asyncio.run(_with_server(
             replay, cache_journal=journal))
         assert restored3 == 5
@@ -464,14 +404,15 @@ class TestKillRestartReplayMatrix:
         )
 
 
-async def _issue(port, obj, sem):
-    """One request on its own connection: its terminal row (``None`` if
-    chaos severed the connection first) and its record rows."""
+async def _issue(port, obj, sem, drop=False):
+    """One request on its own connection: its terminal row and its
+    record rows.  With ``drop`` the client closes its socket right
+    after sending and the terminal row is ``None``."""
     async with sem:
         client = await Client.connect(port)
         await client.send(obj)
         rows, terminal = [], None
-        while line := await client.reader.readline():
+        while not drop and (line := await client.reader.readline()):
             row = json.loads(line)
             if row["type"] != "record":
                 terminal = row
@@ -492,7 +433,7 @@ async def _settle(srv):
 class TestAvailabilityMatrix:
     """A fault wave and a repeat wave of the same bodies under each plan.
 
-    Chaos may cost availability and latency, never bit-identity, and no
+    Faults may cost availability and latency, never bit-identity, and no
     request may end in an unclassified ``execution`` error.  Bit-identity
     is judged with the pool ladder's ``degradation`` notes stripped.
     """
@@ -507,19 +448,20 @@ class TestAvailabilityMatrix:
         ]))
     ]
     WAVE = 20
+    #: Every ``DROP_EVERY``-th fault-wave client closes its socket right
+    #: after sending (plans with ``drop``).
+    DROP_EVERY = 7
+    #: plan -> (clients drop?, engine delay in seconds, server kwargs).
     PLANS = {
-        "baseline": ("", {}),
-        "conn_drop": ("conn-drop:0.15|seed:7", {}),
-        # No chaos spec: the fault is real.  See ``KILLS``.
-        "worker_kill": ("", {}),
+        "baseline": (False, 0.0, {}),
+        "conn_drop": (True, 0.0, {}),
+        # The fault is a real SIGKILL.  See ``KILLS``.
+        "worker_kill": (False, 0.0, {}),
         # Every leader holds a slot, so every profile's work starts,
         # detaches at its deadline and lands before the repeat wave.
-        "slow_deadline": ("engine-slow:150|seed:7",
+        "slow_deadline": (False, 0.15,
                           {"default_deadline_ms": 75, "max_inflight": 10}),
-        "composite": (
-            "conn-drop:0.1|req-stall:0.05|engine-slow:20|seed:7",
-            {"default_deadline_ms": 500},
-        ),
+        "composite": (True, 0.02, {"default_deadline_ms": 500}),
     }
 
     #: Plans whose profiles run at jobs=2 while a test-side coroutine
@@ -538,7 +480,7 @@ class TestAvailabilityMatrix:
         }
 
     def _run(self, plan):
-        spec, kwargs = self.PLANS[plan]
+        drop, delay_s, kwargs = self.PLANS[plan]
         kills = self.KILLS.get(plan, 0)
         profiles = [
             dict(p, policy="jobs=2") if kills else p for p in self.PROFILES
@@ -555,7 +497,9 @@ class TestAvailabilityMatrix:
             stop = asyncio.Event()
             killer = asyncio.ensure_future(_kill_pool_workers(kills, stop))
             fault = await asyncio.gather(*(
-                _issue(srv.bound_port, obj, sem) for obj in wave("f")
+                _issue(srv.bound_port, obj, sem,
+                       drop=drop and i % self.DROP_EVERY == 0)
+                for i, obj in enumerate(wave("f"))
             ))
             stop.set()
             killed = await killer
@@ -569,8 +513,11 @@ class TestAvailabilityMatrix:
         # this wave's jobs=2 pool.
         shutdown_pools()
         server_kwargs = {"max_inflight": 4, "max_queue": self.WAVE, **kwargs}
-        fault, repeat, killed = asyncio.run(_with_server(
-            scenario, chaos=spec or None, **server_kwargs))
+        if delay_s:
+            fault, repeat, killed = run_slow(scenario, delay_s, **server_kwargs)
+        else:
+            fault, repeat, killed = asyncio.run(_with_server(
+                scenario, **server_kwargs))
         assert len(killed) == kills, plan
 
         # Bit-identity on the first three answered results.
@@ -612,9 +559,11 @@ class TestAvailabilityMatrix:
         assert repeat["availability"] == 1.0
 
     def test_conn_drop_severs_some_and_answers_the_rest(self):
-        fault, _, _ = self._run("conn_drop")
-        assert fault["dropped"] >= 1
-        assert fault["availability"] > 0.5
+        fault, repeat, _ = self._run("conn_drop")
+        # Clients 0, 7 and 14 vanished; everyone else was answered.
+        assert fault["dropped"] == 3
+        assert fault["availability"] == 17 / 20
+        assert repeat["availability"] == 1.0
 
     def test_composite_plan_never_corrupts_or_misclassifies(self):
         self._run("composite")

@@ -13,8 +13,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
-from repro.runtime import ExecutionPolicy, RunRecord, TraceEvent, diff_records
+from repro.runtime import (
+    ExecutionEngine,
+    ExecutionPolicy,
+    RunRecord,
+    TraceEvent,
+    diff_records,
+)
 from repro.serve import DetectionServer, execute_request
 from repro.serve.protocol import parse_request
 
@@ -88,6 +95,36 @@ async def _with_server(scenario, **server_kwargs):
         return await scenario(srv)
     finally:
         await srv.stop()
+
+
+def _after_sleep(delay_s, fn, /, *args, **kwargs):
+    time.sleep(delay_s)
+    return fn(*args, **kwargs)
+
+
+class SlowEngine(ExecutionEngine):
+    """A slow engine: every submitted call first sleeps ``delay_s``.
+
+    Injected through ``DetectionServer(engine=...)``, the server's one
+    test seam, it holds each execution open long enough for deadlines to
+    fire, duplicates to coalesce and clients to vanish mid-run.
+    """
+
+    def __init__(self, delay_s):
+        super().__init__()
+        self.delay_s = delay_s
+
+    def submit(self, fn, /, *args, **kwargs):
+        return super().submit(_after_sleep, self.delay_s, fn, *args, **kwargs)
+
+
+def run_slow(scenario, delay_s, **server_kwargs):
+    """``asyncio.run`` a scenario against a server on a :class:`SlowEngine`."""
+    engine = SlowEngine(delay_s)
+    try:
+        return asyncio.run(_with_server(scenario, engine=engine, **server_kwargs))
+    finally:
+        engine.shutdown()
 
 
 class TestBitIdentity:
@@ -215,7 +252,7 @@ class TestAdmission:
 class TestDuplicateHeavyLoad:
     """A concurrent wave of duplicates, then a wave of repeats.
 
-    ``engine-slow`` holds every leader's execution open while its
+    A :class:`SlowEngine` holds every leader's execution open while its
     duplicates arrive, so each profile runs once and the rest of the
     wave coalesces onto it; the repeat wave is served from the cache.
     """
@@ -263,8 +300,7 @@ class TestDuplicateHeavyLoad:
             return got, srv.coalescer.snapshot(), srv.cache.stats(), \
                 srv.stats.executed
 
-        got, coalesce, cache, executed = asyncio.run(_with_server(
-            scenario, chaos="engine-slow:300|seed:1"))
+        got, coalesce, cache, executed = run_slow(scenario, 0.3)
         assert len(got) == len(wave1) + len(wave2)
         failures = [b["terminal"] for b in got.values()
                     if b["terminal"]["type"] != "result"]

@@ -98,9 +98,9 @@ class TestCLICommands:
         assert rc == 0
         assert "triangle detected: True" in capsys.readouterr().out
 
-    def test_detect_bad_pattern(self):
-        with pytest.raises(SystemExit):
-            main(["detect", "--pattern", "c5", "--graph", "cycle"])
+    def test_detect_bad_pattern(self, capsys):
+        assert main(["detect", "--pattern", "c5", "--graph", "cycle"]) == 2
+        assert capsys.readouterr().err.startswith("repro: ")
 
     @pytest.mark.parametrize("pattern, detector", [
         ("odd-c5", lambda g: detect_cycle_linear(g, 5, 3, bandwidth=1)),
@@ -160,6 +160,32 @@ class TestCLICommands:
         with pytest.raises(SystemExit) as err:
             main(["serve", "--port", "0", flag, "1"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--pattern", "c5", "--graph", "cycle"],
+        ["detect", "--pattern", "k3", "--policy", "bogus=1"],
+        ["detect", "--pattern", "k3", "--graph", "file"],
+        ["experiment", "e1-live", "--resume", "{resume}"],
+        ["serve", "--port", "0", "--policy", "bogus=1"],
+        ["policy", "hash", "bogus=1"],
+        ["serve", "--port", "0", "--chaos", "x"],
+    ], ids=["bad-pattern", "bad-policy", "file-without-path",
+            "bad-resume", "serve-bad-policy", "policy-hash-bad-spec",
+            "serve-chaos"])
+    def test_usage_errors_exit_2_with_one_stderr_line(self, argv, tmp_path):
+        # A journal with a bad first line cannot be resumed.
+        resume = tmp_path / "not-a-record.jsonl"
+        resume.write_text("not json\n")
+        argv = [a.format(resume=resume) for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if argv[-2] != "--chaos":  # argparse prints usage plus one line
+            assert proc.stderr.startswith("repro: ")
+            assert proc.stderr.count("\n") == 1
 
     def test_construct_hk(self, capsys, tmp_path):
         out_file = tmp_path / "hk.edges"
@@ -223,15 +249,16 @@ class TestCLIPolicyAndRecord:
         assert rc == 0
         assert via_flags == via_spec
 
-    def test_bad_policy_spec_exits(self):
-        with pytest.raises(SystemExit, match="bad execution policy"):
-            main(["detect", "--pattern", "k3", "--graph", "cycle",
-                  "--length", "6", "--policy", "warp=9"])
+    def test_bad_policy_spec_exits(self, capsys):
+        assert main(["detect", "--pattern", "k3", "--graph", "cycle",
+                     "--length", "6", "--policy", "warp=9"]) == 2
+        assert "bad execution policy" in capsys.readouterr().err
 
-    def test_illegal_policy_combo_exits(self):
-        with pytest.raises(SystemExit, match="bad execution policy"):
-            main(["detect", "--pattern", "k3", "--graph", "cycle",
-                  "--length", "6", "--policy", "sanitize=true,metrics=lite"])
+    def test_illegal_policy_combo_exits(self, capsys):
+        assert main(["detect", "--pattern", "k3", "--graph", "cycle",
+                     "--length", "6",
+                     "--policy", "sanitize=true,metrics=lite"]) == 2
+        assert "bad execution policy" in capsys.readouterr().err
 
     def test_detect_record_roundtrips(self, capsys, tmp_path):
         from repro.runtime import RunRecord
@@ -284,10 +311,10 @@ class TestCLIFaultsAndResume:
         assert rc == 0
         assert via_flag == via_policy
 
-    def test_bad_fault_spec_exits(self):
-        with pytest.raises(SystemExit, match="bad execution policy"):
-            main(["detect", "--pattern", "k3", "--graph", "cycle",
-                  "--length", "6", "--faults", "jam:0.5"])
+    def test_bad_fault_spec_exits(self, capsys):
+        assert main(["detect", "--pattern", "k3", "--graph", "cycle",
+                     "--length", "6", "--faults", "jam:0.5"]) == 2
+        assert "bad execution policy" in capsys.readouterr().err
 
     def test_experiment_resume_journals_and_replays(self, capsys, tmp_path):
         from repro.runtime import RunRecord
@@ -311,12 +338,13 @@ class TestCLIFaultsAndResume:
         again = RunRecord.load(path)
         assert len(again.events) == len(rec.events)
 
-    def test_resume_policy_mismatch_exits(self, tmp_path):
+    def test_resume_policy_mismatch_exits(self, tmp_path, capsys):
         path = tmp_path / "e1.jsonl"
         assert main(["experiment", "e1-live", "--resume", str(path)]) == 0
-        with pytest.raises(SystemExit, match="cannot resume"):
-            main(["experiment", "e1-live", "--policy", "metrics=lite",
-                  "--resume", str(path)])
+        capsys.readouterr()
+        assert main(["experiment", "e1-live", "--policy", "metrics=lite",
+                     "--resume", str(path)]) == 2
+        assert "cannot resume" in capsys.readouterr().err
 
 
 class TestCLICache:
