@@ -99,9 +99,10 @@ class ExecutionResult:
         return self.decision is Decision.ACCEPT
 
     def rejecting_nodes(self) -> Tuple[int, ...]:
-        return tuple(
-            sorted(u for u, d in self.node_decisions.items() if d is Decision.REJECT)
-        )
+        """The rejecting identifiers, ascending (``node_decisions``
+        order: both lanes list nodes by ascending identifier)."""
+        reject = Decision.REJECT  # a local: one attribute read, not n
+        return tuple(sorted([u for u, d in self.node_decisions.items() if d is reject]))
 
 
 class CongestNetwork:

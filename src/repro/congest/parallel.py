@@ -97,7 +97,7 @@ from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tupl
 
 import networkx as nx
 
-from .algorithm import Algorithm, Decision
+from .algorithm import Algorithm
 from .broadcast_model import BroadcastNetwork
 from .congested_clique import CongestedClique
 from .identifiers import identifier_order
@@ -534,10 +534,9 @@ class AmplifiedOutcome:
 
 
 def _summarize(index: int, res: ExecutionResult) -> IterationOutcome:
-    # node_decisions iterates in the contexts' order; reading only the
-    # rejecting nodes' contexts keeps the vectorized lane's lazy mapping
-    # from synthesizing the other n - k.
-    rejecting = [u for u, d in res.node_decisions.items() if d is Decision.REJECT]
+    # Reading only the rejecting nodes' contexts keeps the vectorized
+    # lane's lazy mapping from synthesizing the other n - k.
+    rejecting = res.rejecting_nodes()
     witnesses = tuple(res.contexts[u].state.get("witness") for u in rejecting)
     m = res.metrics
     return IterationOutcome(
@@ -548,7 +547,7 @@ def _summarize(index: int, res: ExecutionResult) -> IterationOutcome:
         total_messages=m.total_messages,
         max_message_bits=m.max_message_bits,
         witnesses=witnesses,
-        rejecting_nodes=tuple(sorted(rejecting)),
+        rejecting_nodes=rejecting,
     )
 
 

@@ -265,8 +265,15 @@ class EdgeIndex:
 
     # ------------------------------------------------------------------
     def pos_of(self, identifiers: np.ndarray) -> np.ndarray:
-        """Positions of the given identifiers (which must all be node ids)."""
-        return np.searchsorted(self.ids, identifiers)
+        """Positions of the given identifiers (which must all be node ids).
+
+        Ascending distinct ids running from 0 to n - 1 are exactly
+        ``0..n-1`` (the canonical labelling), where a position is its id:
+        that case copies instead of binary-searching every identifier."""
+        ids = self.ids
+        if self.n and ids[0] == 0 and ids[-1] == self.n - 1:
+            return np.array(identifiers, dtype=np.int64)
+        return np.searchsorted(ids, identifiers)
 
     def out_edges(self, sender_positions: np.ndarray) -> np.ndarray:
         """Out-order edge indices of all edges leaving the given positions.

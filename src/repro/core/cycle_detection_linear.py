@@ -139,14 +139,20 @@ def _seen_key(recv, origin, hop, n: int, ell: int):
     return (np.asarray(recv, dtype=np.int64) * n + origin) * ell + hop
 
 
-def _first_occurrence(keys: np.ndarray) -> np.ndarray:
-    """Mask of each key's first occurrence (``np.unique``'s
-    ``return_index``): in a stable sort, the head of each run of equal
-    keys is its earliest entry."""
+def _first_unseen(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the keys the object lane's ``seen`` check lets through:
+    each key's first occurrence (``np.unique``'s ``return_index``) unless
+    the sorted, duplicate-free ``seen`` already holds it.  One stable
+    argsort serves both tests: the head of each run of equal keys is its
+    earliest entry, and the heads come out sorted, so the membership
+    search walks ``seen`` in order."""
     order = np.argsort(keys, kind="stable")
-    first = np.zeros(keys.shape[0], dtype=bool)
-    first[order[_run_heads(keys[order])]] = True
-    return first
+    sorted_keys = keys[order]
+    heads = np.flatnonzero(_run_heads(sorted_keys))
+    heads = heads[~_sorted_member(seen, sorted_keys[heads])]
+    mask = np.zeros(keys.shape[0], dtype=bool)
+    mask[order[heads]] = True
+    return mask
 
 
 def _run_heads(sorted_keys: np.ndarray) -> np.ndarray:
@@ -166,11 +172,10 @@ def _sorted_member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 def _sorted_union(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """``np.union1d(sorted_keys, keys)`` for a sorted, duplicate-free
-    ``sorted_keys``: sort and dedupe the (few) new keys, then merge."""
-    keys = np.sort(keys)
-    keys = keys[_run_heads(keys)]
-    keys = keys[~_sorted_member(sorted_keys, keys)]
-    return np.insert(sorted_keys, np.searchsorted(sorted_keys, keys), keys)
+    ``sorted_keys``: sort the (few) new keys, merge the two sorted runs
+    with one stable sort (a linear merge), and drop repeats."""
+    merged = np.sort(np.concatenate((sorted_keys, np.sort(keys))), kind="stable")
+    return merged[_run_heads(merged)]
 
 
 class VectorizedLinearCycle(VectorizedAlgorithm):
@@ -193,9 +198,15 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
     Each node's color is its generator's first ``integers(0, ℓ)`` draw,
     as in the reference; the fused lane computes all ``n`` draws as one
     array without building a generator (:func:`first_integers`), so
-    random colorings agree with the reference bit-for-bit.  Queues exist
-    only for positions holding tokens, and the ``seen`` keys stay one
-    sorted array maintained by binary search and merge.
+    random colorings agree with the reference bit-for-bit.
+
+    A step is array code.  The ``seen`` keys stay one sorted array
+    maintained by binary search and merge.  All FIFO queues together are
+    three parallel arrays, ``q_pos`` / ``q_origin`` / ``q_hop``, sorted
+    by position with each position's oldest token first: an enqueue
+    appends the round's relays (already in arrival order) and re-sorts
+    by position with a stable sort, and a pop takes the head of each
+    position's run -- the senders, in ascending position order.
     """
 
     name = "linear-cycle-detection-vec"
@@ -227,12 +238,11 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
             # of (receiver, origin, hop) keys -- see _seen_key.  A dense
             # (n, n, ell) mask would cost n^2 * ell bytes.
             "seen": _seen_key(start, start, 0, n, ell),
-            # FIFO token queues of the positions holding tokens only; a
-            # queue is dropped once it drains.
-            "queues": {
-                p: deque([(o, 0)])
-                for p, o in zip(start.tolist(), grid.ids[start].tolist())
-            },
+            # Every node's FIFO token queue, as one token list sorted by
+            # position, oldest first within a position (see the class doc).
+            "q_pos": start,
+            "q_origin": grid.ids[start],
+            "q_hop": np.zeros(start.shape[0], dtype=np.int64),
             "has_queue": colors == 0,
             "witness": np.full(n, -1, dtype=np.int64),
             "deadline": n + ell + 1,
@@ -258,7 +268,6 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
         ell = self.length
         colors = state["colors"]
         seen = state["seen"]
-        queues = state["queues"]
         has_queue = state["has_queue"]
         if len(inbox):
             rv = inbox.recv
@@ -269,7 +278,7 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
             # (receiver, ascending sender) order, so "first" is exactly the
             # arrival the object lane's seen-check lets through.
             key = _seen_key(rv, op, hv, grid.n, ell)
-            processed = _first_occurrence(key) & ~_sorted_member(seen, key)
+            processed = _first_unseen(seen, key)
             closure = processed & (ov == grid.ids[rv]) & (hv == ell - 1)
             trigger = processed & ~closure & (hv + 1 < ell) & (colors[rv] == hv + 1)
             # Same-round suppression: an arrival (o, c) at a node of color c
@@ -299,14 +308,19 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
                 seen, np.concatenate((key[processed], key[trigger] + 1))
             )
             if bool(trigger.any()):
-                # Enqueue relays in arrival order (FIFO parity with the
-                # object lane); deliberately no seen-check -- see class doc.
+                # Enqueue relays behind each node's older tokens, in
+                # arrival order (FIFO parity with the object lane);
+                # deliberately no seen-check -- see class doc.
                 t_idx = np.nonzero(trigger)[0]
-                for p, o, h in zip(
-                    rv[t_idx].tolist(), ov[t_idx].tolist(), hv[t_idx].tolist()
-                ):
-                    queues.setdefault(p, deque()).append((o, h + 1))
-                has_queue[rv[t_idx]] = True
+                t_pos = rv[t_idx]
+                q_pos = np.concatenate((state["q_pos"], t_pos))
+                order = np.argsort(q_pos, kind="stable")
+                state["q_pos"] = q_pos[order]
+                state["q_origin"] = np.concatenate(
+                    (state["q_origin"], ov[t_idx]))[order]
+                state["q_hop"] = np.concatenate(
+                    (state["q_hop"], hv[t_idx] + 1))[order]
+                has_queue[t_pos] = True
             if bool(closure.any()):
                 run.decision[rv[closure]] = VEC_REJECT
                 # Fancy assignment: the last (largest-sender) closure wins,
@@ -316,17 +330,20 @@ class VectorizedLinearCycle(VectorizedAlgorithm):
             run.decision[run.decision == VEC_UNDECIDED] = VEC_ACCEPT
             run.halted[:] = True
             return None
-        senders = np.nonzero(has_queue)[0]
-        if senders.shape[0] == 0:
+        q_pos = state["q_pos"]
+        if q_pos.shape[0] == 0:
             return None
-        origins = np.empty(senders.shape[0], dtype=np.int64)
-        hops = np.empty(senders.shape[0], dtype=np.int64)
-        for j, p in enumerate(senders.tolist()):
-            q = queues[p]
-            origins[j], hops[j] = q.popleft()
-            if not q:
-                del queues[p]
-                has_queue[p] = False
+        # Pop every queue's head: the first token of each position's run.
+        head = _run_heads(q_pos)
+        senders = q_pos[head]
+        origins = state["q_origin"][head]
+        hops = state["q_hop"][head]
+        rest = ~head
+        state["q_pos"] = q_pos = q_pos[rest]
+        state["q_origin"] = state["q_origin"][rest]
+        state["q_hop"] = state["q_hop"][rest]
+        has_queue[senders] = False
+        has_queue[q_pos] = True
         edges = grid.out_edges(senders)
         deg = grid.deg[senders]
         payload = np.empty(edges.shape[0], dtype=self.message_dtype)

@@ -129,10 +129,13 @@ class ResultCache:
     (encoded via ``encode``) and construction restores the journalled
     state (decoded via ``decode``): journal order is LRU order, repeated
     keys keep their latest entry, and the restore trims to ``capacity``
-    keeping the most recent keys.  A compaction after restore -- and
-    whenever the journal has grown :data:`DEFAULT_COMPACT_SLACK` appends
-    past the live entry count -- keeps the file proportional to the
-    cache, not to its history.
+    keeping the most recent keys.  A compaction after a restore that
+    dropped lines (repeated keys, or the capacity trim) -- and whenever
+    the journal has grown :data:`DEFAULT_COMPACT_SLACK` appends past the
+    live entry count -- keeps the file proportional to the cache, not to
+    its history.  A journal that already holds exactly the live entries
+    (absent, empty, or clean) is left as it is: its torn tail, if any,
+    is cut by the load itself.
     """
 
     def __init__(
@@ -163,16 +166,18 @@ class ResultCache:
 
     def _restore(self) -> None:
         assert self.journal is not None
-        for key, entry in self.journal.load():
+        loaded = self.journal.load()
+        for key, entry in loaded:
             value = self._decode(entry) if self._decode else entry
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
         self.restored = len(self._entries)
-        # Rewrite the pruned state so the next restart loads exactly the
-        # live entries.
-        self.journal.compact(self._encoded_entries())
+        if len(loaded) > self.restored:
+            # Rewrite the pruned state so the next restart loads exactly
+            # the live entries.
+            self.journal.compact(self._encoded_entries())
 
     def _encoded_entries(self) -> List[Tuple[Hashable, Any]]:
         return [

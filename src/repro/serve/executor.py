@@ -72,9 +72,11 @@ __all__ = [
 class RecordStamp:
     """Captured-once attribution for synthesized records.
 
-    ``RunRecord.start`` shells out for the git SHA on every call; a
-    server answering thousands of requests captures the (per-process
-    constant) stamp once and stamps records directly.
+    ``git_sha`` is memoized per process and ``platform_stamp`` costs
+    about a microsecond, so the stamp saves no per-record work.  What it
+    does do: the server captures it at construction, so the process's
+    one ``git`` spawn happens at start-up, not inside the first
+    request's execution.
     """
 
     git_sha: str

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.congest import BandwidthExceeded, CongestNetwork
+from repro.congest import BandwidthExceeded, CongestNetwork, execute_vectorized
 from repro.congest.message import int_width
 from repro.congest.broadcast_model import BroadcastNetwork
 from repro.congest.congested_clique import CongestedClique
@@ -29,7 +29,7 @@ from repro.core.clique_detection import (
 from repro.core.cycle_detection_linear import (
     LinearCycleIterationAlgorithm,
     VectorizedLinearCycle,
-    _first_occurrence,
+    _first_unseen,
     _sorted_member,
     _sorted_union,
     detect_cycle_linear,
@@ -40,6 +40,7 @@ from repro.core.triangle import (
     SilentProtocol,
     TruncatedAnnouncementProtocol,
 )
+from repro.graphs import generators
 from repro.graphs.template_graph import sample_input
 from repro.lowerbounds.one_round_network import run_one_round_on_network
 from repro.runtime import ExecutionPolicy, RunSession
@@ -280,6 +281,97 @@ class TestLinearCycleLaneProperty:
             assert one.detected == (color_map is not None)
 
 
+class _TrafficLog:
+    """Test observer: every send of a run, per round, as ``(sender,
+    receiver, origin, hop)`` in the order the lane emits them --
+    ``on_message`` on the object lane, ``vec_round`` on the fused lane."""
+
+    def __init__(self):
+        self.rounds = {}
+        self._grid = None
+
+    def after_init(self, lane):
+        run = getattr(lane, "run", None)
+        self._grid = run.grid if run is not None else None
+
+    def wake_promise(self, r, lane, promise):
+        pass
+
+    def after_round(self, r, lane):
+        pass
+
+    def after_finish(self, lane):
+        pass
+
+    def on_message(self, r, u, v, msg):
+        origin, hop = msg.payload
+        self.rounds.setdefault(r, []).append((u, v, origin, hop))
+
+    def vec_round(self, r, edges, sizes, payload):
+        if not len(edges):
+            return
+        g = self._grid
+        self.rounds.setdefault(r, []).extend(zip(
+            g.ids[g.src[edges]].tolist(), g.ids[g.dst[edges]].tolist(),
+            payload["origin"].tolist(), payload["hop"].tolist(),
+        ))
+
+    @property
+    def sends(self):
+        return sum(len(v) for v in self.rounds.values())
+
+
+def _round_traffic(g, ell, seed, max_rounds=None):
+    """Both lanes' per-round traffic logs, plus a plain fused run."""
+    n = g.number_of_nodes()
+    net = CongestNetwork(g, bandwidth=int_width(max(n, 2)) + int_width(ell))
+    rounds = n + ell + 2 if max_rounds is None else max_rounds
+    obj, vec = _TrafficLog(), _TrafficLog()
+    net._execute(LinearCycleIterationAlgorithm(ell), rounds, seed, False, "lite",
+                 observer=obj)
+    execute_vectorized(net, VectorizedLinearCycle(ell), rounds, seed, False,
+                       "lite", observer=vec)
+    plain = net.run(VectorizedLinearCycle(ell), n + ell + 2, seed=seed,
+                    metrics="lite")
+    return obj, vec, plain
+
+
+class TestLinearCycleRoundTraffic:
+    """Per-round traffic parity: each round's sends, in order, carry the
+    same tokens in both lanes.  End-of-run ledgers cannot see *which*
+    token a node pops (one broadcast per node per round either way), so
+    these pin the FIFO order -- oldest token first -- directly."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ell=st.integers(3, 7),
+        n=st.integers(6, 40),
+        grid=st.booleans(),
+    )
+    def test_small_graphs(self, seed, ell, n, grid):
+        if grid:
+            g = nx.convert_node_labels_to_integers(
+                nx.grid_2d_graph(max(2, n // 5), 5))
+        else:
+            g = nx.gnp_random_graph(n, 4.0 / n, seed=seed % 2**31)
+        obj, vec, plain = _round_traffic(g, ell, seed)
+        assert obj.rounds == vec.rounds
+        assert vec.sends == plain.metrics.total_messages
+
+    @pytest.mark.parametrize("seed", [31680, 31681, 31682])
+    def test_batch_benchmark_shape(self, seed):
+        """The batch benchmark's op: C5 on the 64x64 grid.  Every token
+        has drained long before round 40, so both logged runs stop there
+        (an observed object-lane run executes every round of every node);
+        the plain run's message count proves no send was cut off."""
+        obj, vec, plain = _round_traffic(generators.grid(64, 64), 5, seed,
+                                         max_rounds=40)
+        assert obj.rounds == vec.rounds
+        assert max(vec.rounds) < 39
+        assert vec.sends == plain.metrics.total_messages
+
+
 _keys = st.lists(st.integers(-50, 50), max_size=40).map(
     lambda xs: np.array(xs, dtype=np.int64)
 )
@@ -290,11 +382,13 @@ class TestSortedSetHelpers:
     they replace.  Same-round duplicates and their order rarely reach an
     observable ledger, so these pin the semantics directly."""
 
-    @given(keys=_keys)
-    def test_first_occurrence_is_unique_return_index(self, keys):
+    @given(seen=_keys, keys=_keys)
+    def test_first_unseen_is_unique_return_index(self, seen, keys):
+        seen = np.unique(seen)
         want = np.zeros(keys.shape[0], dtype=bool)
         want[np.unique(keys, return_index=True)[1]] = True
-        assert _first_occurrence(keys).tolist() == want.tolist()
+        want &= ~np.isin(keys, seen)
+        assert _first_unseen(seen, keys).tolist() == want.tolist()
 
     @given(base=_keys, keys=_keys)
     def test_member_and_union(self, base, keys):

@@ -4,8 +4,9 @@ The journal's two durability claims -- torn-tail-repairing loads and
 atomic compaction -- are pinned here as plain file manipulations: a torn
 tail is written the way a crash mid-append leaves it, a prefix of a line
 with no newline.  The server-level restart story (journal-warm hits
-after a torn append) lives in ``test_chaos.py``'s replay matrix and the
-SIGKILL subprocess test in ``test_shutdown_safety.py``.
+after a torn append) lives in ``test_chaos.py``'s replay matrix and
+``TestJournalRestart``, and the SIGKILL subprocess test in
+``test_shutdown_safety.py``.
 """
 
 from __future__ import annotations
@@ -113,6 +114,18 @@ class TestJournalBackedCache:
         ResultCache(2, journal=_journal(tmp_path))
         # Restore pruned to capacity and rewrote the file to match.
         assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 2
+
+    def test_restore_of_exactly_the_live_entries_rewrites_nothing(self, tmp_path):
+        assert ResultCache(2, journal=_journal(tmp_path)).journal.compactions == 0
+        cache = ResultCache(2, journal=_journal(tmp_path))
+        cache.put(("k", 0), {"v": 0})
+        cache.put(("k", 1), {"v": 1})
+        inode = (tmp_path / "cache.jsonl").stat().st_ino
+        reborn = ResultCache(2, journal=_journal(tmp_path))
+        assert reborn.restored == 2
+        assert reborn.journal.compactions == 0
+        # An atomic rewrite would have renamed a new file into place.
+        assert (tmp_path / "cache.jsonl").stat().st_ino == inode
 
     def test_churn_triggers_automatic_compaction(self, tmp_path):
         cache = ResultCache(

@@ -404,6 +404,52 @@ class TestKillRestartReplayMatrix:
         )
 
 
+class TestJournalRestart:
+    """A restart leaves a journal that already holds exactly the live
+    entries alone, so the load's own torn-tail repair is what keeps a
+    later fill readable."""
+
+    REQS = [
+        {"id": f"j{i}", "pattern": "triangle",
+         "graph": {"kind": "clique", "s": s}}
+        for i, s in enumerate((3, 4, 5))
+    ]
+
+    @staticmethod
+    def _phase(journal, reqs):
+        async def scenario(srv):
+            client = await Client.connect(srv.bound_port)
+            got = {}
+            for obj in reqs:
+                await client.send(obj)
+                got.update(await client.collect(1))
+            await client.close()
+            sources = {rid: got[rid]["terminal"]["cache"] for rid in got}
+            return srv.cache.restored, srv.cache.stats()["journal"], sources
+
+        return asyncio.run(_with_server(scenario, cache_journal=journal))
+
+    def test_fill_after_a_torn_restart_survives_the_next_restart(self, tmp_path):
+        journal = tmp_path / "cache.jsonl"
+        j0, j1, j2 = self.REQS
+        restored, jstats, _ = self._phase(journal, [j0, j1])
+        assert (restored, jstats["compactions"]) == (0, 0)
+        _tear_last_line(journal)
+
+        # Restart on the torn file: j0 restores, j1 refills, j2 is new.
+        restored, jstats, sources = self._phase(journal, [j1, j2])
+        assert restored == 1
+        assert jstats["dropped_tail"] == 1
+        assert jstats["compactions"] == 0
+        assert sources == {"j1": "miss", "j2": "miss"}
+
+        # A clean restart: both phase-2 fills survive, nothing is rewritten.
+        restored, jstats, sources = self._phase(journal, self.REQS)
+        assert restored == 3
+        assert (jstats["dropped_tail"], jstats["compactions"]) == (0, 0)
+        assert set(sources.values()) == {"hit"}
+
+
 async def _issue(port, obj, sem, drop=False):
     """One request on its own connection: its terminal row and its
     record rows.  With ``drop`` the client closes its socket right
